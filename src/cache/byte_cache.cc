@@ -1,5 +1,7 @@
 #include "cache/byte_cache.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace bytecache::cache {
@@ -15,37 +17,22 @@ ByteCache::ByteCache(const CacheConfig& config) : store_(config) {
 }
 
 void ByteCache::on_evict(const CachedPacket& pkt, EvictReason reason) {
-  // Purge only entries still owned by the evicted packet: a newer payload
-  // may have overwritten some of them, and those must survive.  The
-  // owned set (with its stored offsets) is what a demotion carries into
-  // the L2 index, so collect it in the same pass.
-  demote_scratch_.clear();
+  // Budget victims are still warm: offer them to the tier below, whose
+  // admission keeps their entries in place.  A packet owning no entries
+  // can never be hit again (lookups start at the index), so it is not
+  // worth L2 bytes — and has nothing to purge either.
+  if (reason == EvictReason::kBudget && lower_ != nullptr) {
+    const bool owns = std::any_of(
+        pkt.fps.begin(), pkt.fps.end(), [&](rabin::Fingerprint fp) {
+          const auto entry = table_.get(fp);
+          return entry && entry->packet_id == pkt.id;
+        });
+    if (!owns || lower_->on_demote(pkt)) return;
+  }
+  // Purge only entries still owned by the departing packet: a newer
+  // payload may have overwritten some of them, and those must survive.
   for (rabin::Fingerprint fp : pkt.fps) {
-    const auto entry = table_.get(fp);
-    if (!entry || entry->packet_id != pkt.id) continue;
-    demote_scratch_.push_back(DemotedFp{fp, entry->offset});
-    table_.erase(fp);
-    ++stats_.fingerprints_purged;
-  }
-  // Budget victims are still warm — offer them to the tier below.  A
-  // packet owning no entries can never be hit again (lookups start at
-  // the fingerprint table), so demoting it would only waste L2 bytes.
-  if (reason == EvictReason::kBudget && demote_sink_ != nullptr &&
-      !demote_scratch_.empty()) {
-    demote_sink_->on_demote(pkt, demote_scratch_);
-  }
-}
-
-void ByteCache::readmit(std::uint64_t id, util::BytesView payload,
-                        const PacketMeta& meta,
-                        const std::vector<rabin::Fingerprint>& fps,
-                        std::span<const DemotedFp> owned) {
-  store_.reinsert(id, payload, meta, fps);
-  // The promoted packet owned these entries in the L2 index, which means
-  // no newer packet took them (an update() overwriting a fingerprint
-  // erases the L2 side, see CacheTier::update) — so the slots are free.
-  for (const DemotedFp& o : owned) {
-    table_.put(o.fp, FpEntry{id, o.offset});
+    if (table_.erase_if_owner(fp, pkt.id)) ++stats_.fingerprints_purged;
   }
 }
 
@@ -64,18 +51,9 @@ std::uint64_t ByteCache::update(util::BytesView payload,
 
 std::optional<CacheHit> ByteCache::find(rabin::Fingerprint fp) {
   ++stats_.lookups;
-  auto entry = table_.get(fp);
+  const auto entry = table_.get(fp);
   if (!entry) return std::nullopt;
-  const CachedPacket* pkt = store_.lookup(entry->packet_id);
-  if (pkt == nullptr) {
-    // Unreachable while the eviction purge holds (see audit), but kept:
-    // a stale entry must never serve a hit.
-    table_.erase(fp);
-    ++stats_.stale_hits;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  return CacheHit{pkt, entry->offset};
+  return hit(fp, *entry);
 }
 
 void ByteCache::probe_batch(std::span<const rabin::Anchor> anchors,
@@ -89,20 +67,29 @@ std::optional<CacheHit> ByteCache::resolve(rabin::Fingerprint fp,
   // Mirrors find() step for step; the probe replaces only the table get.
   ++stats_.lookups;
   if (!probe.found) return std::nullopt;
-  const CachedPacket* pkt = store_.lookup(probe.entry.packet_id);
-  if (pkt == nullptr) {
-    // Unreachable while the eviction purge holds (see audit), but kept:
-    // a stale entry must never serve a hit.  (If the same stale
-    // fingerprint was probed twice in one batch, the second erase is a
-    // no-op and stale_hits counts it again — find() would have counted a
-    // plain miss — an observable difference only on this
-    // purge-already-failed path.)
-    table_.erase(fp);
-    ++stats_.stale_hits;
-    return std::nullopt;
+  return hit(fp, probe.entry);
+}
+
+std::optional<CacheHit> ByteCache::hit(rabin::Fingerprint fp,
+                                       const FpEntry& entry) {
+  if (const CachedPacket* pkt = store_.lookup(entry.packet_id)) {
+    ++stats_.hits;
+    return CacheHit{pkt, entry.offset};
   }
-  ++stats_.hits;
-  return CacheHit{pkt, probe.entry.offset};
+  if (lower_ != nullptr) {
+    if (const CachedPacket* pkt = lower_->lookup(entry.packet_id)) {
+      return CacheHit{pkt, entry.offset};
+    }
+  }
+  // Unreachable while the eviction purge holds (see CacheTier::audit),
+  // but kept: a stale entry must never serve a hit.  (If the same stale
+  // fingerprint was probed twice in one batch, the second erase is a
+  // no-op and stale_hits counts it again — find() would have counted a
+  // plain miss — an observable difference only on this
+  // purge-already-failed path.)
+  table_.erase(fp);
+  ++stats_.stale_hits;
+  return std::nullopt;
 }
 
 bool ByteCache::invalidate(rabin::Fingerprint fp) {
@@ -113,14 +100,21 @@ bool ByteCache::invalidate(rabin::Fingerprint fp) {
   return true;
 }
 
+std::size_t ByteCache::fingerprint_count() const {
+  if (lower_ == nullptr) return table_.size();
+  std::size_t owned = 0;
+  table_.for_each([&](rabin::Fingerprint, const FpEntry& entry) {
+    if (store_.contains(entry.packet_id)) ++owned;
+  });
+  return owned;
+}
+
 void ByteCache::audit() const {
   if (!util::kAuditEnabled) return;
   store_.audit();
-  const std::size_t stale = table_.audit(store_);
-  // The eviction purge removes every fingerprint of an evicted packet the
-  // moment it leaves the store, so staleness cannot accumulate.
-  BC_AUDIT(stale == 0) << stale << " stale fingerprint entries survived "
-                       << "the eviction purge";
+  // Entries of L2 residents count as stale here; CacheTier::audit holds
+  // every entry to resolving in exactly one tier.
+  (void)table_.audit(store_);
   // (Snapshot restore bypasses the counters, so only intra-stat relations
   // can be asserted here, not stats against store contents.)
   BC_AUDIT(stats_.hits + stats_.stale_hits <= stats_.lookups)
@@ -149,8 +143,14 @@ void ByteCache::save(SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(p.payload.size()));
     w.bytes(p.payload);
   }
-  w.u32(static_cast<std::uint32_t>(table_.size()));
+  // With a lower tier attached the index also holds its residents'
+  // entries; those travel in the tier's own block.
+  const auto l1_owned = [&](const FpEntry& entry) {
+    return lower_ == nullptr || store_.contains(entry.packet_id);
+  };
+  w.u32(static_cast<std::uint32_t>(fingerprint_count()));
   table_.for_each([&](rabin::Fingerprint fp, const FpEntry& entry) {
+    if (!l1_owned(entry)) return;
     w.u64(fp);
     w.u64(entry.packet_id);
     w.u16(entry.offset);

@@ -1,11 +1,14 @@
 // The byte cache used by both the encoder and decoder gateways.
 //
 // Combines the packet store and the fingerprint table and keeps them
-// consistent: when the store evicts a payload (byte budget or NACK), the
-// eviction hook purges every fingerprint entry still pointing at it, so
-// the table's memory is bounded by the live cache contents.  A
-// fingerprint hit whose packet has nevertheless vanished is treated as a
-// miss and lazily erased (defense in depth).  Encoder and decoder run the
+// consistent: when a payload leaves the cache for good (byte budget or
+// NACK), the eviction hook purges every fingerprint entry still pointing
+// at it, so the table's memory is bounded by the live cache contents.
+// With a lower tier attached (CacheTier's L2) the table indexes both
+// tiers: entries name packets by id, and the lower tier answers for ids
+// the store does not hold.  A fingerprint hit whose packet has vanished
+// anyway is treated as a miss and lazily erased (defense in depth).
+// Encoder and decoder run the
 // *identical* cache-update procedure over the same (original) payload
 // bytes, so as long as packets are delivered in order and undamaged the
 // two caches evolve in lockstep — the paper's core synchronization
@@ -64,23 +67,18 @@ struct CacheHit {
   std::uint16_t offset = 0;  // window start within packet->payload
 };
 
-/// A fingerprint the eviction purge just removed because the departing
-/// packet still owned its table entry, with the stored window offset —
-/// exactly what the L2 tier needs to re-index the packet after demotion.
-struct DemotedFp {
-  rabin::Fingerprint fp = 0;
-  std::uint16_t offset = 0;
-};
-
-/// Receives packets the L1 expels to meet its byte budget (CacheTier
-/// implements it to admit them into the L2).  Called while the packet's
-/// payload bytes are still valid, and only for *budget* evictions —
-/// explicitly erased packets (NACK invalidation) must die everywhere.
-class DemoteSink {
+/// The tier below the L1 (CacheTier implements it over an L2 stripe).
+/// Index entries stay put when their packet changes tier.
+class LowerTier {
  public:
-  virtual ~DemoteSink() = default;
-  virtual void on_demote(const CachedPacket& pkt,
-                         std::span<const DemotedFp> owned) = 0;
+  virtual ~LowerTier() = default;
+  /// Offered a budget victim that still owns index entries, while its
+  /// payload is valid (never a NACKed packet: that must die everywhere).
+  /// True if admitted, its entries now naming a lower-tier resident;
+  /// false if it is gone for good and the L1 must purge its entries.
+  virtual bool on_demote(const CachedPacket& pkt) = 0;
+  /// The lower-tier resident `id` a hit named, or nullptr if absent.
+  virtual const CachedPacket* lookup(std::uint64_t id) = 0;
 };
 
 class ByteCache final : private EvictionListener {
@@ -132,22 +130,24 @@ class ByteCache final : private EvictionListener {
   void flush();
 
   /// Reacts to a decoder NACK for `fp`: removes the fingerprint AND the
-  /// whole packet it points to (the eviction hook purges every other
-  /// fingerprint referencing that packet).  Returns true if an entry
-  /// existed.
+  /// whole L1 packet it points to (the eviction hook purges every other
+  /// fingerprint referencing that packet; CacheTier handles owners in the
+  /// L2).  Returns true if an entry existed.
   bool invalidate(rabin::Fingerprint fp);
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
   /// audits): audits the store, audits the fingerprint table against it,
-  /// and checks the statistics counters for internal consistency.
+  /// and checks the statistics counters for internal consistency.  That
+  /// no entry is stale is CacheTier::audit's rule: only it sees both
+  /// tiers.
   void audit() const;
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const PacketStore& store() const { return store_; }
   [[nodiscard]] const FingerprintTable& table() const { return table_; }
-  [[nodiscard]] std::size_t fingerprint_count() const {
-    return table_.size();
-  }
+  /// Entries owned by L1 residents; a table scan when a lower tier is
+  /// attached (telemetry and tests only).
+  [[nodiscard]] std::size_t fingerprint_count() const;
 
   /// Snapshot-restore primitives (see cache/snapshot.h); bypass the
   /// normal update path and statistics.  restore_fingerprint also records
@@ -164,7 +164,8 @@ class ByteCache final : private EvictionListener {
 
   /// Serializes the cache contents (not statistics) as one "BCC1" block
   /// — byte-identical to the original persist.h format, so snapshots
-  /// from before the tier redesign stay readable and vice versa.
+  /// from before the tier redesign stay readable and vice versa.  Holds
+  /// only entries owned by L1 residents.
   void save(SnapshotWriter& w) const;
 
   /// Restores one "BCC1" block, replacing the current contents and
@@ -176,23 +177,26 @@ class ByteCache final : private EvictionListener {
 
   // ---- Tier plumbing (cache/cache_tier.h) ----
 
-  /// Registers the L1 -> L2 demotion hook (at most one; nullptr
-  /// detaches).  Only budget evictions are offered for demotion.
-  void set_demote_sink(DemoteSink* sink) { demote_sink_ = sink; }
+  /// Registers the tier below (at most one; nullptr detaches).
+  void set_lower_tier(LowerTier* lower) { lower_ = lower; }
+
+  /// The index, shared with the L2 stripe (which purges its evictees'
+  /// entries and restores its residents').
+  [[nodiscard]] FingerprintTable& index() { return table_; }
 
   /// Re-admits a packet promoted back from the L2 at the MRU end under
-  /// its original id.  `fps` is the packet's recorded fingerprint list
-  /// (for the future eviction purge); `owned` are the entries the L2
-  /// index still attributed to it, which re-enter the L1 table.  May
-  /// evict (and therefore demote) LRU entries.  Statistics are not
+  /// its original id and fingerprint list; its index entries never left.
+  /// May evict (and therefore demote) LRU entries.  Statistics are not
   /// touched: promotion is tier bookkeeping, not a paper cache event.
   void readmit(std::uint64_t id, util::BytesView payload,
                const PacketMeta& meta,
-               const std::vector<rabin::Fingerprint>& fps,
-               std::span<const DemotedFp> owned);
+               const std::vector<rabin::Fingerprint>& fps) {
+    store_.reinsert(id, payload, meta, fps);
+  }
 
-  [[nodiscard]] bool has_fingerprint(rabin::Fingerprint fp) const {
-    return table_.get(fp).has_value();
+  /// Keeps new ids above a restored L2 resident's `id`.
+  void reserve_ids_through(std::uint64_t id) {
+    store_.reserve_ids_through(id);
   }
 
   /// Patches a restored packet's host-pair attribution (the tier
@@ -205,13 +209,13 @@ class ByteCache final : private EvictionListener {
  private:
   void on_evict(const CachedPacket& pkt, EvictReason reason) override;
 
+  /// find()/resolve() tail: the hit on `entry`, from either tier.
+  std::optional<CacheHit> hit(rabin::Fingerprint fp, const FpEntry& entry);
+
   PacketStore store_;
   FingerprintTable table_;
   CacheStats stats_;
-  DemoteSink* demote_sink_ = nullptr;
-  /// Owned-fingerprint scratch for on_evict, reused so steady-state
-  /// demotion stays allocation-free.
-  std::vector<DemotedFp> demote_scratch_;
+  LowerTier* lower_ = nullptr;
 };
 
 }  // namespace bytecache::cache

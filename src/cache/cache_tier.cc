@@ -1,5 +1,7 @@
 #include "cache/cache_tier.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/crc32.h"
 
@@ -11,24 +13,27 @@ CacheTier::CacheTier(const CacheConfig& config, L2Store* l2)
     BC_CHECK(l2->config().l2_bytes == config.l2_bytes &&
              l2->config().per_host_pair_bytes == config.per_host_pair_bytes)
         << "CacheTier and its L2Store were built from different configs";
-    stripe_ = l2->attach();
-    l1_.set_demote_sink(this);
+    FingerprintTable& index = l1_.index();
+    stripe_ = l2->attach(index);
+    // The L1's density (one fingerprint per 16 bytes) over both tiers.
+    index.reserve((config.l1_bytes + stripe_->share_bytes()) / 16);
+    l1_.set_lower_tier(this);
   }
 }
 
-void CacheTier::on_demote(const CachedPacket& pkt,
-                          std::span<const DemotedFp> owned) {
-  stripe_->admit(pkt, owned);
+const CachedPacket* CacheTier::lookup(std::uint64_t id) {
+  bool enqueue = false;
+  const CachedPacket* pkt = stripe_->find(id, enqueue);
+  if (enqueue) promote_queue_.push_back(id);
+  return pkt;
 }
 
 void CacheTier::apply_promotions() {
   for (std::uint64_t id : promote_queue_) {
-    owned_scratch_.clear();
     // The packet can have left the stripe since the hit (host-budget or
     // share eviction triggered by a later demotion): nothing to promote.
-    if (!stripe_->take(id, taken_, owned_scratch_)) continue;
-    l1_.readmit(id, taken_.payload, taken_.meta, taken_.fps,
-                owned_scratch_);
+    if (!stripe_->take(id, taken_)) continue;
+    l1_.readmit(id, taken_.payload, taken_.meta, taken_.fps);
     ++stripe_->stats().promotions;
   }
   promote_queue_.clear();
@@ -44,40 +49,10 @@ std::uint64_t CacheTier::update(util::BytesView payload,
   if (stripe_ != nullptr && !promote_queue_.empty()) apply_promotions();
   journal_update(payload, anchors, meta);
   const std::uint64_t id = l1_.update(payload, anchors, meta);
-  if (stripe_ != nullptr) {
-    // Ownership of these fingerprints moved to the packet just inserted
-    // into the L1: whatever the L2 index held for them is now stale.
-    // This is the step that keeps every fingerprint resolvable in
-    // exactly one tier (see audit()).
-    stripe_->unindex(anchors);
-    // Epoch boundary: enforce the stripe share and free limbo slices —
-    // nothing handed out during this packet is referenced past here.
-    stripe_->end_packet();
-  }
+  // Epoch boundary: enforce the stripe share and free limbo slices —
+  // nothing handed out during this packet is referenced past here.
+  if (stripe_ != nullptr) stripe_->end_packet();
   return id;
-}
-
-std::optional<CacheHit> CacheTier::find(rabin::Fingerprint fp) {
-  auto hit = l1_.find(fp);
-  if (hit.has_value() || stripe_ == nullptr) return hit;
-  bool enqueue = false;
-  auto l2 = stripe_->find(fp, enqueue);
-  if (l2.has_value() && enqueue) {
-    promote_queue_.push_back(l2->packet->id);
-  }
-  return l2;
-}
-
-std::optional<CacheHit> CacheTier::resolve(rabin::Fingerprint fp,
-                                           const ProbeResult& probe) {
-  auto hit = l1_.resolve(fp, probe);
-  if (hit.has_value() || stripe_ == nullptr) return hit;
-  bool enqueue = false;
-  auto l2 = stripe_->find(fp, enqueue);
-  if (l2.has_value() && enqueue) {
-    promote_queue_.push_back(l2->packet->id);
-  }
-  return l2;
 }
 
 void CacheTier::flush() {
@@ -91,32 +66,68 @@ void CacheTier::flush() {
 
 bool CacheTier::invalidate(rabin::Fingerprint fp) {
   journal_op(kOpInvalidate, fp);
-  if (l1_.invalidate(fp)) return true;
-  if (stripe_ == nullptr || !stripe_->invalidate(fp)) return false;
-  // Invalidation is control-plane work between packets: no payload
-  // pointer from a match loop is live, so the victim's slice need not
-  // wait in limbo for the next update()'s epoch boundary.
-  stripe_->end_packet();
-  return true;
+  if (stripe_ != nullptr) {
+    const auto entry = l1_.table().get(fp);
+    if (entry && stripe_->invalidate(entry->packet_id)) {
+      // Invalidation is control-plane work between packets: no payload
+      // pointer from a match loop is live, so the victim's slice need
+      // not wait in limbo for the next update()'s epoch boundary.
+      stripe_->end_packet();
+      return true;
+    }
+  }
+  return l1_.invalidate(fp);
 }
 
 void CacheTier::audit() const {
   l1_.audit();
-  if (stripe_ == nullptr) return;
-  stripe_->audit();
+  if (stripe_ != nullptr) stripe_->audit();
   if (!util::kAuditEnabled) return;
-  // Cross-tier exclusivity: update() unindexes freshly owned
-  // fingerprints from the L2 and promotion/demotion move a packet
-  // wholesale, so no fingerprint or packet id may appear in both tiers.
-  stripe_->for_each_fingerprint([&](std::uint64_t fp, const FpEntry& e) {
-    BC_AUDIT(!l1_.has_fingerprint(fp))
-        << "fingerprint " << fp << " indexed in both tiers (L2 owner "
-        << e.packet_id << ")";
-  });
+  audit_index(l1_.table(), l1_.store(), stripe_);
+  if (stripe_ == nullptr) return;
   for (const CachedPacket& p : l1_.store().entries()) {
     BC_AUDIT(!stripe_->contains(p.id))
         << "packet " << p.id << " resident in both tiers";
   }
+}
+
+void CacheTier::audit_index(const FingerprintTable& index,
+                            const PacketStore& l1,
+                            const L2Store::Stripe* l2) {
+  if (!util::kAuditEnabled) return;
+  // Entries are purged when their packet leaves the cache for good and
+  // never move with it between tiers, so none may be stale.
+  std::size_t stale = 0;
+  index.for_each([&](rabin::Fingerprint fp, const FpEntry& e) {
+    const CachedPacket* in_l1 = l1.peek(e.packet_id);
+    const CachedPacket* in_l2 = l2 != nullptr ? l2->peek(e.packet_id) : nullptr;
+    BC_AUDIT(in_l1 == nullptr || in_l2 == nullptr)
+        << "fingerprint " << fp << " names packet " << e.packet_id
+        << ", resident in both tiers";
+    const CachedPacket* owner = in_l1 != nullptr ? in_l1 : in_l2;
+    if (owner == nullptr) {
+      ++stale;
+      return;
+    }
+    BC_AUDIT(e.offset < owner->payload.size())
+        << "fingerprint " << fp << " starts at " << e.offset << ", past the "
+        << owner->payload.size() << "-byte payload of packet " << e.packet_id;
+    BC_AUDIT(std::find(owner->fps.begin(), owner->fps.end(), fp) !=
+             owner->fps.end())
+        << "fingerprint " << fp << " is not recorded on its owner "
+        << e.packet_id;
+  });
+  BC_AUDIT(stale == 0) << stale << " stale fingerprint entries name a "
+                       << "packet no tier holds";
+}
+
+std::size_t CacheTier::l2_fingerprint_count() const {
+  if (stripe_ == nullptr) return 0;
+  std::size_t owned = 0;
+  l1_.table().for_each([&](rabin::Fingerprint, const FpEntry& e) {
+    if (stripe_->contains(e.packet_id)) ++owned;
+  });
+  return owned;
 }
 
 const TierStats& CacheTier::tier_stats() const {
@@ -230,6 +241,12 @@ bool CacheTier::load_tier(SnapshotReader& r) {
     // L2-less tier would silently drop cache contents.
     if (stripe_ == nullptr) return reject(r);
     if (!stripe_->load(r)) return reject(r);
+    // The tier is found by id, so ids must be unique across tiers — and
+    // stay so, though an L2 resident can hold the newest id.
+    for (const CachedPacket& p : l1_.store().entries()) {
+      if (stripe_->contains(p.id)) return reject(r);
+    }
+    l1_.reserve_ids_through(stripe_->max_id());
   } else if (stripe_ != nullptr) {
     stripe_->clear();
   }

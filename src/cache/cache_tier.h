@@ -1,25 +1,21 @@
 // The two-tier cache facade the codecs hold (DESIGN.md §14).
 //
-// CacheTier mirrors ByteCache's API exactly, so the encoder and decoder
-// swapped one member type and kept every call site.  The hot path is the
-// L1 (the existing ByteCache, untouched): probes, updates, and most hits
-// never know the tier exists, and with no L2 configured (the default)
-// the facade is a passthrough — bit-identical behavior to the flat
-// cache, which the equivalence suite pins.
+// CacheTier mirrors ByteCache's API, so the codecs kept every call site;
+// with no L2 configured (the default) it is a passthrough, bit-identical
+// to the flat cache, which the equivalence suite pins.
 //
-// With an L2 (CacheConfig::l2_bytes > 0, an L2Store stripe attached):
-//   - L1 budget evictions demote into the stripe (DemoteSink), carrying
-//     the fingerprints the evicted packet still owned into the L2 index.
-//   - A lookup missing the L1 falls through to the stripe; an L2 hit
-//     serves the match immediately and enqueues the packet for deferred
-//     promotion, applied at the next update() so the re-insertion lands
-//     just below the incoming packet in recency — and never mutates the
-//     L1 mid-match-loop.
-//   - update() erases the freshly indexed fingerprints from the L2 index
-//     (ownership follows the newest packet), preserving the invariant
-//     that every fingerprint resolves in exactly one tier and every
-//     packet id is resident in exactly one tier — which is what makes
-//     promotion's unconditional re-indexing safe.  audit() checks both.
+// With an L2 (CacheConfig::l2_bytes > 0, an L2Store stripe attached) the
+// codec still keeps ONE fingerprint index for both tiers, sized for the
+// L1 budget plus the stripe share.  An entry names its owner by id, and
+// the owner's tier is found by id (the L1 store's id index, then the
+// stripe's), so every fingerprint resolves in exactly one tier by
+// construction.  L1 budget evictions demote into the stripe and L2 hits
+// promote back (deferred to the next update(), so the L1 never mutates
+// mid-match-loop), each moving only payload, metadata and fingerprint
+// list — no index edits.  update()'s overwrite moves ownership to the
+// newest packet in either tier.  Entries are erased only when a packet
+// leaves the cache for good: an L2 eviction, an admission rejection, a
+// NACK invalidation in either tier, or an L1 victim owning nothing.
 //
 // Snapshots: save()/load() emit the legacy flat "BCC1" block when no L2
 // is attached (byte-identical to the pre-tier persist format) and the
@@ -39,7 +35,7 @@
 
 namespace bytecache::cache {
 
-class CacheTier final : private DemoteSink {
+class CacheTier final : private LowerTier {
  public:
   /// An L2-less tier (l2 == nullptr) is a plain ByteCache behind the same
   /// API.  With a store, one stripe is attached (claimed for this codec's
@@ -47,40 +43,39 @@ class CacheTier final : private DemoteSink {
   explicit CacheTier(const CacheConfig& config = {},
                      L2Store* l2 = nullptr);
 
-  // The L1 store points back at this object as its demote sink.
+  // The L1 points back at this object as its lower tier.
   CacheTier(const CacheTier&) = delete;
   CacheTier& operator=(const CacheTier&) = delete;
 
   /// The cache-update procedure (paper Fig. 2 C) plus tier maintenance:
-  /// queued promotions apply first (in hit order), then the L1 update,
-  /// then the new anchors are unindexed from the L2 (ownership moved),
-  /// and the stripe's epoch boundary runs (budget eviction + limbo).
+  /// queued promotions apply first (in hit order), then the L1 update
+  /// (its index overwrites move ownership, whichever tier held it), and
+  /// the stripe's epoch boundary runs (budget eviction + limbo).
   std::uint64_t update(util::BytesView payload,
                        const std::vector<rabin::Anchor>& anchors,
                        const PacketMeta& meta);
 
-  /// L1 lookup, falling through to the L2 on miss.  An L2 hit is served
-  /// from the stripe (pointers valid through this packet's update) and
-  /// promoted at the next update().
-  [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp);
+  /// Index lookup, served from whichever tier holds the owner.  An L2
+  /// hit stays valid through this packet's update and is promoted at the
+  /// next update().
+  [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp) {
+    return l1_.find(fp);
+  }
 
-  /// Batched L1 probe (see ByteCache::probe_batch); the L2 fallthrough
-  /// happens in resolve(), so a probe stays side-effect free.
+  /// Batched probe of the one index (see ByteCache::probe_batch): a
+  /// probe that misses is a miss in both tiers.  Side-effect free.
   void probe_batch(std::span<const rabin::Anchor> anchors,
                    std::vector<ProbeResult>& out) const {
     l1_.probe_batch(anchors, out);
   }
 
-  /// Resolves one probed anchor exactly as ByteCache::resolve, then
-  /// falls through to the L2 on miss — so probe+resolve remains
-  /// observably identical to find() in the same order, tiered or not.
+  /// Resolves one probed anchor exactly as find() would, tiered or not.
   [[nodiscard]] std::optional<CacheHit> resolve(rabin::Fingerprint fp,
-                                                const ProbeResult& probe);
-
-  void prefetch(rabin::Fingerprint fp) const {
-    l1_.prefetch(fp);
-    if (stripe_ != nullptr) stripe_->prefetch(fp);
+                                                const ProbeResult& probe) {
+    return l1_.resolve(fp, probe);
   }
+
+  void prefetch(rabin::Fingerprint fp) const { l1_.prefetch(fp); }
 
   /// Cache flush (paper Section V-A): both tiers.
   void flush();
@@ -89,18 +84,29 @@ class CacheTier final : private DemoteSink {
   /// the fingerprint (never demotes it — the peer lost those bytes).
   bool invalidate(rabin::Fingerprint fp);
 
-  /// Deep invariant audit: both tiers, plus the cross-tier exclusivity
-  /// invariants (no fingerprint indexed in both tiers, no packet id
-  /// resident in both).
+  /// Deep invariant audit: both tiers, plus the index rule (see
+  /// audit_index) and no packet id resident in both tiers.
   void audit() const;
+
+  /// The index rule, over any index/L1/L2 triple (`l2` may be null):
+  /// every entry names a packet resident in exactly one tier, its offset
+  /// lies inside that payload, and the fingerprint is on the owner's
+  /// `fps` list.  Public so tests can feed it a known-bad index.
+  static void audit_index(const FingerprintTable& index,
+                          const PacketStore& l1,
+                          const L2Store::Stripe* l2);
 
   // ---- L1 passthrough (telemetry, tests, snapshot primitives) ----
   [[nodiscard]] const CacheStats& stats() const { return l1_.stats(); }
   [[nodiscard]] const PacketStore& store() const { return l1_.store(); }
+  /// The codec's one index, both tiers' entries.
   [[nodiscard]] const FingerprintTable& table() const { return l1_.table(); }
+  /// Entries owned by L1 residents (see ByteCache).
   [[nodiscard]] std::size_t fingerprint_count() const {
     return l1_.fingerprint_count();
   }
+  /// Entries owned by L2 residents; a table scan (telemetry and tests).
+  [[nodiscard]] std::size_t l2_fingerprint_count() const;
 
   // ---- Tier introspection ----
   [[nodiscard]] bool has_l2() const { return stripe_ != nullptr; }
@@ -140,8 +146,10 @@ class CacheTier final : private DemoteSink {
   static constexpr std::uint8_t kOpInvalidate = 0x02;
   static constexpr std::uint8_t kOpFlush = 0x03;
 
-  void on_demote(const CachedPacket& pkt,
-                 std::span<const DemotedFp> owned) override;
+  bool on_demote(const CachedPacket& pkt) override {
+    return stripe_->admit(pkt);
+  }
+  const CachedPacket* lookup(std::uint64_t id) override;
 
   /// Applies the queued L2 -> L1 promotions in hit order.
   void apply_promotions();
@@ -167,8 +175,7 @@ class CacheTier final : private DemoteSink {
 
   /// Ids awaiting promotion, in first-hit order; applied at update().
   std::vector<std::uint64_t> promote_queue_;
-  /// Reused per-promotion scratch (owned fingerprints out of the L2).
-  std::vector<DemotedFp> owned_scratch_;
+  /// Reused per-promotion scratch.
   L2Store::Stripe::Taken taken_;
 
   // Incremental-snapshot journal (SnapshotMode::kIncremental only).

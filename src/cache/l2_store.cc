@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "util/check.h"
 
@@ -11,10 +12,8 @@ namespace bytecache::cache {
 
 L2Store::Stripe::Stripe(const CacheConfig& config, std::size_t share_bytes)
     : config_(config), share_(share_bytes) {
-  // Same densities as the L1 (ByteCache): about one owned fingerprint per
-  // 16 payload bytes, and at least one packet per minimum arena slice —
-  // pre-sized so steady-state demotion churn never rehashes.
-  fp_index_.reserve(share_ / 16);
+  // At least one packet per minimum arena slice: pre-sized so
+  // steady-state demotion churn never rehashes.
   id_index_.reserve(share_ / SliceArena::kMinSlice);
 }
 
@@ -115,32 +114,34 @@ void L2Store::Stripe::touch(std::uint32_t slot) {
   }
 }
 
-std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
+void L2Store::Stripe::remove_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  const std::uint64_t id = s.pkt.id;
-  std::size_t purged = 0;
-  // Purge only entries the packet still owns: a later demotion may have
-  // overwritten some (the L1's overwrite semantics, mirrored here).
-  for (rabin::Fingerprint fp : s.pkt.fps) {
-    const FpEntry* e = fp_index_.find(fp);
-    if (e != nullptr && e->packet_id == id) {
-      fp_index_.erase(fp);
-      ++purged;
-    }
-  }
-  bytes_used_ -= s.pkt.payload.size();
-  unlink(slot);
-  // Host accounting must run while the slot's meta/payload are intact.
   const std::uint64_t key = s.pkt.meta.host_key;
   const std::size_t len = s.pkt.payload.size();
+  bytes_used_ -= len;
+  unlink(slot);
+  // Host accounting must run while the slot's meta/payload are intact.
   host_unlink(slot);
   HostEntry* he = hosts_.find(key);
   BC_CHECK(he != nullptr && he->bytes >= len)
       << "host ledger under-accounts pair " << key;
   he->bytes -= len;
   hosts_.release_if_idle(key);
-  id_index_.erase(id);
+  id_index_.erase(s.pkt.id);
   retire_slot(slot);
+}
+
+std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
+  const CachedPacket& pkt = slots_[slot].pkt;
+  // Purge only entries the packet still owns: a newer packet may have
+  // overwritten some.  The fingerprints' slots are spread over the whole
+  // index, so pull them all in before walking them.
+  for (rabin::Fingerprint fp : pkt.fps) index_->prefetch(fp);
+  std::size_t purged = 0;
+  for (rabin::Fingerprint fp : pkt.fps) {
+    if (index_->erase_if_owner(fp, pkt.id)) ++purged;
+  }
+  remove_slot(slot);
   return purged;
 }
 
@@ -169,18 +170,11 @@ std::uint32_t L2Store::Stripe::pick_victim() {
   return best;
 }
 
-std::optional<CacheHit> L2Store::Stripe::find(rabin::Fingerprint fp,
-                                              bool& enqueue_promotion) {
+const CachedPacket* L2Store::Stripe::find(std::uint64_t id,
+                                          bool& enqueue_promotion) {
   enqueue_promotion = false;
-  const FpEntry* e = fp_index_.find(fp);
-  if (e == nullptr) return std::nullopt;
-  const std::uint16_t offset = e->offset;
-  const std::uint32_t* slotp = id_index_.find(e->packet_id);
-  // The eviction purge keeps the index free of stale entries (audit), so
-  // an orphaned entry is corruption, not a miss.
-  BC_CHECK(slotp != nullptr)
-      << "L2 index entry for fingerprint " << fp << " names absent packet "
-      << e->packet_id;
+  const std::uint32_t* slotp = id_index_.find(id);
+  if (slotp == nullptr) return nullptr;
   const std::uint32_t slot = *slotp;
   touch(slot);
   Slot& s = slots_[slot];
@@ -190,24 +184,23 @@ std::optional<CacheHit> L2Store::Stripe::find(rabin::Fingerprint fp,
     enqueue_promotion = true;
   }
   ++stats_.l2_hits;
-  return CacheHit{&s.pkt, offset};
+  return &s.pkt;
 }
 
-void L2Store::Stripe::admit(const CachedPacket& pkt,
-                            std::span<const DemotedFp> owned) {
+bool L2Store::Stripe::admit(const CachedPacket& pkt) {
   ++stats_.demotions;
   const std::size_t len = pkt.payload.size();
   // A packet larger than the stripe share would be evicted again at the
   // next epoch boundary; rejecting it outright spares warmer entries.
   if (len > share_) {
     ++stats_.demotions_rejected;
-    return;
+    return false;
   }
   const std::uint64_t host = pkt.meta.host_key;
   if (config_.per_host_pair_bytes > 0) {
     if (len > config_.per_host_pair_bytes) {
       ++stats_.demotions_rejected;
-      return;
+      return false;
     }
     // Over-budget pairs evict their OWN coldest packets — never a
     // neighbour's — so one elephant pair cannot churn out the mice.
@@ -220,8 +213,7 @@ void L2Store::Stripe::admit(const CachedPacket& pkt,
           << "pair " << host << " holds " << e->bytes
           << " bytes but chains no packets";
       ++e->evictions;
-      const std::size_t purged = evict_slot(e->tail);
-      stats_.l2_fingerprints_purged += purged;
+      stats_.l2_fingerprints_purged += evict_slot(e->tail);
       ++stats_.host_evictions;
     }
   }
@@ -234,68 +226,32 @@ void L2Store::Stripe::admit(const CachedPacket& pkt,
   if (len != 0) std::memcpy(s.slice.data, pkt.payload.data(), len);
   s.pkt.payload = PayloadView{s.slice.data, len};
   s.pkt.meta = pkt.meta;
-  // Record only the owned fingerprints: the rest of the packet's anchor
-  // set belongs to newer L1 packets and never enters the L2 index.
-  s.pkt.fps.clear();
-  s.pkt.fps.reserve(owned.size());
-  for (const DemotedFp& o : owned) s.pkt.fps.push_back(o.fp);
+  s.pkt.fps = pkt.fps;  // reuses the slot's capacity
   s.live = true;
   bytes_used_ += len;
   link_front(slot);
   host_link_front(slot);
   hosts_.find(host)->bytes += len;
   id_index_.put(pkt.id, slot);
-  for (const DemotedFp& o : owned) {
-    fp_index_.put(o.fp, FpEntry{pkt.id, o.offset});
-  }
   // NOTE: the stripe may now exceed its share; enforcement is deferred to
   // end_packet() so nothing this packet referenced is freed under it.
-}
-
-bool L2Store::Stripe::take(std::uint64_t id, Taken& out,
-                           std::vector<DemotedFp>& owned_out) {
-  const std::uint32_t* slotp = id_index_.find(id);
-  if (slotp == nullptr) return false;
-  const std::uint32_t slot = *slotp;
-  Slot& s = slots_[slot];
-  for (rabin::Fingerprint fp : s.pkt.fps) {
-    const FpEntry* e = fp_index_.find(fp);
-    if (e != nullptr && e->packet_id == id) {
-      owned_out.push_back(DemotedFp{fp, e->offset});
-      fp_index_.erase(fp);
-    }
-  }
-  out.payload = s.pkt.payload;  // backed by the limbo'd slice
-  out.meta = s.pkt.meta;
-  out.fps = std::move(s.pkt.fps);
-  bytes_used_ -= s.pkt.payload.size();
-  unlink(slot);
-  const std::uint64_t key = s.pkt.meta.host_key;
-  const std::size_t len = s.pkt.payload.size();
-  host_unlink(slot);
-  HostEntry* he = hosts_.find(key);
-  BC_CHECK(he != nullptr && he->bytes >= len)
-      << "host ledger under-accounts pair " << key;
-  he->bytes -= len;
-  hosts_.release_if_idle(key);
-  id_index_.erase(id);
-  retire_slot(slot);
   return true;
 }
 
-void L2Store::Stripe::unindex(std::span<const rabin::Anchor> anchors) {
-  for (const rabin::Anchor& a : anchors) {
-    fp_index_.erase(a.fp);
-  }
+bool L2Store::Stripe::take(std::uint64_t id, Taken& out) {
+  const std::uint32_t* slotp = id_index_.find(id);
+  if (slotp == nullptr) return false;
+  Slot& s = slots_[*slotp];
+  out.payload = s.pkt.payload;  // backed by the limbo'd slice
+  out.meta = s.pkt.meta;
+  out.fps.swap(s.pkt.fps);
+  remove_slot(*slotp);
+  return true;
 }
 
-bool L2Store::Stripe::invalidate(rabin::Fingerprint fp) {
-  const FpEntry* e = fp_index_.find(fp);
-  if (e == nullptr) return false;
-  const std::uint32_t* slotp = id_index_.find(e->packet_id);
-  BC_CHECK(slotp != nullptr)
-      << "L2 index entry for fingerprint " << fp << " names absent packet "
-      << e->packet_id;
+bool L2Store::Stripe::invalidate(std::uint64_t id) {
+  const std::uint32_t* slotp = id_index_.find(id);
+  if (slotp == nullptr) return false;
   stats_.l2_fingerprints_purged += evict_slot(*slotp);
   return true;
 }
@@ -331,12 +287,19 @@ void L2Store::Stripe::clear() {
   }
   head_ = tail_ = kNil;
   id_index_.clear();
-  fp_index_.clear();
   hosts_.clear();
   bytes_used_ = 0;
   // A flush frees limbo immediately: no payload view survives a flush.
   for (const SliceArena::Slice& s : limbo_) arena_.free(s);
   limbo_.clear();
+}
+
+std::uint64_t L2Store::Stripe::max_id() const {
+  std::uint64_t id = 0;
+  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+    id = std::max(id, slots_[s].pkt.id);
+  }
+  return id;
 }
 
 std::size_t L2Store::Stripe::host_bytes(std::uint64_t host_key) const {
@@ -364,17 +327,25 @@ void L2Store::Stripe::save(SnapshotWriter& w) const {
     w.bytes(p.payload);
     // Two passes over the (short) fingerprint list instead of a scratch
     // buffer: count the entries the packet still owns, then emit them.
+    // A fingerprint the payload holds twice is listed twice but owned
+    // once: only its first occurrence counts.
+    const auto owned_offset = [&](auto it) -> std::optional<std::uint16_t> {
+      const auto e = index_->get(*it);
+      if (!e || e->packet_id != p.id ||
+          std::find(p.fps.begin(), it, *it) != it) {
+        return std::nullopt;
+      }
+      return e->offset;
+    };
     std::uint32_t owned = 0;
-    for (rabin::Fingerprint fp : p.fps) {
-      const FpEntry* e = fp_index_.find(fp);
-      if (e != nullptr && e->packet_id == p.id) ++owned;
+    for (auto it = p.fps.begin(); it != p.fps.end(); ++it) {
+      if (owned_offset(it)) ++owned;
     }
     w.u32(owned);
-    for (rabin::Fingerprint fp : p.fps) {
-      const FpEntry* e = fp_index_.find(fp);
-      if (e != nullptr && e->packet_id == p.id) {
-        w.u64(fp);
-        w.u16(e->offset);
+    for (auto it = p.fps.begin(); it != p.fps.end(); ++it) {
+      if (const auto offset = owned_offset(it)) {
+        w.u64(*it);
+        w.u16(*offset);
       }
     }
   }
@@ -427,13 +398,14 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     for (std::uint32_t f = 0; f < owned; ++f) {
       const rabin::Fingerprint fp = r.u64();
       const std::uint16_t offset = r.u16();
-      // Two owners for one fingerprint (or a window starting past the
-      // payload) can never arise from save(); reject the snapshot.
-      if (!r.ok() || fp_index_.find(fp) != nullptr || offset >= len) {
+      // Two owners for one fingerprint, in either tier (or a window
+      // starting past the payload), can never arise from save(); reject
+      // the snapshot.
+      if (!r.ok() || index_->get(fp).has_value() || offset >= len) {
         return reject();
       }
       s.pkt.fps.push_back(fp);
-      fp_index_.put(fp, FpEntry{id, offset});
+      index_->put(fp, FpEntry{id, offset});
     }
   }
   if (!r.ok()) return reject();
@@ -539,23 +511,6 @@ void L2Store::Stripe::audit() const {
   BC_AUDIT(host_bytes_total == bytes_used_)
       << "host ledgers account " << host_bytes_total << " of "
       << bytes_used_ << " bytes";
-  // The L2 extension of the PR-2 purge invariant: zero stale entries —
-  // every index entry resolves to a live packet that recorded it.
-  fp_index_.for_each([&](std::uint64_t fp, const FpEntry& e) {
-    const std::uint32_t* slotp = id_index_.find(e.packet_id);
-    BC_AUDIT(slotp != nullptr)
-        << "stale L2 index entry: fingerprint " << fp
-        << " names evicted packet " << e.packet_id;
-    if (slotp == nullptr) return;
-    const Slot& slot = slots_[*slotp];
-    BC_AUDIT(e.offset < slot.pkt.payload.size())
-        << "L2 entry for fingerprint " << fp << " starts at " << e.offset
-        << ", past the " << slot.pkt.payload.size() << "-byte payload";
-    BC_AUDIT(std::find(slot.pkt.fps.begin(), slot.pkt.fps.end(), fp) !=
-             slot.pkt.fps.end())
-        << "L2 entry for fingerprint " << fp
-        << " is not recorded on its owner " << e.packet_id;
-  });
   BC_AUDIT(limbo_.empty())
       << limbo_.size() << " limbo slices survived the epoch boundary";
   arena_.audit();
@@ -580,11 +535,13 @@ L2Store::L2Store(const CacheConfig& config, std::size_t stripes)
   }
 }
 
-L2Store::Stripe* L2Store::attach() {
+L2Store::Stripe* L2Store::attach(FingerprintTable& index) {
   BC_CHECK(attached_ < stripes_.size())
       << "more codecs attached than the store's " << stripes_.size()
       << " stripes";
-  return stripes_[attached_++].get();
+  Stripe* stripe = stripes_[attached_++].get();
+  stripe->index_ = &index;
+  return stripe;
 }
 
 std::size_t L2Store::bytes_used() const {

@@ -1,38 +1,35 @@
 // The large shared L2 tier behind every shard's hot L1 (DESIGN.md §14).
 //
-// One L2Store serves a whole gateway: the sharded gateways construct a
-// single store and every shard's codec attaches to it.  Internally the
-// store is striped — one stripe per attached codec, each touched only by
-// its owner's thread — so the read path never takes a lock (bc-nolock)
-// and, because flows are partitioned onto shards by host-pair hash,
-// encoder-side and decoder-side stripes see identical packet streams and
-// evolve in lockstep.  The shared l2_bytes budget divides into fixed
-// per-stripe shares at construction: an elastic global budget was
-// rejected deliberately, because cross-stripe pressure would make
-// eviction depend on cross-shard *timing*, and a decoder stripe evicting
-// what its encoder twin kept turns straight into perceived packet loss
-// (paper Section IV).
+// One L2Store serves a whole gateway, striped one stripe per attached
+// codec, each touched only by its owner's thread: the read path takes no
+// lock (bc-nolock), and since flows map to shards by host-pair hash, the
+// encoder- and decoder-side stripes see identical streams and evolve in
+// lockstep.  l2_bytes divides into fixed per-stripe shares: an elastic
+// global budget would make eviction depend on cross-shard *timing*, and
+// a decoder stripe evicting what its encoder twin kept is perceived loss.
 //
-// Reclamation is epoch-deferred: every byte released during one packet's
-// processing (promotion take-out, budget eviction, admission eviction)
-// parks its arena slice on a limbo list and is freed only at the
-// end-of-packet epoch boundary (Stripe::end_packet), so any payload
-// pointer the match loop obtained this packet stays readable with no
-// reference counting and no synchronization.
+// A stripe keeps no fingerprint index: the attached codec's one
+// FingerprintTable names owners by id in either tier, so demotion and
+// promotion move only payload, metadata and fingerprint list.  The
+// stripe erases a packet's entries only when it leaves the cache for
+// good (share or host-budget eviction, NACK), and restores its
+// residents' entries from snapshots.
+//
+// Reclamation is epoch-deferred: a slice released during one packet
+// (promotion take-out, eviction) waits on a limbo list until the
+// end-of-packet boundary (Stripe::end_packet), so payload pointers the
+// match loop obtained stay readable with no reference counting.
 //
 // Admission control: a demoted packet charges its host pair
 // (PacketMeta::host_key); a pair over per_host_pair_bytes evicts its own
-// coldest packets first — never its neighbors' — and a packet larger
-// than the pair budget (or the stripe share) is rejected outright.
-// Victim selection for stripe-share eviction goes through the eviction
-// policy seam: pure LRU by default, or the deterministic frequency-aware
-// kZipfAware scan (cache/cache_config.h).
+// coldest packets — never its neighbors' — and a packet larger than the
+// pair budget or the stripe share is rejected.  Share eviction picks
+// victims through the policy seam: LRU, or the deterministic
+// frequency-aware kZipfAware scan (cache/cache_config.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "cache/byte_cache.h"
@@ -55,7 +52,7 @@ struct TierStats {
   std::uint64_t demotions_rejected = 0;  // refused by admission control
   std::uint64_t l2_evictions = 0;    // stripe-share budget evictions
   std::uint64_t host_evictions = 0;  // a pair evicting its own coldest
-  std::uint64_t l2_fingerprints_purged = 0;  // index entries of evictees
+  std::uint64_t l2_fingerprints_purged = 0;  // entries erased with evictees
 };
 
 /// Telemetry field table (obs/fields.h): drives the generic merge_into /
@@ -84,62 +81,52 @@ class L2Store {
     Stripe(const CacheConfig& config, std::size_t share_bytes);
 
     // The global recency chain holds raw slot indices; relocation would
-    // orphan them (and the demote sink caches the pointer).
+    // orphan them (and the codec caches the pointer).
     Stripe(const Stripe&) = delete;
     Stripe& operator=(const Stripe&) = delete;
 
-    /// L2 lookup: touches the packet's global and per-host recency, bumps
-    /// its hit count, and — the first time in its current L2 residence —
-    /// sets `enqueue_promotion` so the tier queues it for deferred
-    /// promotion.  The returned pointers stay valid until end_packet().
-    [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp,
-                                               bool& enqueue_promotion);
+    /// L2 hit on packet `id`: touches its global and per-host recency,
+    /// bumps its hit count, and — the first time in its current L2
+    /// residence — sets `enqueue_promotion`.  nullptr if not resident;
+    /// the packet stays valid until end_packet().
+    [[nodiscard]] const CachedPacket* find(std::uint64_t id,
+                                           bool& enqueue_promotion);
 
-    void prefetch(rabin::Fingerprint fp) const { fp_index_.prefetch(fp); }
+    /// Admits a packet demoted from the L1 after per-host-pair admission
+    /// control; false if rejected (the L1 then purges its entries).
+    bool admit(const CachedPacket& pkt);
 
-    /// Admits a packet demoted from the L1 (DemoteSink path).  `owned`
-    /// are the fingerprints the L1 purge attributed to it; they enter
-    /// the L2 index.  Applies per-host-pair admission control first.
-    void admit(const CachedPacket& pkt, std::span<const DemotedFp> owned);
-
-    /// A promoted packet leaving the stripe: meta/fingerprints moved to
-    /// `out`, index entries it still owns appended to `owned_out` (and
-    /// removed here).  The payload view stays readable until
-    /// end_packet() (limbo).  False if `id` is not resident.
+    /// A promoted packet leaving the stripe: meta and fingerprint list
+    /// moved to `out` (the list by swap, so buffer capacity circulates).
+    /// The payload view stays readable until end_packet() (limbo).  False
+    /// if `id` is not resident.
     struct Taken {
       PayloadView payload;
       PacketMeta meta;
       std::vector<rabin::Fingerprint> fps;
     };
-    bool take(std::uint64_t id, Taken& out,
-              std::vector<DemotedFp>& owned_out);
+    bool take(std::uint64_t id, Taken& out);
 
-    /// The cache-update procedure overwrote these fingerprints in the L1
-    /// table: whatever the L2 index held for them is stale — drop it, so
-    /// each fingerprint resolves in exactly one tier (the newest owner).
-    void unindex(std::span<const rabin::Anchor> anchors);
-
-    /// NACK invalidation reached the L2: erase the packet owning `fp`
-    /// wholesale (plus every index entry it owns).  True if it existed.
-    bool invalidate(rabin::Fingerprint fp);
+    /// NACK invalidation reached the L2: erase packet `id` wholesale
+    /// (plus every index entry it owns).  True if it was resident.
+    bool invalidate(std::uint64_t id);
 
     /// End-of-packet epoch boundary: enforce the stripe share (deferred
     /// budget eviction through the policy seam) and free limbo slices.
     void end_packet();
 
-    /// Drops everything (cache flush).
+    /// Drops everything (cache flush; the codec clears the index).
     void clear();
 
     /// Serializes / restores one "BCL2" block (contents + recency +
-    /// per-host attribution; not statistics).  load() consumes exactly
-    /// the block and returns false, with the stripe cleared and the
-    /// reader failed, on malformed input.
+    /// per-host attribution + owned index entries; not statistics).
+    /// load() consumes exactly the block and returns false, with the
+    /// stripe cleared and the reader failed, on malformed input.
     void save(SnapshotWriter& w) const;
     bool load(SnapshotReader& r);
 
     /// Deep invariant audit (BC_AUDIT): chain/index bijections, byte and
-    /// per-host accounting, zero stale index entries (the PR-2 purge
-    /// invariant extended to the L2), budgets, and an empty limbo list.
+    /// per-host accounting, budgets, and an empty limbo list.
     void audit() const;
 
     [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
@@ -147,9 +134,13 @@ class L2Store {
     [[nodiscard]] bool contains(std::uint64_t id) const {
       return id_index_.find(id) != nullptr;
     }
-    [[nodiscard]] std::size_t fingerprints() const {
-      return fp_index_.size();
+    /// The resident packet `id` (no recency touch); nullptr if absent.
+    [[nodiscard]] const CachedPacket* peek(std::uint64_t id) const {
+      const std::uint32_t* slot = id_index_.find(id);
+      return slot == nullptr ? nullptr : &slots_[*slot].pkt;
     }
+    /// The highest resident id (0 when empty).
+    [[nodiscard]] std::uint64_t max_id() const;
     [[nodiscard]] std::size_t share_bytes() const { return share_; }
     [[nodiscard]] const HostLedger& hosts() const { return hosts_; }
     /// Bytes currently charged to `host_key` (tests/telemetry).
@@ -157,12 +148,9 @@ class L2Store {
     [[nodiscard]] const TierStats& stats() const { return stats_; }
     [[nodiscard]] TierStats& stats() { return stats_; }
 
-    template <typename Fn>
-    void for_each_fingerprint(Fn&& fn) const {
-      fp_index_.for_each(fn);
-    }
-
    private:
+    friend class L2Store;  // attach() wires in the codec's index
+
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
     static constexpr std::uint32_t kZipfScan = 8;
 
@@ -189,7 +177,9 @@ class L2Store {
     void host_link_back(std::uint32_t slot);
     void host_unlink(std::uint32_t slot);
     void touch(std::uint32_t slot);
-    /// Purges the index entries `slot` owns and retires it; returns the
+    /// Unchains and retires a resident slot, settling its accounting.
+    void remove_slot(std::uint32_t slot);
+    /// Purges the index entries `slot` owns and removes it; returns the
     /// number of index entries purged.
     std::size_t evict_slot(std::uint32_t slot);
     /// Victim for a stripe-share eviction per the policy seam.
@@ -203,7 +193,7 @@ class L2Store {
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_;
     FlatMap64<std::uint32_t> id_index_;  // packet id -> slot
-    FlatMap64<FpEntry> fp_index_;        // fingerprint -> (id, offset)
+    FingerprintTable* index_ = nullptr;  // the attached codec's index
     SliceArena arena_;
     HostLedger hosts_;
     std::vector<SliceArena::Slice> limbo_;
@@ -214,9 +204,9 @@ class L2Store {
   /// shard count); the l2_bytes budget divides evenly across them.
   L2Store(const CacheConfig& config, std::size_t stripes);
 
-  /// Claims the next unclaimed stripe (construction time, driver
-  /// thread).  Checks that the store was sized for this many attachers.
-  [[nodiscard]] Stripe* attach();
+  /// Claims the next unclaimed stripe for the codec owning `index`
+  /// (construction time).  Checks the store was sized for this many.
+  [[nodiscard]] Stripe* attach(FingerprintTable& index);
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] std::size_t stripes() const { return stripes_.size(); }

@@ -233,6 +233,12 @@ class PacketStore {
                 const PacketMeta& meta,
                 const std::vector<rabin::Fingerprint>& fps);
 
+  /// Keeps every future id above `id` (the tier snapshot restore: an
+  /// L2 resident's id must never be handed out again).
+  void reserve_ids_through(std::uint64_t id) {
+    next_id_ = std::max(next_id_, id + 1);
+  }
+
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }

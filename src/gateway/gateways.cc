@@ -12,6 +12,8 @@ namespace {
 
 /// Registers the tier-movement counters and L2 occupancy gauges for one
 /// codec's cache under `prefix` ("encoder.cache" / "decoder.cache").
+/// `l2_fingerprints` counts the index entries owned by L2 residents; with
+/// `fingerprints` (L1 residents') it sums to the codec's one index.
 /// Only called when an L2 is attached, so L1-only snapshots carry
 /// exactly the pre-tier value set.
 void link_tier_metrics(obs::MetricsRegistry& metrics, std::string prefix,
@@ -28,7 +30,7 @@ void link_tier_metrics(obs::MetricsRegistry& metrics, std::string prefix,
       obs::MergeOp::kSum);
   metrics.probe_gauge(
       prefix + ".l2_fingerprints",
-      [&stripe] { return static_cast<double>(stripe.fingerprints()); },
+      [&cache] { return static_cast<double>(cache.l2_fingerprint_count()); },
       obs::MergeOp::kSum);
   metrics.probe_gauge(
       prefix + ".l2_host_pairs",

@@ -188,7 +188,8 @@ TEST(ByteCache, EvictedEntryIsPurgedEagerly) {
   EXPECT_EQ(cache.stats().stale_hits, 0u);
   EXPECT_EQ(cache.stats().fingerprints_purged, 1u);
   EXPECT_EQ(cache.fingerprint_count(), 1u);
-  cache.audit();  // asserts zero stale entries survive the purge
+  EXPECT_EQ(cache.table().audit(cache.store()), 0u);  // no stale entries
+  cache.audit();
 }
 
 TEST(ByteCache, FlushClearsEverything) {

@@ -6,14 +6,18 @@
 // through the obs snapshot.
 //
 // The stale-fingerprint assertions extend the PR-2 eager-purge invariant
-// across the tier boundary: after an L1 -> L2 demotion followed by L2
-// reclamation (share or host-budget eviction), no fingerprint in either
-// tier may name a packet that is no longer resident anywhere.
+// across the tier boundary: the codec's one index serves both tiers, and
+// after an L1 -> L2 demotion followed by L2 reclamation (share or
+// host-budget eviction), no entry may name a packet that is no longer
+// resident anywhere.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_tier.h"
@@ -23,6 +27,7 @@
 #include "gateway/gateways.h"
 #include "packet/packet.h"
 #include "tests/testutil.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace bytecache::cache {
@@ -45,20 +50,17 @@ PacketMeta meta_for(std::uint64_t host_key) {
   return m;
 }
 
-/// Counts fingerprints, in either tier, that name a packet no longer
-/// resident in that tier.  Must always be zero: the L1 purge is eager
-/// (PR-2) and the L2 purge runs inside evict_slot.
+/// Counts index entries naming a packet resident in neither tier.  Must
+/// always be zero: the L1 purge is eager, demotion and promotion keep a
+/// packet resident somewhere, and the L2 purge runs inside evict_slot.
 std::size_t stale_entries(const CacheTier& tier) {
   std::size_t stale = 0;
   tier.table().for_each([&](rabin::Fingerprint, const FpEntry& e) {
-    if (tier.store().peek(e.packet_id) == nullptr) ++stale;
+    if (!tier.store().contains(e.packet_id) &&
+        !(tier.has_l2() && tier.stripe()->contains(e.packet_id))) {
+      ++stale;
+    }
   });
-  if (tier.has_l2()) {
-    tier.stripe()->for_each_fingerprint(
-        [&](std::uint64_t, const FpEntry& e) {
-          if (!tier.stripe()->contains(e.packet_id)) ++stale;
-        });
-  }
   return stale;
 }
 
@@ -133,10 +135,12 @@ TEST(CacheTier, OverwrittenFingerprintLeavesExactlyOneOwner) {
   tier.update(payload_of('a'), anchors_at({{0, 0xF0}}), {});
   tier.update(payload_of('b'), anchors_at({{0, 0xB0}}), {});
   tier.update(payload_of('c'), anchors_at({{0, 0xC0}}), {});
-  ASSERT_EQ(tier.stripe()->fingerprints(), 1u);
-  // ... then a fresh packet claims 0xF0: the L1 table now owns it and
-  // the L2 index entry must be dropped (exactly-one-tier invariant).
+  ASSERT_EQ(tier.l2_fingerprint_count(), 1u);
+  // ... then a fresh packet claims 0xF0: the overwrite hands the entry
+  // to the L1 packet (exactly-one-tier invariant).
   tier.update(payload_of('x'), anchors_at({{5, 0xF0}}), {});
+  ASSERT_TRUE(tier.table().get(0xF0).has_value());
+  EXPECT_TRUE(tier.store().contains(tier.table().get(0xF0)->packet_id));
   auto hit = tier.find(0xF0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->offset, 5u);
@@ -290,7 +294,7 @@ TEST(CacheTier, FlushClearsBothTiers) {
   EXPECT_EQ(tier.fingerprint_count(), 0u);
   EXPECT_EQ(tier.stripe()->size(), 0u);
   EXPECT_EQ(tier.stripe()->bytes_used(), 0u);
-  EXPECT_EQ(tier.stripe()->fingerprints(), 0u);
+  EXPECT_EQ(tier.l2_fingerprint_count(), 0u);
   EXPECT_FALSE(tier.find(0xA0).has_value());
   tier.audit();
 }
@@ -307,7 +311,8 @@ void run_policy_scenario(EvictionPolicy policy, Verify&& verify) {
   cc.l2_bytes = 350;  // three 100-byte payloads
   cc.eviction = policy;
   L2Store l2(cc, 1);
-  L2Store::Stripe* s = l2.attach();
+  FingerprintTable index;
+  L2Store::Stripe* s = l2.attach(index);
   const Bytes bufs[4] = {payload_of('a'), payload_of('b'), payload_of('c'),
                          payload_of('d')};
   const rabin::Fingerprint fps[4] = {0xA0, 0xB0, 0xC0, 0xD0};
@@ -317,17 +322,52 @@ void run_policy_scenario(EvictionPolicy policy, Verify&& verify) {
     p.payload = PayloadView{bufs[i].data(), bufs[i].size()};
     p.meta.host_key = 0x99;
     p.fps = {fps[i]};
-    const DemotedFp owned{fps[i], 0};
-    s->admit(p, std::span<const DemotedFp>(&owned, 1));
+    index.put(fps[i], FpEntry{p.id, 0});
+    ASSERT_TRUE(s->admit(p));
     if (i == 0) {
       bool enqueue = false;
-      for (int h = 0; h < 4; ++h) ASSERT_TRUE(s->find(0xA0, enqueue));
+      for (int h = 0; h < 4; ++h) ASSERT_NE(s->find(1, enqueue), nullptr);
     }
     s->end_packet();
   }
   s->audit();
+  CacheTier::audit_index(index, PacketStore{}, s);
   EXPECT_EQ(s->stats().l2_evictions, 1u);
+  EXPECT_EQ(index.size(), 3u);  // the victim's entry went with it
   verify(*s);
+}
+
+// ---------------------------------------------- promotion buffers --
+
+TEST(L2Stripe, PromoteDemoteCycleKeepsSlotCapacities) {
+  // take() swaps fingerprint buffers with the promotion scratch instead
+  // of moving the slot's out, so neither side ever drops to an empty
+  // vector and a steady promote/demote cycle allocates nothing.
+  CacheConfig cc;
+  cc.l2_bytes = 64 * 1024;
+  L2Store l2(cc, 1);
+  FingerprintTable index;
+  L2Store::Stripe* s = l2.attach(index);
+  const Bytes payload = payload_of('p');
+  L2Store::Stripe::Taken taken;
+  taken.fps.reserve(256);
+  for (std::uint64_t id = 1; id <= 16; ++id) {
+    CachedPacket p;
+    p.id = id;
+    p.payload = PayloadView{payload.data(), payload.size()};
+    for (std::uint64_t f = 0; f < 8; ++f) p.fps.push_back(id << 8 | f);
+    ASSERT_TRUE(s->admit(p));
+    const std::vector<rabin::Fingerprint>& resident = s->peek(id)->fps;
+    // The reserved buffer is never lost: it is either the scratch's or
+    // the slot's (the one reused slot holds whatever take() left it).
+    EXPECT_EQ(std::max(taken.fps.capacity(), resident.capacity()), 256u)
+        << "cycle " << id;
+    const rabin::Fingerprint* buf = resident.data();
+    ASSERT_TRUE(s->take(id, taken));
+    EXPECT_EQ(taken.fps.data(), buf) << "cycle " << id;  // handed over
+    EXPECT_EQ(taken.fps.size(), 8u);
+    s->end_packet();
+  }
 }
 
 TEST(L2EvictionPolicy, LruEvictsTheRecencyTailRegardlessOfHits) {
@@ -345,6 +385,38 @@ TEST(L2EvictionPolicy, ZipfAwareSparesHotTailAndTakesColdNeighbour) {
       });
 }
 
+// ----------------------------------------------------- index audit --
+
+TEST(CacheTierAudit, CatchesAnEntryNamingAPacketNoTierHolds) {
+  if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
+  CacheConfig cc;
+  cc.l1_bytes = 250;
+  cc.l2_bytes = 64 * 1024;
+  L2Store l2(cc, 1);
+  CacheTier tier(cc, &l2);
+  const std::uint64_t id_a =
+      tier.update(payload_of('a'), anchors_at({{0, 0xA0}}), {});
+  tier.update(payload_of('b'), anchors_at({{0, 0xB0}}), {});
+  tier.update(payload_of('c'), anchors_at({{0, 0xC0}}), {});
+  ASSERT_TRUE(tier.stripe()->contains(id_a));
+  ASSERT_TRUE(tier.invalidate(0xA0));  // 'a' leaves the cache for good
+
+  std::vector<std::string> failures;
+  auto prev = util::set_check_failure_handler(
+      [&](const util::CheckFailure& f) { failures.emplace_back(f.message); });
+  // The live index spans both tiers and is clean ...
+  CacheTier::audit_index(tier.table(), tier.store(), tier.stripe());
+  EXPECT_TRUE(failures.empty());
+  // ... but an entry left naming the invalidated packet must trip it.
+  FingerprintTable bad = tier.table();
+  bad.put(0xBAD, FpEntry{id_a, 0});
+  CacheTier::audit_index(bad, tier.store(), tier.stripe());
+  util::set_check_failure_handler(std::move(prev));
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("stale fingerprint entries"), std::string::npos)
+      << failures[0];
+}
+
 // ----------------------------------------------- tiered snapshotting --
 
 TEST(CacheTier, TieredSnapshotRoundTripsBothTiers) {
@@ -355,8 +427,11 @@ TEST(CacheTier, TieredSnapshotRoundTripsBothTiers) {
   L2Store l2(cc, 1);
   CacheTier tier(cc, &l2);
   for (int i = 0; i < 6; ++i) {
+    // Each payload holds its window twice: one fingerprint, listed twice
+    // on the packet but owned (and saved) once.
+    const auto fp = static_cast<rabin::Fingerprint>(0xA0 + i);
     tier.update(payload_of(static_cast<char>('a' + i)),
-                anchors_at({{0, static_cast<rabin::Fingerprint>(0xA0 + i)}}),
+                anchors_at({{0, fp}, {50, fp}}),
                 meta_for(0x42 + static_cast<std::uint64_t>(i % 2)));
   }
   ASSERT_GT(tier.stripe()->size(), 0u);
@@ -392,6 +467,41 @@ TEST(CacheTier, TieredSnapshotRoundTripsBothTiers) {
   SnapshotReader r2(image);
   EXPECT_FALSE(flat.load(r2));
   EXPECT_EQ(flat.store().size(), 0u);
+}
+
+TEST(CacheTier, RestoredTierNeverReusesAnL2ResidentsId) {
+  // The index finds a packet's tier by id, so ids must stay unique across
+  // tiers after a restore too — even when the newest id sits in the L2.
+  CacheConfig cc;
+  cc.l1_bytes = 150;  // one 100-byte payload
+  cc.l2_bytes = 64 * 1024;
+  L2Store l2(cc, 1);
+  CacheTier tier(cc, &l2);
+  const std::uint64_t id_a =
+      tier.update(payload_of('a'), anchors_at({{0, 0xA0}}), {});
+  const std::uint64_t id_b =
+      tier.update(payload_of('b'), anchors_at({{0, 0xB0}}), {});
+  ASSERT_TRUE(tier.find(0xA0).has_value());  // L2 hit: 'a' queued
+  // An anchor-less update stores nothing but applies the promotion,
+  // which demotes 'b' — the newest id — into the L2.
+  tier.update(payload_of('c'), {}, {});
+  ASSERT_TRUE(tier.store().contains(id_a));
+  ASSERT_TRUE(tier.stripe()->contains(id_b));
+
+  SnapshotWriter w;
+  tier.save(w);
+  const Bytes image = w.take();
+  L2Store l2b(cc, 1);
+  CacheTier replica(cc, &l2b);
+  SnapshotReader r(image);
+  ASSERT_TRUE(replica.load(r));
+  const std::uint64_t id_d =
+      replica.update(payload_of('d'), anchors_at({{0, 0xD0}}), {});
+  EXPECT_GT(id_d, id_b);
+  auto hit = replica.find(0xB0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->packet->payload, util::BytesView(payload_of('b')));
+  replica.audit();
 }
 
 // ------------------------------------- gateway-level pair isolation --
@@ -502,6 +612,44 @@ TEST(TierIsolation, ElephantCannotStarveAHundredMousePairs) {
               static_cast<double>(kMice))
         << side;
     EXPECT_GT(snap->gauge(prefix + "l2_bytes_stored"), 0.0) << side;
+  }
+}
+
+// ------------------------------------------------- tier telemetry --
+
+TEST(TierTelemetry, FingerprintGaugesPartitionTheIndex) {
+  // <side>.cache.fingerprints counts entries owned by L1 residents and
+  // <side>.cache.l2_fingerprints those owned by L2 residents: with every
+  // entry in exactly one tier, the two sum to the codec's one index.
+  core::GatewayConfig cfg;
+  cfg.policy = core::PolicyKind::kNaive;
+  cfg.cache.l1_bytes = 16 * 1024;
+  cfg.cache.l2_bytes = 1024 * 1024;
+  gateway::EncoderGateway enc(cfg);
+  gateway::DecoderGateway dec(cfg);
+  dec.set_sink([](packet::PacketPtr) {});
+  enc.set_sink([&](packet::PacketPtr p) { dec.receive(std::move(p)); });
+  // A cycle larger than the L1: packets demote while still owning their
+  // entries, so the L2 ends up owning a share of the index.
+  util::Rng rng(testutil::test_seed(215));
+  std::vector<Bytes> chunks;
+  for (int c = 0; c < 64; ++c) {
+    chunks.push_back(testutil::random_bytes(rng, 1000));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const Bytes& c : chunks) enc.receive(pair_packet(0x0A030001u, c));
+  }
+  const std::pair<obs::Snapshot, const CacheTier*> sides[] = {
+      {enc.snapshot(), &enc.encoder()->cache()},
+      {dec.snapshot(), &dec.decoder()->cache()}};
+  for (const auto& [snap, cache] : sides) {
+    const std::string prefix =
+        cache == &enc.encoder()->cache() ? "encoder.cache." : "decoder.cache.";
+    const double l1 = snap.gauge(prefix + "fingerprints");
+    const double l2 = snap.gauge(prefix + "l2_fingerprints");
+    EXPECT_GT(l1, 0.0) << prefix;
+    EXPECT_GT(l2, 0.0) << prefix;
+    EXPECT_EQ(l1 + l2, static_cast<double>(cache->table().size())) << prefix;
   }
 }
 

@@ -14,12 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_config.h"
 #include "cache/l2_store.h"
+#include "cache/snapshot.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
+#include "packet/packet.h"
 #include "tests/testutil.h"
 #include "util/rng.h"
 
@@ -247,6 +254,305 @@ TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
   (void)wire_bytes_under(bounded, object, cc, &stats);
   EXPECT_GT(stats.l2_evictions, 0u);
   EXPECT_GT(stats.l2_hits, 0u);
+}
+
+// ------------------------------------------------ pinned tiered wire --
+//
+// One seeded stream through a paired Encoder -> Decoder with an L2
+// attached, driving every tier path the index serves: demotion, L2 hit
+// and deferred promotion, host-budget eviction, oversize rejection,
+// stripe-share eviction (under both eviction policies), NACK invalidation
+// of an L2-resident packet, and flush.  The digest covers every wire
+// payload and coded repair plus the decode outcomes; together with the
+// final movement counters it pins the tiered wire exactly.  The saved
+// images of both codecs are pinned too, in a canonical form: the flat
+// block's fingerprint records are sorted (their order follows the
+// index's slot layout) and the state version is zeroed.  An image must
+// also survive a restore into a fresh codec unchanged in that form.
+
+/// FNV-1a over a length-prefixed byte run, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, util::BytesView bytes) {
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  };
+  const std::uint64_t n = bytes.size();
+  for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(n >> (8 * i)));
+  for (std::uint8_t b : bytes) mix(b);
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+
+struct TierDigest {
+  std::uint64_t wire = 0;  // wire payloads, repairs, decode outcomes
+  // Canonical BCT1 images at the checkpoint (the codecs' differ: the
+  // encoder records trace uids the decoder never sees).
+  std::uint64_t enc_image = 0;
+  std::uint64_t dec_image = 0;
+  // BCI1 deltas taken after the checkpoint (kIncremental runs), else 0.
+  std::uint64_t enc_delta = 0;
+  std::uint64_t dec_delta = 0;
+  cache::TierStats enc;
+  cache::TierStats dec;
+};
+
+/// Walks the cache part of a BCT1 image, checks that its flat block holds
+/// exactly the entries owned by L1 residents and its L2 block only
+/// entries owned by L2 residents, and returns its canonical digest.
+/// `l2_entries`, if given, receives the L2 block's (fingerprint, owner)
+/// records.
+std::uint64_t canonical_image_digest(
+    Bytes image, const cache::CacheTier& tier,
+    std::vector<std::pair<rabin::Fingerprint, std::uint64_t>>* l2_entries =
+        nullptr) {
+  cache::SnapshotReader r(image);
+  EXPECT_EQ(r.u32(), cache::kSnapMagicTier);
+  (void)r.u64();
+  std::fill(image.begin() + 4, image.begin() + 12, 0);  // the state version
+  EXPECT_EQ(r.u32(), cache::kSnapMagicFlat);
+  const std::uint32_t l1_packets = r.u32();
+  for (std::uint32_t i = 0; i < l1_packets; ++i) {
+    (void)r.bytes(8 * 4 + 4 * 3 + 1);
+    (void)r.bytes(r.u32());
+  }
+  const std::uint32_t l1_fps = r.u32();
+  const std::size_t fp_begin = r.offset();
+  std::size_t l1_owned = 0;
+  tier.table().for_each([&](rabin::Fingerprint, const cache::FpEntry& e) {
+    if (tier.store().contains(e.packet_id)) ++l1_owned;
+  });
+  EXPECT_EQ(l1_fps, l1_owned);
+  std::vector<std::tuple<rabin::Fingerprint, std::uint64_t, std::uint16_t>>
+      recs;
+  for (std::uint32_t i = 0; i < l1_fps; ++i) {
+    const rabin::Fingerprint fp = r.u64();
+    const std::uint64_t id = r.u64();
+    recs.emplace_back(fp, id, r.u16());
+    EXPECT_TRUE(tier.store().contains(id)) << "flat block entry " << fp;
+  }
+  // The record order follows the index's slot layout: sort it away
+  // (numeric order of the big-endian fields is their byte order).
+  std::sort(recs.begin(), recs.end());
+  cache::SnapshotWriter sorted;
+  for (const auto& [fp, id, offset] : recs) {
+    sorted.u64(fp);
+    sorted.u64(id);
+    sorted.u16(offset);
+  }
+  std::copy(sorted.buffer().begin(), sorted.buffer().end(),
+            image.begin() + static_cast<std::ptrdiff_t>(fp_begin));
+  const std::uint32_t patches = r.u32();
+  (void)r.bytes(16 * std::size_t{patches});
+  EXPECT_EQ(r.u8(), 1u);
+  EXPECT_EQ(r.u32(), cache::kSnapMagicL2);
+  const std::uint32_t l2_packets = r.u32();
+  for (std::uint32_t i = 0; i < l2_packets; ++i) {
+    const std::uint64_t id = r.u64();
+    EXPECT_TRUE(tier.stripe()->contains(id)) << "L2 block packet " << id;
+    (void)r.bytes(8 * 4 + 4 * 3 + 1 + 4);
+    (void)r.bytes(r.u32());
+    const std::uint32_t owned = r.u32();
+    for (std::uint32_t f = 0; f < owned; ++f) {
+      const rabin::Fingerprint fp = r.u64();
+      (void)r.u16();
+      if (l2_entries != nullptr) l2_entries->emplace_back(fp, id);
+      const auto e = tier.table().get(fp);
+      EXPECT_FALSE(e.has_value() && tier.store().contains(e->packet_id))
+          << "L2 block carries L1-owned fingerprint " << fp;
+    }
+  }
+  EXPECT_TRUE(r.at_end());
+  return fnv1a(kFnvBasis, image);
+}
+
+TierDigest run_tiered_stream(cache::EvictionPolicy policy,
+                             cache::SnapshotMode mode) {
+  constexpr std::uint32_t kPairs = 24;
+  constexpr std::size_t kOversize = 2600;  // over the per-pair budget
+  core::DreParams params;
+  params.coded_repair = true;
+  cache::CacheConfig cc;
+  cc.l1_bytes = 12 * 1024;
+  cc.l2_bytes = 20 * 1024;
+  cc.per_host_pair_bytes = 2 * 1024;
+  cc.eviction = policy;
+  cc.snapshot_mode = mode;
+  cache::L2Store enc_l2(cc, 1);
+  cache::L2Store dec_l2(cc, 1);
+  core::Encoder enc =
+      test_encoder(core::PolicyKind::kNaive, params, cc, &enc_l2);
+  core::Decoder dec(params, cc, &dec_l2);
+
+  Rng rng(0x71E2D16E57ull);
+  std::vector<std::vector<Bytes>> chunks(kPairs);
+  for (auto& pair_chunks : chunks) {
+    for (int c = 0; c < 3; ++c) {
+      const std::size_t n =
+          rng.chance(0.1) ? kOversize : rng.uniform(200, 1800);
+      pair_chunks.push_back(random_bytes(rng, n));
+    }
+  }
+  TierDigest d;
+  d.wire = kFnvBasis;
+  std::uint64_t uid = 0;
+  auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto pair = static_cast<std::uint32_t>(rng.zipf(kPairs, 0.7));
+      Bytes payload = rng.chance(0.65)
+                          ? chunks[pair][rng.uniform(0, 2)]
+                          : random_bytes(rng, rng.uniform(200, 1800));
+      auto pkt = packet::make_packet(0x0A000200 + pair, testutil::kDstIp,
+                                     packet::IpProto::kUdp, payload);
+      // Caches record the trace uid; a process-wide counter would make
+      // the images depend on which tests ran first.
+      pkt->uid = ++uid;
+      const core::EncodeInfo info = enc.process(*pkt);
+      d.wire = fnv1a(d.wire, pkt->payload);
+      for (const Bytes& rep : info.repairs) d.wire = fnv1a(d.wire, rep);
+      const core::DecodeInfo dinfo = dec.process(*pkt);
+      const std::uint8_t outcome[2] = {
+          static_cast<std::uint8_t>(dinfo.status),
+          static_cast<std::uint8_t>(pkt->payload == payload ? 1 : 0)};
+      d.wire = fnv1a(d.wire, outcome);
+    }
+  };
+  // The codec images lead with their own headers (the encoder's carries
+  // the epoch too): strip them to get at the cache part.
+  auto enc_cache = [](const Bytes& b) {
+    return Bytes(b.begin() + 10, b.end());
+  };
+  auto dec_cache = [](const Bytes& b) {
+    return Bytes(b.begin() + 8, b.end());
+  };
+
+  send(900);
+  const Bytes enc_image = enc_cache(enc.save_state());
+  d.enc_image = canonical_image_digest(enc_image, enc.cache());
+  d.dec_image = canonical_image_digest(dec_cache(dec.save_state()),
+                                       dec.cache());
+  {
+    cache::L2Store l2(cc, 1);
+    core::Encoder replica =
+        test_encoder(core::PolicyKind::kNaive, params, cc, &l2);
+    EXPECT_TRUE(replica.load_state(enc.save_state()));
+    replica.audit();
+    EXPECT_EQ(canonical_image_digest(enc_cache(replica.save_state()),
+                                     replica.cache()),
+              d.enc_image);
+  }
+  if (mode == cache::SnapshotMode::kIncremental) {
+    send(100);
+    const Bytes enc_delta = enc_cache(enc.save_state_incremental());
+    const Bytes dec_delta = dec_cache(dec.save_state_incremental());
+    EXPECT_EQ(cache::SnapshotReader(enc_delta).peek_u32(),
+              cache::kSnapMagicIncr);
+    d.enc_delta = fnv1a(kFnvBasis, enc_delta);
+    d.dec_delta = fnv1a(kFnvBasis, dec_delta);
+  }
+  enc.audit();
+  dec.audit();
+
+  // NACK the lowest fingerprint whose owner sits in the encoder's L2
+  // (read off a fresh image, which lists exactly those entries).
+  std::vector<std::pair<rabin::Fingerprint, std::uint64_t>> l2_entries;
+  (void)canonical_image_digest(enc_cache(enc.save_state()), enc.cache(),
+                               &l2_entries);
+  std::optional<rabin::Fingerprint> victim;
+  std::uint64_t victim_id = 0;
+  for (const auto& [fp, id] : l2_entries) {
+    if (!victim || fp < *victim) {
+      victim = fp;
+      victim_id = id;
+    }
+  }
+  EXPECT_TRUE(victim.has_value());
+  if (victim) {
+    enc.on_nack(*victim);
+    EXPECT_EQ(enc.stats().nack_invalidations, 1u);
+    EXPECT_FALSE(enc.cache().stripe()->contains(victim_id));
+    EXPECT_FALSE(enc.cache().table().get(*victim).has_value());
+  }
+  send(100);
+  enc.flush();
+  dec.flush();
+  send(100);
+  enc.audit();
+  dec.audit();
+  d.enc = enc.cache().tier_stats();
+  d.dec = dec.cache().tier_stats();
+  return d;
+}
+
+void expect_digest(const TierDigest& d, const TierDigest& golden) {
+  // Printed so a deliberate wire change can re-pin the golden.
+  std::printf("0x%016llX 0x%016llX 0x%016llX 0x%016llX 0x%016llX\n",
+              static_cast<unsigned long long>(d.wire),
+              static_cast<unsigned long long>(d.enc_image),
+              static_cast<unsigned long long>(d.dec_image),
+              static_cast<unsigned long long>(d.enc_delta),
+              static_cast<unsigned long long>(d.dec_delta));
+  for (const cache::TierStats* s : {&d.enc, &d.dec}) {
+    std::printf("{%llu, %llu, %llu, %llu, %llu, %llu, %llu}\n",
+                static_cast<unsigned long long>(s->l2_hits),
+                static_cast<unsigned long long>(s->promotions),
+                static_cast<unsigned long long>(s->demotions),
+                static_cast<unsigned long long>(s->demotions_rejected),
+                static_cast<unsigned long long>(s->l2_evictions),
+                static_cast<unsigned long long>(s->host_evictions),
+                static_cast<unsigned long long>(s->l2_fingerprints_purged));
+  }
+  // Every tier path ran ...
+  EXPECT_GT(d.enc.l2_hits, 0u);
+  EXPECT_GT(d.enc.promotions, 0u);
+  EXPECT_GT(d.enc.demotions_rejected, 0u);
+  EXPECT_GT(d.enc.l2_evictions, 0u);
+  EXPECT_GT(d.enc.host_evictions, 0u);
+  // ... and the wire, images and counters are the pinned ones.
+  EXPECT_EQ(d.wire, golden.wire);
+  EXPECT_EQ(d.enc_image, golden.enc_image);
+  EXPECT_EQ(d.dec_image, golden.dec_image);
+  EXPECT_EQ(d.enc_delta, golden.enc_delta);
+  EXPECT_EQ(d.dec_delta, golden.dec_delta);
+  for (const auto& [got, want] : {std::pair{d.enc, golden.enc},
+                                  std::pair{d.dec, golden.dec}}) {
+    EXPECT_EQ(got.l2_hits, want.l2_hits);
+    EXPECT_EQ(got.promotions, want.promotions);
+    EXPECT_EQ(got.demotions, want.demotions);
+    EXPECT_EQ(got.demotions_rejected, want.demotions_rejected);
+    EXPECT_EQ(got.l2_evictions, want.l2_evictions);
+    EXPECT_EQ(got.host_evictions, want.host_evictions);
+    EXPECT_EQ(got.l2_fingerprints_purged, want.l2_fingerprints_purged);
+  }
+}
+
+TEST(TierEquiv, TieredWireIsPinnedUnderLru) {
+  const TierDigest golden{
+      .wire = 0xE729D8D344D8BB53ull,
+      .enc_image = 0x6D840D57C4CBA266ull,
+      .dec_image = 0x8D6FF77DBB6A6FF0ull,
+      .enc_delta = 0,
+      .dec_delta = 0,
+      // The decoder never saw the NACK: one more share eviction.
+      .enc = {138, 138, 980, 69, 277, 448, 45809},
+      .dec = {138, 138, 980, 69, 278, 448, 45809}};
+  expect_digest(run_tiered_stream(cache::EvictionPolicy::kLru,
+                                  cache::SnapshotMode::kFull),
+                golden);
+}
+
+TEST(TierEquiv, TieredWireIsPinnedUnderZipfAware) {
+  const TierDigest golden{
+      .wire = 0x3A117A54323E2B20ull,
+      .enc_image = 0x6D840D57C4CBA266ull,
+      .dec_image = 0x8D6FF77DBB6A6FF0ull,
+      .enc_delta = 0x07BE74538A8AC109ull,
+      .dec_delta = 0x039B04A1CF057842ull,
+      .enc = {155, 155, 1073, 76, 314, 485, 50006},
+      .dec = {155, 155, 1073, 76, 315, 485, 50006}};
+  expect_digest(run_tiered_stream(cache::EvictionPolicy::kZipfAware,
+                                  cache::SnapshotMode::kIncremental),
+                golden);
 }
 
 }  // namespace
