@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "app/file_transfer.h"
+#include "app/pipeline.h"
 #include "bench/common.h"
-#include "gateway/multi_pipeline.h"
 
 using namespace bytecache;
 
@@ -29,11 +29,11 @@ MultiResult run_flows(core::PolicyKind policy, double loss,
                       const std::vector<util::Bytes>& files,
                       std::uint64_t seed) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = policy;
   cfg.loss_rate = loss;
   cfg.seed = seed;
-  gateway::MultiPipeline pipeline(sim, cfg, files.size());
+  app::Pipeline pipeline(sim, cfg, files.size());
   std::vector<std::unique_ptr<app::FileTransfer>> transfers;
   for (std::size_t i = 0; i < files.size(); ++i) {
     transfers.push_back(std::make_unique<app::FileTransfer>(

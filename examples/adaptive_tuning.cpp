@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "app/file_transfer.h"
+#include "app/pipeline.h"
 #include "core/policies.h"
-#include "gateway/pipeline.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
 
@@ -26,12 +26,12 @@ void run(const char* label, core::PolicyKind kind, std::size_t k = 8) {
   const util::Bytes file = workload::make_file1(rng, 2'000'000);
 
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = kind;
   cfg.dre.k_distance = k;
   cfg.loss_rate = 0.0;  // the channel starts clean...
   cfg.seed = 5;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
 
   // ...and turns bad at t = 150 ms (the user walks into a stairwell).
   sim.at(sim::ms(150), [&] {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "app/file_transfer.h"
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "sim/trace.h"
 #include "workload/generators.h"
 
@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
   const util::Bytes file = workload::make_file1(rng, 120'000);
 
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = *policy;
   cfg.loss_rate = loss;
   cfg.seed = 4;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
 
   sim::Trace trace;
   pipeline.attach_trace(&trace);
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   // cached packets it was encoded against.
   std::map<std::uint64_t, std::vector<std::uint64_t>> edges;
   std::vector<std::uint64_t> order;
-  pipeline.encoder_gw().set_observer([&](const core::EncodeInfo& info) {
+  pipeline.encoder_gw().add_observer([&](const core::EncodeInfo& info) {
     if (!info.data_packet) return;
     if (order.size() < max_packets) order.push_back(info.uid);
     if (!info.deps.empty()) edges[info.uid] = info.deps;

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   }
 
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = *policy;
   cfg.loss_rate = loss;
   cfg.seed = 99;
@@ -46,12 +46,13 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-7s %10s %12s %14s\n", "path", "status", "bytes",
               "time (ms)", "wire bytes");
 
+  app::Pipeline& pipeline = session.pipeline();
   std::uint64_t last_wire = 0;
   // Browse the site, then revisit the front page (a warm-cache hit).
   const char* visits[] = {"/", "/news", "/article", "/about", "/"};
   for (const char* path : visits) {
     const app::FetchResult r = session.fetch(path);
-    const std::uint64_t wire = session.forward_link().stats().bytes_sent;
+    const std::uint64_t wire = pipeline.forward_link().stats().bytes_sent;
     if (!r.ok) {
       std::printf("%-10s FAILED (stalled)\n", path);
       return 1;
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
     last_wire = wire;
   }
 
-  if (const core::Encoder* enc = session.encoder_gw().encoder()) {
+  if (const core::Encoder* enc = pipeline.encoder_gw().encoder()) {
     const auto& s = enc->stats();
     std::printf("\nencoder: %llu B offered, %llu B sent (%.0f%% saved "
                 "across the whole session)\n",

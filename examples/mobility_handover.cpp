@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "app/file_transfer.h"
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
 
@@ -28,11 +28,11 @@ int main() {
   const util::Bytes file = workload::make_file1(rng, 600'000);
 
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
   cfg.loss_rate = 0.005;  // light background loss on the radio link
   cfg.seed = 3;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
 
   std::printf("downloading %zu KB with IP-level byte caching "
               "(cache_flush policy)...\n",

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "app/file_transfer.h"
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "sim/pcap.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
   const util::Bytes file = workload::make_file1(rng, size_kb * 1024);
 
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = *policy;
   cfg.loss_rate = loss;
   cfg.seed = 7;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
 
   sim::PcapWriter pcap;
   if (pcap_path != nullptr) pipeline.attach_pcap(&pcap);

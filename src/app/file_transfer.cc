@@ -14,7 +14,7 @@ FileTransfer::FileTransfer(sim::Simulator& sim, tcp::TcpSender& sender,
       request_delay_(request_delay),
       give_up_(give_up) {}
 
-FileTransfer::FileTransfer(sim::Simulator& sim, gateway::Pipeline& pipeline,
+FileTransfer::FileTransfer(sim::Simulator& sim, Pipeline& pipeline,
                            util::Bytes file, sim::SimTime give_up)
     : FileTransfer(sim, pipeline.sender(), pipeline.receiver(),
                    std::move(file),

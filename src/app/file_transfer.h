@@ -4,13 +4,13 @@
 // Drives a TCP sender/receiver pair, measures the download time as seen
 // by the client (request to last in-order byte), detects stalls (sender
 // abort after max backoffs, or a wall-clock give-up), and verifies the
-// delivered stream bit-for-bit.  Works with the single-connection
-// gateway::Pipeline or any sender/receiver of a MultiPipeline flow.
+// delivered stream bit-for-bit.  Works with any flow of an app::Pipeline
+// (the convenience form drives flow 0).
 #pragma once
 
 #include <functional>
 
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "sim/simulator.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
@@ -43,8 +43,8 @@ class FileTransfer {
                tcp::TcpReceiver& receiver, util::Bytes file,
                sim::SimTime request_delay, sim::SimTime give_up);
 
-  /// Convenience form over a single-connection pipeline.
-  FileTransfer(sim::Simulator& sim, gateway::Pipeline& pipeline,
+  /// Convenience form over the pipeline's first flow.
+  FileTransfer(sim::Simulator& sim, Pipeline& pipeline,
                util::Bytes file, sim::SimTime give_up = sim::sec(600));
 
   /// Starts the transfer at the current simulated time.

@@ -1,6 +1,5 @@
 #include "app/http_session.h"
 
-#include "core/control.h"
 #include "packet/tcp.h"
 
 namespace bytecache::app {
@@ -19,88 +18,52 @@ struct HttpSession::Exchange {
   bool stalled = false;
   sim::SimTime started_at = 0;
   sim::SimTime finished_at = 0;
-  HttpSession* session;
 
   Exchange(sim::Simulator& sim, const tcp::TcpConfig& req_cfg,
-           const tcp::TcpConfig& resp_cfg, HttpSession* owner)
+           const tcp::TcpConfig& resp_cfg, Pipeline& pipeline)
       : request_tx(sim, req_cfg,
-                   [owner](packet::PacketPtr p) {
-                     owner->reverse_link_->send(std::move(p));
+                   [&pipeline](packet::PacketPtr p) {
+                     pipeline.reverse_link().send(std::move(p));
                    }),
         request_rx(sim, req_cfg,
-                   [owner](packet::PacketPtr p) {
+                   [&pipeline](packet::PacketPtr p) {
                      // Server's ACKs travel server->client: through the
                      // encoder path like all server-originated packets.
-                     owner->encoder_gw_->receive(std::move(p));
+                     pipeline.encoder_gw().receive(std::move(p));
                    }),
         response_tx(sim, resp_cfg,
-                    [owner](packet::PacketPtr p) {
-                      owner->encoder_gw_->receive(std::move(p));
+                    [&pipeline](packet::PacketPtr p) {
+                      pipeline.encoder_gw().receive(std::move(p));
                     }),
-        response_rx(sim, resp_cfg,
-                    [owner](packet::PacketPtr p) {
-                      owner->reverse_link_->send(std::move(p));
-                    }),
-        session(owner) {}
+        response_rx(sim, resp_cfg, [&pipeline](packet::PacketPtr p) {
+          pipeline.reverse_link().send(std::move(p));
+        }) {}
 };
 
-HttpSession::HttpSession(sim::Simulator& sim,
-                         const gateway::PipelineConfig& config,
+HttpSession::HttpSession(sim::Simulator& sim, const PipelineConfig& config,
                          HttpServer server)
-    : sim_(sim), config_(config), server_(std::move(server)) {
-  gateway::PipelineConfig& cfg = config_;
-  if (cfg.tcp.src_ip == 0) cfg.tcp.src_ip = packet::make_ip(10, 0, 0, 1);
-  if (cfg.tcp.dst_ip == 0) cfg.tcp.dst_ip = packet::make_ip(10, 0, 1, 1);
-
-  util::Rng root(cfg.seed);
-  const core::GatewayConfig gw_cfg = cfg.gateway_config();
-  encoder_gw_ = std::make_unique<gateway::EncoderGateway>(gw_cfg);
-  decoder_gw_ = std::make_unique<gateway::DecoderGateway>(gw_cfg);
-  forward_link_ = std::make_unique<sim::Link>(
-      sim, cfg.forward_link,
-      cfg.loss_rate > 0
-          ? std::unique_ptr<sim::LossProcess>(
-                std::make_unique<sim::BernoulliLoss>(cfg.loss_rate))
-          : std::make_unique<sim::NoLoss>(),
-      root.fork(1));
-  reverse_link_ = std::make_unique<sim::Link>(
-      sim, cfg.reverse_link, std::make_unique<sim::NoLoss>(), root.fork(2));
-
-  encoder_gw_->set_sink(
-      [this](packet::PacketPtr p) { forward_link_->send(std::move(p)); });
-  forward_link_->set_sink(
-      [this](packet::PacketPtr p) { decoder_gw_->receive(std::move(p)); });
-
-  // Client side: data segments belong to the response; pure ACKs feed the
-  // request sender.
-  decoder_gw_->set_sink([this](packet::PacketPtr p) {
-    if (current_ == nullptr) return;
-    if (p->payload.size() > packet::TcpHeader::kSize) {
-      current_->response_rx.on_packet(*p);
-    } else {
-      current_->request_tx.on_packet(*p);
-    }
-  });
-  if (cfg.dre.nack_feedback) {
-    decoder_gw_->set_feedback(
-        [this](packet::PacketPtr p) { reverse_link_->send(std::move(p)); });
-  }
-
-  // Server side: data segments are the request; pure ACKs feed the
-  // response sender.
-  reverse_link_->set_sink([this](packet::PacketPtr p) {
-    if (p->ip.protocol == core::kControlProto) {
-      encoder_gw_->receive_control(*p);
-      return;
-    }
-    encoder_gw_->observe_reverse(*p);
-    if (current_ == nullptr) return;
-    if (p->payload.size() > packet::TcpHeader::kSize) {
-      current_->request_rx.on_packet(*p);
-    } else {
-      current_->response_tx.on_packet(*p);
-    }
-  });
+    : sim_(sim), server_(std::move(server)), pipeline_(sim, config, 0) {
+  pipeline_.set_edges(
+      // Client side: data segments belong to the response; pure ACKs
+      // feed the request sender.
+      [this](packet::PacketPtr p) {
+        if (current_ == nullptr) return;
+        if (p->payload.size() > packet::TcpHeader::kSize) {
+          current_->response_rx.on_packet(*p);
+        } else {
+          current_->request_tx.on_packet(*p);
+        }
+      },
+      // Server side: data segments are the request; pure ACKs feed the
+      // response sender.
+      [this](packet::PacketPtr p) {
+        if (current_ == nullptr) return;
+        if (p->payload.size() > packet::TcpHeader::kSize) {
+          current_->request_rx.on_packet(*p);
+        } else {
+          current_->response_tx.on_packet(*p);
+        }
+      });
 }
 
 HttpSession::~HttpSession() = default;
@@ -109,19 +72,20 @@ FetchResult HttpSession::fetch(const std::string& path,
                                sim::SimTime deadline) {
   const std::uint16_t client_port =
       static_cast<std::uint16_t>(40000 + fetches_);
-  tcp::TcpConfig req_cfg = config_.tcp;
-  req_cfg.src_ip = config_.tcp.dst_ip;  // client originates
-  req_cfg.dst_ip = config_.tcp.src_ip;
+  const tcp::TcpConfig& tcp = pipeline_.config().tcp;
+  tcp::TcpConfig req_cfg = tcp;
+  req_cfg.src_ip = tcp.dst_ip;  // client originates
+  req_cfg.dst_ip = tcp.src_ip;
   req_cfg.src_port = client_port;
   req_cfg.dst_port = 80;
   req_cfg.isn = 50'000 + static_cast<std::uint32_t>(fetches_) * 0x10000;
-  tcp::TcpConfig resp_cfg = config_.tcp;
+  tcp::TcpConfig resp_cfg = tcp;
   resp_cfg.src_port = 80;
   resp_cfg.dst_port = client_port;
   resp_cfg.isn = 90'000 + static_cast<std::uint32_t>(fetches_) * 0x20000;
   ++fetches_;
 
-  current_ = std::make_unique<Exchange>(sim_, req_cfg, resp_cfg, this);
+  current_ = std::make_unique<Exchange>(sim_, req_cfg, resp_cfg, pipeline_);
   Exchange& ex = *current_;
   ex.started_at = sim_.now();
 

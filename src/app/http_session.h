@@ -1,9 +1,10 @@
 // A full HTTP exchange over the paper's Fig. 3 topology.
 //
-// One HttpSession owns the byte-caching gateway pair and the two links;
-// each fetch() opens a fresh connection (new ports/ISN, as HTTP/1.0
-// does), sends the textual request client -> server on the reverse path,
-// and streams the response back through encoder -> lossy link -> decoder.
+// One HttpSession owns a Pipeline (the gateway pair and the two links)
+// with no TCP flows of its own; each fetch() opens a fresh connection
+// (new ports/ISN, as HTTP/1.0 does), sends the textual request
+// client -> server on the reverse path, and streams the response back
+// through encoder -> lossy link -> decoder.
 // Because the gateway caches persist across fetches, repeated header
 // boilerplate and repeated objects are eliminated across responses —
 // byte caching's inter-connection savings, end to end.
@@ -13,13 +14,8 @@
 #include <string>
 
 #include "app/http.h"
-#include "core/factory.h"
-#include "gateway/gateways.h"
-#include "gateway/pipeline.h"
-#include "sim/link.h"
+#include "app/pipeline.h"
 #include "sim/simulator.h"
-#include "tcp/receiver.h"
-#include "tcp/sender.h"
 
 namespace bytecache::app {
 
@@ -33,7 +29,7 @@ struct FetchResult {
 
 class HttpSession {
  public:
-  HttpSession(sim::Simulator& sim, const gateway::PipelineConfig& config,
+  HttpSession(sim::Simulator& sim, const PipelineConfig& config,
               HttpServer server);
   ~HttpSession();  // out of line: Exchange is incomplete here
 
@@ -42,20 +38,16 @@ class HttpSession {
   FetchResult fetch(const std::string& path,
                     sim::SimTime deadline = sim::sec(300));
 
-  [[nodiscard]] gateway::EncoderGateway& encoder_gw() { return *encoder_gw_; }
-  [[nodiscard]] sim::Link& forward_link() { return *forward_link_; }
+  /// The topology every exchange runs over (forward = server -> client).
+  [[nodiscard]] Pipeline& pipeline() { return pipeline_; }
   [[nodiscard]] std::size_t fetches() const { return fetches_; }
 
  private:
   struct Exchange;
 
   sim::Simulator& sim_;
-  gateway::PipelineConfig config_;
   HttpServer server_;
-  std::unique_ptr<gateway::EncoderGateway> encoder_gw_;
-  std::unique_ptr<gateway::DecoderGateway> decoder_gw_;
-  std::unique_ptr<sim::Link> forward_link_;   // server -> client (lossy)
-  std::unique_ptr<sim::Link> reverse_link_;   // client -> server
+  Pipeline pipeline_;  // outlives current_, whose endpoints send into it
   std::unique_ptr<Exchange> current_;
   std::size_t fetches_ = 0;
 };

@@ -38,6 +38,17 @@ void link_tier_metrics(obs::MetricsRegistry& metrics, std::string prefix,
       obs::MergeOp::kSum);
 }
 
+/// Composes observers: `first`, then `then` (either may be empty).
+template <typename Fn>
+Fn chain(Fn first, Fn then) {
+  if (!first) return then;
+  return [first = std::move(first), then = std::move(then)](
+             const auto&... args) {
+    first(args...);
+    then(args...);
+  };
+}
+
 }  // namespace
 
 EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
@@ -140,17 +151,6 @@ void EncoderGateway::process_received(packet::PacketPtr pkt) {
     const obs::SpanSampler::Token span = encode_span_.begin();
     core::EncodeInfo info = encoder_->process(*pkt);
     encode_span_.end(span);
-    if (trace_ != nullptr && sim_ != nullptr) {
-      const sim::SimTime now = sim_->now();
-      if (info.flushed) trace_->record(now, sim::TraceEvent::kFlush, pkt->uid);
-      if (info.reference) {
-        trace_->record(now, sim::TraceEvent::kReference, pkt->uid);
-      }
-      if (info.encoded) {
-        trace_->record(now, sim::TraceEvent::kEncode, pkt->uid,
-                       info.sent_size);
-      }
-    }
     if (observer_) observer_(info);
     repairs = info.repairs;  // scratch stays valid until the next process()
   }
@@ -162,6 +162,10 @@ void EncoderGateway::process_received(packet::PacketPtr pkt) {
   // Repairs ride right behind the member that closed their generation;
   // injecting after the data packet keeps the data stream order intact.
   emit_repairs(repairs);
+}
+
+void EncoderGateway::add_observer(EncodeObserver fn) {
+  observer_ = chain(std::move(observer_), std::move(fn));
 }
 
 void EncoderGateway::emit_repairs(std::span<const util::Bytes> repairs) {
@@ -302,16 +306,15 @@ obs::Snapshot DecoderGateway::snapshot() const {
   return metrics_.snapshot();
 }
 
+void DecoderGateway::add_observer(DecodeObserver fn) {
+  observer_ = chain(std::move(observer_), std::move(fn));
+}
+
 void DecoderGateway::send_control(const packet::Packet& cause,
-                                  const core::ControlMessage& msg,
-                                  sim::TraceEvent event, std::uint64_t uid) {
-  auto ctrl = packet::make_packet(
+                                  const core::ControlMessage& msg) {
+  feedback_(packet::make_packet(
       cause.ip.dst, cause.ip.src,
-      static_cast<packet::IpProto>(core::kControlProto), msg.serialize());
-  if (trace_ != nullptr && sim_ != nullptr) {
-    trace_->record(sim_->now(), event, uid);
-  }
-  feedback_(std::move(ctrl));
+      static_cast<packet::IpProto>(core::kControlProto), msg.serialize()));
 }
 
 void DecoderGateway::receive(packet::PacketPtr pkt) {
@@ -368,25 +371,17 @@ void DecoderGateway::deliver(packet::PacketPtr pkt) {
     const obs::SpanSampler::Token span = decode_span_.begin();
     const core::DecodeInfo info = decoder_->process(*pkt);
     decode_span_.end(span);
-    if (trace_ != nullptr && sim_ != nullptr &&
-        info.status == core::DecodeStatus::kDecoded) {
-      trace_->record(sim_->now(), sim::TraceEvent::kDecode, pkt->uid,
-                     info.restored_size);
-    }
+    if (observer_) observer_(*pkt, info);
     if (core::is_drop(info.status)) {
       ++stats_.dropped;
       ++drop_run_;
-      if (trace_ != nullptr && sim_ != nullptr) {
-        trace_->record(sim_->now(), sim::TraceEvent::kDecodeDrop, pkt->uid,
-                       static_cast<std::uint64_t>(info.status));
-      }
       if (feedback_) {
         if (nack_feedback_ &&
             info.status == core::DecodeStatus::kMissingFingerprint) {
           core::ControlMessage nack;
           nack.fingerprints.push_back(info.missing_fp);
           ++stats_.nacks_sent;
-          send_control(*pkt, nack, sim::TraceEvent::kNack, pkt->uid);
+          send_control(*pkt, nack);
         }
         if (resilience_feedback_) {
           // Every undecodable drop is a perceived-loss sample for the
@@ -397,13 +392,13 @@ void DecoderGateway::deliver(packet::PacketPtr pkt) {
           report.host_key = core::host_key_of(pkt->ip.src, pkt->ip.dst);
           report.count = 1;
           ++stats_.loss_reports_sent;
-          send_control(*pkt, report, sim::TraceEvent::kLossReport, pkt->uid);
+          send_control(*pkt, report);
           if (info.resync) {
             core::ControlMessage resync;
             resync.type = core::ControlMessage::Type::kResyncRequest;
             resync.epoch = info.resync_epoch;
             ++stats_.resyncs_sent;
-            send_control(*pkt, resync, sim::TraceEvent::kResync, pkt->uid);
+            send_control(*pkt, resync);
           }
         }
       }

@@ -28,8 +28,6 @@
 #include "obs/fields.h"
 #include "obs/span.h"
 #include "packet/packet.h"
-#include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace bytecache::core {
 class ResilientPolicy;
@@ -38,6 +36,9 @@ class ResilientPolicy;
 namespace bytecache::gateway {
 
 using PacketSink = std::function<void(packet::PacketPtr)>;
+using EncodeObserver = std::function<void(const core::EncodeInfo&)>;
+using DecodeObserver =
+    std::function<void(const packet::Packet&, const core::DecodeInfo&)>;
 
 /// Dependency bookkeeping shared by the experiment harness.
 struct EncoderGatewayStats {
@@ -88,16 +89,9 @@ class EncoderGateway {
   /// into this (gateway/sharded_gateways.cc).
   void receive_burst(std::span<packet::PacketPtr> pkts);
 
-  /// Called with the EncodeInfo of every processed packet (optional).
-  void set_observer(std::function<void(const core::EncodeInfo&)> fn) {
-    observer_ = std::move(fn);
-  }
-
-  /// Optional event trace with its clock (neither owned; may be null).
-  void set_trace(sim::Trace* trace, const sim::Simulator* sim) {
-    trace_ = trace;
-    sim_ = sim;
-  }
+  /// Adds an observer called with the EncodeInfo of every processed
+  /// packet, after the observers added before it.
+  void add_observer(EncodeObserver fn);
 
   /// Feeds a reverse-direction DRE control packet (NACK, resync request,
   /// or loss report — dispatched by core::ControlMessage::Type).
@@ -153,9 +147,7 @@ class EncoderGateway {
   std::unique_ptr<cache::L2Store> own_l2_;  // null when external/absent
   std::unique_ptr<core::Encoder> encoder_;  // null when disabled
   PacketSink sink_;
-  std::function<void(const core::EncodeInfo&)> observer_;
-  sim::Trace* trace_ = nullptr;
-  const sim::Simulator* sim_ = nullptr;
+  EncodeObserver observer_;
   EncoderGatewayStats stats_;
   obs::MetricsRegistry metrics_;
   obs::SpanSampler encode_span_;  // -> "gateway.encoder.encode_ns"
@@ -198,11 +190,10 @@ class DecoderGateway {
 
   void set_sink(PacketSink sink) { sink_ = std::move(sink); }
 
-  /// Optional event trace with its clock (neither owned; may be null).
-  void set_trace(sim::Trace* trace, const sim::Simulator* sim) {
-    trace_ = trace;
-    sim_ = sim;
-  }
+  /// Adds an observer called with every packet the codec processes and
+  /// its DecodeInfo — before the packet is delivered, or dropped and its
+  /// feedback sent — after the observers added before it.
+  void add_observer(DecodeObserver fn);
 
   /// Reverse-path sink for control packets.  What is sent over it is
   /// governed by the params the gateway was built with: NACKs when
@@ -246,16 +237,14 @@ class DecoderGateway {
   void deliver(packet::PacketPtr pkt);
   void deliver_released();
   void send_control(const packet::Packet& cause,
-                    const core::ControlMessage& msg, sim::TraceEvent event,
-                    std::uint64_t uid);
+                    const core::ControlMessage& msg);
 
   // Declared before the decoder: the codec's stripe must outlive it.
   std::unique_ptr<cache::L2Store> own_l2_;  // null when external/absent
   std::unique_ptr<core::Decoder> decoder_;
   PacketSink sink_;
   PacketSink feedback_;
-  sim::Trace* trace_ = nullptr;
-  const sim::Simulator* sim_ = nullptr;
+  DecodeObserver observer_;
   DecoderGatewayStats stats_;
   obs::MetricsRegistry metrics_;
   obs::SpanSampler decode_span_;  // -> "gateway.decoder.decode_ns"

@@ -12,7 +12,7 @@ TrialResult run_trial(const ExperimentConfig& config, util::BytesView file,
                       std::uint64_t seed) {
   sim::Simulator sim;
 
-  gateway::PipelineConfig pc;
+  app::PipelineConfig pc;
   pc.policy = config.policy;
   pc.dre = config.dre;
   pc.cache = config.cache;
@@ -23,7 +23,7 @@ TrialResult run_trial(const ExperimentConfig& config, util::BytesView file,
   pc.bursty_loss = config.bursty_loss;
   pc.reverse_loss_rate = config.reverse_loss_rate;
   pc.seed = seed;
-  gateway::Pipeline pipeline(sim, pc);
+  app::Pipeline pipeline(sim, pc);
 
   app::FileTransfer transfer(sim, pipeline,
                              util::Bytes(file.begin(), file.end()),

@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "app/file_transfer.h"
+#include "app/pipeline.h"
 #include "core/factory.h"
 #include "core/params.h"
-#include "gateway/pipeline.h"
 #include "harness/metrics.h"
 #include "sim/link.h"
 #include "tcp/config.h"

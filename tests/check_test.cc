@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "app/pipeline.h"
 #include "cache/byte_cache.h"
 #include "cache/packet_store.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
-#include "gateway/pipeline.h"
 #include "rabin/window.h"
 #include "sim/simulator.h"
 #include "tests/testutil.h"
@@ -226,12 +226,12 @@ TEST(SimulatorAudit, SmallestNonzeroIntervalWins) {
 
 TEST(SimulatorAudit, PipelineRegistersAuditsWithTheSimulator) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kNaive;
   cfg.audit_interval_events = 16;
   util::Rng rng(3);
   {
-    gateway::Pipeline pipe(sim, cfg);
+    app::Pipeline pipe(sim, cfg);
     pipe.sender().start(testutil::random_bytes(rng, 40'000));
     sim.run();
     EXPECT_TRUE(pipe.sender().completed());

@@ -125,7 +125,7 @@ HttpServer make_site(Rng& rng, std::size_t pages, std::size_t page_kb = 40) {
 TEST(HttpSession, FetchesOneObject) {
   sim::Simulator sim;
   Rng rng(1);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
   HttpServer server = make_site(rng, 1);
   HttpRequest probe;
@@ -142,7 +142,7 @@ TEST(HttpSession, FetchesOneObject) {
 TEST(HttpSession, NotFoundStillDelivered) {
   sim::Simulator sim;
   Rng rng(2);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kTcpSeq;
   HttpSession session(sim, cfg, make_site(rng, 1));
   FetchResult r = session.fetch("/missing");
@@ -155,17 +155,18 @@ TEST(HttpSession, SequentialFetchesShareTheCache) {
   // entirely eliminated by the byte cache.
   sim::Simulator sim;
   Rng rng(3);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kTcpSeq;
   HttpSession session(sim, cfg, make_site(rng, 1, 60));
 
+  const sim::Link& link = session.pipeline().forward_link();
   const std::uint64_t wire0 = 0;
   FetchResult first = session.fetch("/page0");
   ASSERT_TRUE(first.ok);
-  const std::uint64_t wire1 = session.forward_link().stats().bytes_sent;
+  const std::uint64_t wire1 = link.stats().bytes_sent;
   FetchResult second = session.fetch("/page0");
   ASSERT_TRUE(second.ok);
-  const std::uint64_t wire2 = session.forward_link().stats().bytes_sent;
+  const std::uint64_t wire2 = link.stats().bytes_sent;
   EXPECT_EQ(second.response.body, first.response.body);
   const std::uint64_t cost1 = wire1 - wire0;
   const std::uint64_t cost2 = wire2 - wire1;
@@ -175,7 +176,7 @@ TEST(HttpSession, SequentialFetchesShareTheCache) {
 TEST(HttpSession, SurvivesLossyLink) {
   sim::Simulator sim;
   Rng rng(4);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
   cfg.loss_rate = 0.03;
   cfg.seed = 9;
@@ -192,7 +193,7 @@ TEST(HttpSession, SurvivesLossyLink) {
 TEST(HttpSession, NaiveStallsUnderLossHttpToo) {
   sim::Simulator sim;
   Rng rng(5);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kNaive;
   cfg.loss_rate = 0.02;
   cfg.seed = 3;
@@ -208,7 +209,7 @@ TEST(HttpSession, NaiveStallsUnderLossHttpToo) {
 TEST(HttpSession, ManyObjectsSequentially) {
   sim::Simulator sim;
   Rng rng(6);
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
   cfg.loss_rate = 0.01;
   HttpSession session(sim, cfg, make_site(rng, 5, 25));
@@ -218,6 +219,52 @@ TEST(HttpSession, ManyObjectsSequentially) {
     EXPECT_EQ(r.status, 200) << i;
   }
   EXPECT_EQ(session.fetches(), 5u);
+}
+
+// The session runs over app::Pipeline, so it gets the whole Fig. 3
+// topology: periodic audits, resilience feedback and reverse-link loss.
+
+TEST(HttpSession, RegistersTheAuditorWithTheSimulator) {
+  sim::Simulator sim;
+  Rng rng(7);
+  app::PipelineConfig cfg;
+  cfg.policy = core::PolicyKind::kTcpSeq;
+  cfg.audit_interval_events = 16;
+  HttpSession session(sim, cfg, make_site(rng, 1));
+  ASSERT_TRUE(session.fetch("/page0").ok);
+  EXPECT_GT(sim.audits_run(), 0u);
+}
+
+TEST(HttpSession, EpochResyncLossReportsReachTheEncoder) {
+  sim::Simulator sim;
+  Rng rng(8);
+  app::PipelineConfig cfg;
+  cfg.policy = core::PolicyKind::kNaive;
+  cfg.dre.epoch_resync = true;
+  cfg.loss_rate = 0.03;
+  cfg.seed = 3;
+  HttpServer server;
+  server.add_object("/big", workload::make_file1(rng, 200'000));
+  HttpSession session(sim, cfg, std::move(server));
+  session.fetch("/big", sim::sec(150));
+  Pipeline& pipeline = session.pipeline();
+  EXPECT_GT(pipeline.decoder_gw().stats().loss_reports_sent, 0u);
+  EXPECT_GT(pipeline.encoder_gw().stats().loss_reports, 0u);
+  EXPECT_GT(pipeline.encoder_gw().stats().channel_drops_seen, 0u);
+}
+
+TEST(HttpSession, ReverseLinkLossApplies) {
+  sim::Simulator sim;
+  Rng rng(9);
+  app::PipelineConfig cfg;
+  cfg.policy = core::PolicyKind::kCacheFlush;
+  cfg.reverse_loss_rate = 0.05;
+  cfg.seed = 5;
+  HttpSession session(sim, cfg, make_site(rng, 3, 40));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session.fetch("/page" + std::to_string(i)).ok) << i;
+  }
+  EXPECT_GT(session.pipeline().reverse_link().stats().drops_loss, 0u);
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 #include <set>
 
 #include "app/file_transfer.h"
+#include "app/pipeline.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "core/flow.h"
 #include "core/wire.h"
-#include "gateway/multi_pipeline.h"
 #include "harness/experiment.h"
 #include "packet/udp.h"
 #include "sim/loss_model.h"
@@ -97,9 +97,9 @@ TEST(GilbertElliott, ResetReturnsToGoodState) {
 
 TEST(MultiPipelineRouting, NonTcpAndUnknownPortsIgnoredGracefully) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kNone;
-  gateway::MultiPipeline pipeline(sim, cfg, 2);
+  app::Pipeline pipeline(sim, cfg, 2);
 
   // A UDP packet through the forward path: no receiver claims it; the
   // pipeline must not crash or misdeliver.

@@ -8,18 +8,20 @@
 #include <memory>
 
 #include "app/file_transfer.h"
-#include "gateway/multi_pipeline.h"
+#include "app/pipeline.h"
 #include "workload/generators.h"
 
 namespace bytecache::gateway {
 namespace {
 
+using app::Pipeline;
+using app::PipelineConfig;
 using util::Bytes;
 using util::Rng;
 
 struct MultiRun {
   sim::Simulator sim;
-  std::unique_ptr<MultiPipeline> pipeline;
+  std::unique_ptr<Pipeline> pipeline;
   std::vector<std::unique_ptr<app::FileTransfer>> transfers;
 
   MultiRun(core::PolicyKind policy, double loss,
@@ -29,7 +31,7 @@ struct MultiRun {
     cfg.policy = policy;
     cfg.loss_rate = loss;
     cfg.seed = seed;
-    pipeline = std::make_unique<MultiPipeline>(sim, cfg, files.size());
+    pipeline = std::make_unique<Pipeline>(sim, cfg, files.size());
     for (std::size_t i = 0; i < files.size(); ++i) {
       transfers.push_back(std::make_unique<app::FileTransfer>(
           sim, pipeline->sender(i), pipeline->receiver(i), files[i],
@@ -170,7 +172,7 @@ TEST(MultiFlow, AckGatedSafeAcrossFlows) {
   cfg.loss_rate = 0.05;
   cfg.seed = 19;
   sim::Simulator sim;
-  MultiPipeline pipeline(sim, cfg, files.size());
+  Pipeline pipeline(sim, cfg, files.size());
   std::vector<std::unique_ptr<app::FileTransfer>> transfers;
   for (std::size_t i = 0; i < files.size(); ++i) {
     transfers.push_back(std::make_unique<app::FileTransfer>(

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "app/file_transfer.h"
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "gateway/sharded_gateways.h"
 #include "harness/experiment.h"
 #include "obs/export.h"
@@ -391,9 +391,9 @@ TEST(ObsSharded, MultiShardCountersSumToPlainTotals) {
 
 TEST(ObsPipeline, SnapshotReachesEveryLayer) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kNaive;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
   util::Rng rng(7);
   const util::Bytes file = workload::make_file1(rng, 50'000);
   app::FileTransfer transfer(sim, pipeline, file);

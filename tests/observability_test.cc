@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "app/file_transfer.h"
-#include "gateway/pipeline.h"
+#include "app/pipeline.h"
 #include "sim/pcap.h"
 #include "sim/trace.h"
 #include "workload/generators.h"
@@ -47,21 +47,24 @@ TEST(Trace, ClearEmpties) {
 }
 
 TEST(Trace, EventNamesAreDistinct) {
+  constexpr TraceEvent kLast = TraceEvent::kResync;  // last enumerator
   std::set<std::string> names;
-  for (int i = 0; i <= static_cast<int>(TraceEvent::kNack); ++i) {
+  for (int i = 0; i <= static_cast<int>(kLast); ++i) {
     names.insert(to_string(static_cast<TraceEvent>(i)));
   }
-  EXPECT_EQ(names.size(), static_cast<std::size_t>(TraceEvent::kNack) + 1);
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kLast) + 1);
   EXPECT_EQ(names.count("?"), 0u);
 }
 
 TEST(Trace, PipelineEmitsConsistentEventFlow) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
+  cfg.dre.nack_feedback = true;
+  cfg.dre.epoch_resync = true;
   cfg.loss_rate = 0.03;
   cfg.seed = 3;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
   Trace trace;
   pipeline.attach_trace(&trace);
 
@@ -82,8 +85,12 @@ TEST(Trace, PipelineEmitsConsistentEventFlow) {
   EXPECT_GT(trace.count(TraceEvent::kEncode), 0u);
   EXPECT_GT(trace.count(TraceEvent::kLoss), 0u);
   // Decoder events match the gateway stats.
-  EXPECT_EQ(trace.count(TraceEvent::kDecodeDrop),
-            pipeline.decoder_gw().stats().dropped);
+  const gateway::DecoderGatewayStats& dec = pipeline.decoder_gw().stats();
+  EXPECT_EQ(trace.count(TraceEvent::kDecodeDrop), dec.dropped);
+  // So do the feedback events the pipeline records on the reverse path.
+  EXPECT_EQ(trace.count(TraceEvent::kNack), dec.nacks_sent);
+  EXPECT_EQ(trace.count(TraceEvent::kLossReport), dec.loss_reports_sent);
+  EXPECT_EQ(trace.count(TraceEvent::kResync), dec.resyncs_sent);
   // CacheFlush flushed at least once under loss.
   EXPECT_GT(trace.count(TraceEvent::kFlush), 0u);
   // Timestamps are monotone.
@@ -142,9 +149,9 @@ TEST(Pcap, RecordCarriesWireBytesAndTimestamp) {
 
 TEST(Pcap, CapturesPipelineTraffic) {
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kTcpSeq;
-  gateway::Pipeline pipeline(sim, cfg);
+  app::Pipeline pipeline(sim, cfg);
   PcapWriter pcap;
   pipeline.attach_pcap(&pcap);
 

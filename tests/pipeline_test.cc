@@ -2,15 +2,17 @@
 #include <gtest/gtest.h>
 
 #include "app/file_transfer.h"
+#include "app/pipeline.h"
 #include "app/udp_stream.h"
 #include "gateway/gateways.h"
-#include "gateway/pipeline.h"
 #include "tests/testutil.h"
 #include "workload/generators.h"
 
 namespace bytecache::gateway {
 namespace {
 
+using app::Pipeline;
+using app::PipelineConfig;
 using testutil::make_tcp_packet;
 using testutil::random_bytes;
 using util::Bytes;
@@ -60,7 +62,7 @@ TEST(EncoderGateway, ObserverSeesEncodeInfo) {
   Rng rng(3);
   const Bytes data = random_bytes(rng, 1000);
   std::vector<core::EncodeInfo> infos;
-  gw.set_observer([&](const core::EncodeInfo& i) { infos.push_back(i); });
+  gw.add_observer([&](const core::EncodeInfo& i) { infos.push_back(i); });
   gw.set_sink([](packet::PacketPtr) {});
   gw.receive(make_tcp_packet(data, 1000));
   gw.receive(make_tcp_packet(data, 2000));

@@ -7,7 +7,7 @@
 
 #include "app/file_transfer.h"
 #include "app/http_session.h"
-#include "gateway/multi_pipeline.h"
+#include "app/pipeline.h"
 #include "harness/experiment.h"
 #include "tests/testutil.h"
 #include "workload/generators.h"
@@ -35,7 +35,7 @@ TEST_P(HttpPolicySweep, LossyBrowsingSessionSucceeds) {
   }
   server.add_object("/p", page);
 
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = GetParam();
   cfg.loss_rate = 0.02;
   cfg.seed = 21;
@@ -63,11 +63,11 @@ class FlowCountSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(FlowCountSweep, AllFlowsCompleteUnderLoss) {
   const std::size_t flows = GetParam();
   sim::Simulator sim;
-  gateway::PipelineConfig cfg;
+  app::PipelineConfig cfg;
   cfg.policy = core::PolicyKind::kCacheFlush;
   cfg.loss_rate = 0.02;
   cfg.seed = 31 + flows;
-  gateway::MultiPipeline pipeline(sim, cfg, flows);
+  app::Pipeline pipeline(sim, cfg, flows);
   Rng rng(41);
   std::vector<Bytes> files;
   std::vector<std::unique_ptr<app::FileTransfer>> transfers;

@@ -63,6 +63,13 @@ Rules (see DESIGN.md "Correctness tooling"):
                 formatting) and fprintf(stderr, ...) (diagnostics) are
                 fine.  Suppress with NOLINT(bc-obs).
 
+  bc-layer      A file under src/{util,obs,rabin,packet,cache,resilience,
+                fec,core,gateway} includes a sim/ or tcp/ header.  Those
+                layers make up the middlebox (bc_gateway links only
+                bc_core); the simulator and the simulated TCP stack sit
+                above them, and a topology that needs both lives in
+                src/app/ (app::Pipeline).  Suppress with NOLINT(bc-layer).
+
 Division of labour with tools/bcanalyze (DESIGN.md §11): this script is
 the *fast pre-pass* — pure-regex, no parsing, runs in milliseconds and
 catches by-name what it can.  Three rules have deeper *semantic*
@@ -135,6 +142,10 @@ OBS_RE = re.compile(
     r"fprintf\s*\(\s*stdout\b)"
 )
 OBS_EXEMPT_DIRS = ("src/obs/", "src/harness/")
+LAYER_RE = re.compile(r'^\s*#\s*include\s+["<](?P<path>(?:sim|tcp)/[^">]+)[">]')
+LAYER_DIRS = tuple(f"src/{d}/" for d in (
+    "util", "obs", "rabin", "packet", "cache", "resilience", "fec", "core",
+    "gateway"))
 
 
 class Violation:
@@ -366,6 +377,25 @@ def scan_obs(path, raw_lines, code_lines):
     return violations
 
 
+def scan_layer(path, raw_lines):
+    posix = path.as_posix()
+    if not any(posix.startswith(d) or f"/{d}" in posix for d in LAYER_DIRS):
+        return []
+    suppressed = nolint_lines(raw_lines, "bc-layer")
+    violations = []
+    for lineno, line in enumerate(raw_lines, start=1):
+        if lineno in suppressed:
+            continue
+        m = LAYER_RE.match(line)
+        if m:
+            violations.append(Violation(
+                "bc-layer", path, lineno,
+                f'middlebox layer includes "{m.group("path")}"; the '
+                f"simulator and simulated TCP belong above bc_gateway, in "
+                f"src/app/ (or annotate NOLINT(bc-layer))"))
+    return violations
+
+
 def scan_includes(path, root, raw_lines, code_lines):
     del code_lines  # include paths live inside string-like tokens: use raw
     violations = []
@@ -432,6 +462,7 @@ def scan_file(path, root):
     violations += scan_hotpath(rel, raw_lines, code_lines)
     violations += scan_nolock(rel, raw_lines, code_lines)
     violations += scan_obs(rel, raw_lines, code_lines)
+    violations += scan_layer(rel, raw_lines)
     violations += scan_includes(root / rel, root, raw_lines, code_lines)
     return violations
 
@@ -518,6 +549,9 @@ SELF_TEST_CASES = [
     ("bc-obs", 'std::snprintf(buf, sizeof buf, "%.2f", v);', False),
     ("bc-obs", "// printf() is banned here, see bc-obs", False),
     ("bc-obs", 'std::printf("x");  // NOLINT(bc-obs)', False),
+    ("bc-layer", '#include "sim/trace.h"', True),
+    ("bc-layer", '#include "core/encoder.h"', False),
+    ("bc-layer", '#include "tcp/sender.h"  // NOLINT(bc-layer)', False),
 ]
 
 
@@ -540,6 +574,10 @@ def self_test():
             # The rule only fires under the single-threaded codec dirs.
             found = scan_nolock(Path("src/core/selftest_snippet.cc"),
                                 raw_lines, code_lines)
+        elif rule == "bc-layer":
+            # The rule only fires in the middlebox layers.
+            found = scan_layer(Path("src/gateway/selftest_snippet.cc"),
+                               raw_lines)
         elif rule == "bc-obs":
             # The rule only fires in src/ outside src/obs and src/harness.
             found = scan_obs(Path("src/core/selftest_snippet.cc"),
