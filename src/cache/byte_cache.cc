@@ -1,7 +1,5 @@
 #include "cache/byte_cache.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace bytecache::cache {
@@ -17,23 +15,19 @@ ByteCache::ByteCache(const CacheConfig& config) : store_(config) {
 }
 
 void ByteCache::on_evict(const CachedPacket& pkt, EvictReason reason) {
+  // A packet owning no entries can never be hit again (lookups start at
+  // the index), so it is not worth L2 bytes — and has nothing to purge
+  // either.  The table's owner count answers without walking `fps`.
+  if (table_.owned(pkt.id) == 0) return;
   // Budget victims are still warm: offer them to the tier below, whose
-  // admission keeps their entries in place.  A packet owning no entries
-  // can never be hit again (lookups start at the index), so it is not
-  // worth L2 bytes — and has nothing to purge either.
-  if (reason == EvictReason::kBudget && lower_ != nullptr) {
-    const bool owns = std::any_of(
-        pkt.fps.begin(), pkt.fps.end(), [&](rabin::Fingerprint fp) {
-          const auto entry = table_.get(fp);
-          return entry && entry->packet_id == pkt.id;
-        });
-    if (!owns || lower_->on_demote(pkt)) return;
+  // admission keeps their entries in place.
+  if (reason == EvictReason::kBudget && lower_ != nullptr &&
+      lower_->on_demote(pkt)) {
+    return;
   }
   // Purge only entries still owned by the departing packet: a newer
   // payload may have overwritten some of them, and those must survive.
-  for (rabin::Fingerprint fp : pkt.fps) {
-    if (table_.erase_if_owner(fp, pkt.id)) ++stats_.fingerprints_purged;
-  }
+  stats_.fingerprints_purged += table_.purge(pkt.id, pkt.fps);
 }
 
 std::uint64_t ByteCache::update(util::BytesView payload,
@@ -41,9 +35,7 @@ std::uint64_t ByteCache::update(util::BytesView payload,
                                 const PacketMeta& meta) {
   if (anchors.empty()) return 0;
   const std::uint64_t id = store_.insert(payload, meta, anchors);
-  for (const rabin::Anchor& a : anchors) {
-    table_.put(a.fp, FpEntry{id, a.offset});
-  }
+  table_.put_anchors(id, anchors);
   ++stats_.packets_inserted;
   stats_.fingerprints_inserted += anchors.size();
   return id;

@@ -96,9 +96,10 @@ class ByteCache final : private EvictionListener {
 
   /// Runs the cache-update procedure (paper Fig. 2 C): stores `payload`
   /// and points every anchor's fingerprint at it.  `anchors` must be the
-  /// selected anchors of `payload`.  No-op if `anchors` is empty (a packet
-  /// with no selected fingerprint can never be referenced).
-  /// Returns the store id (0 if not stored).
+  /// selected anchors of `payload` — all of them, in ascending offset
+  /// order, as later copies of this payload reuse them (DESIGN.md §15).
+  /// No-op if `anchors` is empty (a packet with no selected fingerprint
+  /// can never be referenced).  Returns the store id (0 if not stored).
   std::uint64_t update(util::BytesView payload,
                        const std::vector<rabin::Anchor>& anchors,
                        const PacketMeta& meta);
@@ -159,7 +160,7 @@ class ByteCache final : private EvictionListener {
   }
   void restore_fingerprint(rabin::Fingerprint fp, FpEntry entry) {
     table_.put(fp, entry);
-    store_.note_fingerprint(entry.packet_id, fp);
+    store_.note_fingerprint(entry.packet_id, fp, entry.offset);
   }
 
   /// Serializes the cache contents (not statistics) as one "BCC1" block
@@ -185,14 +186,10 @@ class ByteCache final : private EvictionListener {
   [[nodiscard]] FingerprintTable& index() { return table_; }
 
   /// Re-admits a packet promoted back from the L2 at the MRU end under
-  /// its original id and fingerprint list; its index entries never left.
+  /// its original id and anchor list; its index entries never left.
   /// May evict (and therefore demote) LRU entries.  Statistics are not
   /// touched: promotion is tier bookkeeping, not a paper cache event.
-  void readmit(std::uint64_t id, util::BytesView payload,
-               const PacketMeta& meta,
-               const std::vector<rabin::Fingerprint>& fps) {
-    store_.reinsert(id, payload, meta, fps);
-  }
+  void readmit(const CachedPacket& pkt) { store_.reinsert(pkt); }
 
   /// Keeps new ids above a restored L2 resident's `id`.
   void reserve_ids_through(std::uint64_t id) {

@@ -33,7 +33,7 @@ void CacheTier::apply_promotions() {
     // The packet can have left the stripe since the hit (host-budget or
     // share eviction triggered by a later demotion): nothing to promote.
     if (!stripe_->take(id, taken_)) continue;
-    l1_.readmit(id, taken_.payload, taken_.meta, taken_.fps);
+    l1_.readmit(taken_);
     ++stripe_->stats().promotions;
   }
   promote_queue_.clear();
@@ -119,6 +119,7 @@ void CacheTier::audit_index(const FingerprintTable& index,
   });
   BC_AUDIT(stale == 0) << stale << " stale fingerprint entries name a "
                        << "packet no tier holds";
+  index.audit_owner_counts();
 }
 
 std::size_t CacheTier::l2_fingerprint_count() const {

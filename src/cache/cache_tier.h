@@ -11,8 +11,8 @@
 // stripe's), so every fingerprint resolves in exactly one tier by
 // construction.  L1 budget evictions demote into the stripe and L2 hits
 // promote back (deferred to the next update(), so the L1 never mutates
-// mid-match-loop), each moving only payload, metadata and fingerprint
-// list — no index edits.  update()'s overwrite moves ownership to the
+// mid-match-loop), each moving only payload, metadata and anchor list —
+// no index edits.  update()'s overwrite moves ownership to the
 // newest packet in either tier.  Entries are erased only when a packet
 // leaves the cache for good: an L2 eviction, an admission rejection, a
 // NACK invalidation in either tier, or an L1 victim owning nothing.
@@ -90,8 +90,9 @@ class CacheTier final : private LowerTier {
 
   /// The index rule, over any index/L1/L2 triple (`l2` may be null):
   /// every entry names a packet resident in exactly one tier, its offset
-  /// lies inside that payload, and the fingerprint is on the owner's
-  /// `fps` list.  Public so tests can feed it a known-bad index.
+  /// lies inside that payload, the fingerprint is on the owner's `fps`
+  /// list, and every owner count equals the entries naming that owner.
+  /// Public so tests can feed it a known-bad index.
   static void audit_index(const FingerprintTable& index,
                           const PacketStore& l1,
                           const L2Store::Stripe* l2);

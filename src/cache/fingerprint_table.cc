@@ -1,11 +1,82 @@
 #include "cache/fingerprint_table.h"
 
+#include <algorithm>
 #include <ios>
 
 #include "cache/packet_store.h"
 #include "util/check.h"
 
 namespace bytecache::cache {
+
+void FingerprintTable::put(rabin::Fingerprint fp, FpEntry entry) {
+  if (entry.packet_id == 0) return;
+  bool inserted = false;
+  FpEntry& slot = map_.upsert(fp, inserted);
+  const std::uint64_t previous = inserted ? 0 : slot.packet_id;
+  slot = entry;
+  if (previous == entry.packet_id) return;
+  if (previous != 0) disown(previous, 1);
+  bool fresh = false;
+  ++owners_.upsert(entry.packet_id, fresh);
+}
+
+void FingerprintTable::put_anchors(std::uint64_t id,
+                                   std::span<const rabin::Anchor> anchors) {
+  if (id == 0 || anchors.empty()) return;
+  // The anchors' home slots are spread over the whole index and those
+  // taken from a copy's source were never probed: keep kProbeAhead slot
+  // fetches in flight, as probe_batch does.
+  const std::size_t n = anchors.size();
+  for (std::size_t i = 0; i < std::min(n, kProbeAhead); ++i) {
+    map_.prefetch(anchors[i].fp);
+  }
+  // A new packet usually takes over long runs of entries from the one
+  // older copy of the same content: settle each run's count once.
+  std::uint32_t gained = 0;
+  std::uint64_t run_owner = 0;
+  std::uint32_t run_len = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kProbeAhead < n) map_.prefetch(anchors[i + kProbeAhead].fp);
+    const rabin::Anchor& a = anchors[i];
+    bool inserted = false;
+    FpEntry& slot = map_.upsert(a.fp, inserted);
+    if (inserted) {
+      ++gained;
+    } else if (slot.packet_id != id) {
+      if (slot.packet_id != run_owner) {
+        if (run_len != 0) disown(run_owner, run_len);
+        run_owner = slot.packet_id;
+        run_len = 0;
+      }
+      ++run_len;
+      ++gained;
+    }
+    slot = FpEntry{id, a.offset};
+  }
+  if (run_len != 0) disown(run_owner, run_len);
+  if (gained != 0) {
+    bool fresh = false;
+    owners_.upsert(id, fresh) += gained;
+  }
+}
+
+std::size_t FingerprintTable::purge(std::uint64_t packet_id,
+                                   std::span<const rabin::Fingerprint> fps) {
+  if (owned(packet_id) == 0) return 0;
+  // The fingerprints' slots are spread over the whole index, so pull
+  // them all in before walking them.
+  for (rabin::Fingerprint fp : fps) map_.prefetch(fp);
+  std::uint32_t purged = 0;
+  for (rabin::Fingerprint fp : fps) {
+    const FpEntry* e = map_.find(fp);
+    if (e != nullptr && e->packet_id == packet_id) {
+      map_.erase(fp);
+      ++purged;
+    }
+  }
+  disown(packet_id, purged);
+  return purged;
+}
 
 void FingerprintTable::probe_batch(std::span<const rabin::Anchor> anchors,
                                    std::span<ProbeResult> out) const {
@@ -47,7 +118,25 @@ std::size_t FingerprintTable::audit(const PacketStore& store) const {
         << entry.offset << " outside payload of " << pkt->payload.size()
         << " bytes (id " << entry.packet_id << ")";
   });
+  audit_owner_counts();
   return stale;
+}
+
+void FingerprintTable::audit_owner_counts() const {
+  if (!util::kAuditEnabled) return;
+  FlatMap64<std::uint32_t> tally;
+  map_.for_each([&](std::uint64_t, const FpEntry& entry) {
+    bool inserted = false;
+    ++tally.upsert(entry.packet_id, inserted);
+  });
+  BC_AUDIT(tally.size() == owners_.size())
+      << owners_.size() << " owner counts kept but " << tally.size()
+      << " packets own entries";
+  tally.for_each([&](std::uint64_t id, std::uint32_t n) {
+    BC_AUDIT(owned(id) == n)
+        << "owner count of packet " << id << " is " << owned(id) << " but "
+        << n << " entries name it";
+  });
 }
 
 }  // namespace bytecache::cache

@@ -12,6 +12,11 @@
 // evicted are purged eagerly by ByteCache's eviction hook, so the table's
 // memory is bounded by the live cache contents; lazy invalidation at
 // lookup time remains as defense in depth.
+//
+// The table also counts, per packet id, the entries naming that packet.
+// A departing packet whose count is zero — every fingerprint it held was
+// overwritten by a newer copy, the common case on repetitive traffic —
+// skips the purge walk over its fingerprint list entirely.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +48,13 @@ class FingerprintTable {
  public:
   /// Inserts or overwrites the entry for `fp`.  Entries must reference a
   /// store-assigned id (never 0).
-  void put(rabin::Fingerprint fp, FpEntry entry) {
-    if (entry.packet_id == 0) return;
-    map_.put(fp, entry);
-  }
+  void put(rabin::Fingerprint fp, FpEntry entry);
+
+  /// Points every anchor's fingerprint at packet `id` (the cache-update
+  /// procedure's index half): put() per anchor, but the owner counts
+  /// move once per run of entries taken over from the same previous
+  /// owner instead of once per entry.
+  void put_anchors(std::uint64_t id, std::span<const rabin::Anchor> anchors);
 
   /// Looks up `fp`; nullopt if absent.
   [[nodiscard]] std::optional<FpEntry> get(rabin::Fingerprint fp) const {
@@ -56,7 +64,12 @@ class FingerprintTable {
   }
 
   /// Removes the entry for `fp` if present.
-  void erase(rabin::Fingerprint fp) { map_.erase(fp); }
+  void erase(rabin::Fingerprint fp) {
+    const FpEntry* e = map_.find(fp);
+    if (e == nullptr) return;
+    disown(e->packet_id, 1);
+    map_.erase(fp);
+  }
 
   /// Hints the cache to pull `fp`'s home slot (see FlatMap64::prefetch).
   void prefetch(rabin::Fingerprint fp) const { map_.prefetch(fp); }
@@ -84,14 +97,40 @@ class FingerprintTable {
     const FpEntry* e = map_.find(fp);
     if (e == nullptr || e->packet_id != packet_id) return false;
     map_.erase(fp);
+    disown(packet_id, 1);
     return true;
   }
 
-  void clear() { map_.clear(); }
+  /// The eviction purge: erases the entries packet `packet_id` still owns
+  /// among `fps` (its fingerprint list; newer packets' overwrites
+  /// survive) and settles its owner count once.  A packet owning nothing
+  /// skips the walk.  Returns the number of entries erased.
+  std::size_t purge(std::uint64_t packet_id,
+                    std::span<const rabin::Fingerprint> fps);
+
+  /// Number of entries naming `packet_id` (0 once every fingerprint it
+  /// held was overwritten or purged: its eviction has nothing to purge).
+  [[nodiscard]] std::uint32_t owned(std::uint64_t packet_id) const {
+    const std::uint32_t* n = owners_.find(packet_id);
+    return n == nullptr ? 0 : *n;
+  }
+
+  /// Number of packet ids owning at least one entry.
+  [[nodiscard]] std::size_t owner_count() const { return owners_.size(); }
+
+  void clear() {
+    map_.clear();
+    owners_.clear();
+  }
 
   /// Pre-sizes the table for `n` fingerprints (derived from the cache
-  /// byte budget by ByteCache) so steady-state inserts never rehash.
-  void reserve(std::size_t n) { map_.reserve(n); }
+  /// byte budget by ByteCache) so steady-state inserts never rehash.  The
+  /// owner counts get one slot per 16 fingerprints — one per 256 budget
+  /// bytes, the minimum arena slice a stored packet occupies.
+  void reserve(std::size_t n) {
+    map_.reserve(n);
+    owners_.reserve(n / 16);
+  }
 
   /// Deep invariant audit against the store the entries point into
   /// (BC_AUDIT; no-op unless the build enables audits).  Every entry
@@ -99,8 +138,22 @@ class FingerprintTable {
   /// and the recorded offset lies inside the payload — or is stale
   /// (packet evicted), which lazy invalidation permits.  Returns the
   /// number of stale entries so callers can bound staleness if they wish
-  /// (with eviction purging wired, it stays 0).
+  /// (with eviction purging wired, it stays 0).  Also holds every owner
+  /// count to the number of entries naming that owner.
   std::size_t audit(const PacketStore& store) const;
+
+  /// The owner-count half of audit(): every count equals the entries
+  /// naming its owner and no owner of an entry is uncounted (BC_AUDIT).
+  void audit_owner_counts() const;
+
+  /// Test seam: skews `packet_id`'s owner count by `delta` so the audits
+  /// can be shown to catch a miscount.  Never called by the data plane.
+  void skew_owner_count_for_test(std::uint64_t packet_id,
+                                 std::int64_t delta) {
+    bool inserted = false;
+    std::uint32_t& n = owners_.upsert(packet_id, inserted);
+    n = static_cast<std::uint32_t>(static_cast<std::int64_t>(n) + delta);
+  }
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
@@ -112,7 +165,19 @@ class FingerprintTable {
   }
 
  private:
+  /// Drops `n` entries from `packet_id`'s count, releasing the slot at 0.
+  void disown(std::uint64_t packet_id, std::uint32_t n) {
+    std::uint32_t* count = owners_.find(packet_id);
+    if (count == nullptr) return;
+    if (*count <= n) {
+      owners_.erase(packet_id);
+    } else {
+      *count -= n;
+    }
+  }
+
   FlatMap64<FpEntry> map_;
+  FlatMap64<std::uint32_t> owners_;  // packet id -> entries naming it
 };
 
 }  // namespace bytecache::cache

@@ -42,19 +42,30 @@ class FlatMap64 {
 
   /// Inserts or overwrites the value for `key`.
   void put(std::uint64_t key, const V& value) {
+    bool inserted = false;
+    upsert(key, inserted) = value;
+  }
+
+  /// The value slot for `key`, inserted value-initialized if absent;
+  /// `inserted` says which.  One probe for read-modify-write callers
+  /// (FingerprintTable's owner counts).  Stable only until the next
+  /// put/upsert/erase.
+  V& upsert(std::uint64_t key, bool& inserted) {
     if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
     std::size_t i = mix64(key) & mask_;
     while (slots_[i].used) {
       if (slots_[i].key == key) {
-        slots_[i].value = value;
-        return;
+        inserted = false;
+        return slots_[i].value;
       }
       i = (i + 1) & mask_;
     }
     slots_[i].key = key;
-    slots_[i].value = value;
+    slots_[i].value = V{};
     slots_[i].used = 1;
     ++size_;
+    inserted = true;
+    return slots_[i].value;
   }
 
   /// Pointer to the value for `key`, or nullptr if absent.  Stable only

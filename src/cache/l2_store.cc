@@ -35,6 +35,8 @@ void L2Store::Stripe::retire_slot(std::uint32_t slot) {
   s.slice = SliceArena::Slice{};
   s.pkt.payload = PayloadView{};
   s.pkt.fps.clear();  // keeps heap capacity for the next occupant
+  s.pkt.offsets.clear();
+  s.pkt.anchors_complete = false;
   s.pkt.id = 0;
   s.pkt.meta = PacketMeta{};
   s.hit_count = 0;
@@ -134,13 +136,8 @@ void L2Store::Stripe::remove_slot(std::uint32_t slot) {
 std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
   const CachedPacket& pkt = slots_[slot].pkt;
   // Purge only entries the packet still owns: a newer packet may have
-  // overwritten some.  The fingerprints' slots are spread over the whole
-  // index, so pull them all in before walking them.
-  for (rabin::Fingerprint fp : pkt.fps) index_->prefetch(fp);
-  std::size_t purged = 0;
-  for (rabin::Fingerprint fp : pkt.fps) {
-    if (index_->erase_if_owner(fp, pkt.id)) ++purged;
-  }
+  // overwritten some — or all, which skips the walk.
+  const std::size_t purged = index_->purge(pkt.id, pkt.fps);
   remove_slot(slot);
   return purged;
 }
@@ -227,6 +224,8 @@ bool L2Store::Stripe::admit(const CachedPacket& pkt) {
   s.pkt.payload = PayloadView{s.slice.data, len};
   s.pkt.meta = pkt.meta;
   s.pkt.fps = pkt.fps;  // reuses the slot's capacity
+  s.pkt.offsets = pkt.offsets;
+  s.pkt.anchors_complete = pkt.anchors_complete;
   s.live = true;
   bytes_used_ += len;
   link_front(slot);
@@ -242,9 +241,12 @@ bool L2Store::Stripe::take(std::uint64_t id, Taken& out) {
   const std::uint32_t* slotp = id_index_.find(id);
   if (slotp == nullptr) return false;
   Slot& s = slots_[*slotp];
+  out.id = id;
   out.payload = s.pkt.payload;  // backed by the limbo'd slice
   out.meta = s.pkt.meta;
   out.fps.swap(s.pkt.fps);
+  out.offsets.swap(s.pkt.offsets);
+  out.anchors_complete = s.pkt.anchors_complete;
   remove_slot(*slotp);
   return true;
 }
@@ -275,6 +277,8 @@ void L2Store::Stripe::clear() {
     slot.slice = SliceArena::Slice{};
     slot.pkt.payload = PayloadView{};
     slot.pkt.fps.clear();
+    slot.pkt.offsets.clear();
+    slot.pkt.anchors_complete = false;
     slot.pkt.id = 0;
     slot.pkt.meta = PacketMeta{};
     slot.prev = slot.next = kNil;
@@ -385,6 +389,8 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     s.pkt.payload = PayloadView{s.slice.data, len};
     s.pkt.meta = meta;
     s.pkt.fps.clear();
+    s.pkt.offsets.clear();
+    s.pkt.anchors_complete = false;  // holds only the entries it owns
     s.hit_count = hit_count;
     s.live = true;
     bytes_used_ += len;
@@ -405,6 +411,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
         return reject();
       }
       s.pkt.fps.push_back(fp);
+      s.pkt.offsets.push_back(offset);
       index_->put(fp, FpEntry{id, offset});
     }
   }
@@ -452,6 +459,7 @@ void L2Store::Stripe::audit() const {
       ++arena_slices;
     }
     BC_AUDIT(slot.pkt.id != 0) << "live L2 slot " << s << " holds id 0";
+    audit_anchor_list(slot.pkt);
     const std::uint32_t* idx = id_index_.find(slot.pkt.id);
     BC_AUDIT(idx != nullptr && *idx == s)
         << "L2 id index disagrees with the chain for id " << slot.pkt.id;

@@ -10,7 +10,8 @@
 //
 // A stripe keeps no fingerprint index: the attached codec's one
 // FingerprintTable names owners by id in either tier, so demotion and
-// promotion move only payload, metadata and fingerprint list.  The
+// promotion move only payload, metadata and anchor list (fingerprints,
+// offsets and the completeness flag anchor reuse needs).  The
 // stripe erases a packet's entries only when it leaves the cache for
 // good (share or host-budget eviction, NACK), and restores its
 // residents' entries from snapshots.
@@ -96,15 +97,11 @@ class L2Store {
     /// control; false if rejected (the L1 then purges its entries).
     bool admit(const CachedPacket& pkt);
 
-    /// A promoted packet leaving the stripe: meta and fingerprint list
-    /// moved to `out` (the list by swap, so buffer capacity circulates).
+    /// A promoted packet leaving the stripe: id, meta and anchor list
+    /// moved to `out` (the lists by swap, so buffer capacity circulates).
     /// The payload view stays readable until end_packet() (limbo).  False
     /// if `id` is not resident.
-    struct Taken {
-      PayloadView payload;
-      PacketMeta meta;
-      std::vector<rabin::Fingerprint> fps;
-    };
+    using Taken = CachedPacket;
     bool take(std::uint64_t id, Taken& out);
 
     /// NACK invalidation reached the L2: erase packet `id` wholesale

@@ -7,6 +7,35 @@
 
 namespace bytecache::cache {
 
+void CachedPacket::copy_anchors(std::size_t first, std::size_t last,
+                                std::size_t to,
+                                std::vector<rabin::Anchor>& out) const {
+  std::size_t i = static_cast<std::size_t>(
+      std::lower_bound(offsets.begin(), offsets.end(), first) -
+      offsets.begin());
+  for (; i < offsets.size() && offsets[i] <= last; ++i) {
+    out.push_back(rabin::Anchor{
+        static_cast<std::uint16_t>(offsets[i] - first + to), fps[i]});
+  }
+}
+
+void audit_anchor_list(const CachedPacket& pkt) {
+  if (!util::kAuditEnabled) return;
+  BC_AUDIT(pkt.fps.size() == pkt.offsets.size())
+      << "packet " << pkt.id << " lists " << pkt.fps.size()
+      << " fingerprints but " << pkt.offsets.size() << " offsets";
+  if (!pkt.anchors_complete) return;
+  for (std::size_t i = 0; i < pkt.offsets.size(); ++i) {
+    BC_AUDIT(pkt.offsets[i] < pkt.payload.size())
+        << "packet " << pkt.id << " anchor " << i << " at "
+        << pkt.offsets[i] << " outside its " << pkt.payload.size()
+        << "-byte payload";
+    BC_AUDIT(i == 0 || pkt.offsets[i - 1] < pkt.offsets[i])
+        << "packet " << pkt.id << " complete anchor list not ascending at "
+        << i;
+  }
+}
+
 PacketStore::PacketStore(const CacheConfig& config)
     : byte_budget_(config.l1_bytes) {}
 
@@ -28,6 +57,8 @@ void PacketStore::release_slot(std::uint32_t slot) {
   s.slice = SliceArena::Slice{};
   s.pkt.payload = PayloadView{};
   s.pkt.fps.clear();
+  s.pkt.offsets.clear();
+  s.pkt.anchors_complete = false;
   s.pkt.id = 0;
   s.live = false;
   free_.push_back(slot);
@@ -76,9 +107,13 @@ std::uint64_t PacketStore::insert(util::BytesView payload,
   s.pkt.id = next_id_++;
   assign_payload(s, payload);
   s.pkt.meta = meta;
-  s.pkt.fps.clear();
-  s.pkt.fps.reserve(anchors.size());
-  for (const rabin::Anchor& a : anchors) s.pkt.fps.push_back(a.fp);
+  s.pkt.fps.resize(anchors.size());
+  s.pkt.offsets.resize(anchors.size());
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    s.pkt.fps[i] = anchors[i].fp;
+    s.pkt.offsets[i] = anchors[i].offset;
+  }
+  s.pkt.anchors_complete = true;
   s.live = true;
   bytes_used_ += s.pkt.payload.size();
   link_front(slot);
@@ -106,9 +141,13 @@ bool PacketStore::contains(std::uint64_t id) const {
   return index_.find(id) != nullptr;
 }
 
-void PacketStore::note_fingerprint(std::uint64_t id, rabin::Fingerprint fp) {
+void PacketStore::note_fingerprint(std::uint64_t id, rabin::Fingerprint fp,
+                                   std::uint16_t offset) {
   const std::uint32_t* slot = index_.find(id);
-  if (slot != nullptr) slots_[*slot].pkt.fps.push_back(fp);
+  if (slot == nullptr) return;
+  CachedPacket& pkt = slots_[*slot].pkt;
+  pkt.fps.push_back(fp);
+  pkt.offsets.push_back(offset);
 }
 
 void PacketStore::set_host_key(std::uint64_t id, std::uint64_t host_key) {
@@ -126,14 +165,15 @@ void PacketStore::restore(std::uint64_t id, util::BytesView payload,
   assign_payload(s, payload);
   s.pkt.meta = meta;
   s.pkt.fps.clear();
+  s.pkt.offsets.clear();
+  s.pkt.anchors_complete = false;
   s.live = true;
   link_back(slot);
   index_.put(s.pkt.id, slot);
 }
 
-void PacketStore::reinsert(std::uint64_t id, util::BytesView payload,
-                           const PacketMeta& meta,
-                           const std::vector<rabin::Fingerprint>& fps) {
+void PacketStore::reinsert(const CachedPacket& pkt) {
+  const std::uint64_t id = pkt.id;
   BC_CHECK(id != 0 && id < next_id_)
       << "reinsert of id " << id << " the store never assigned (next_id "
       << next_id_ << ")";
@@ -142,9 +182,11 @@ void PacketStore::reinsert(std::uint64_t id, util::BytesView payload,
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.pkt.id = id;
-  assign_payload(s, payload);
-  s.pkt.meta = meta;
-  s.pkt.fps = fps;
+  assign_payload(s, pkt.payload);
+  s.pkt.meta = pkt.meta;
+  s.pkt.fps = pkt.fps;  // copies reuse the slot's capacity
+  s.pkt.offsets = pkt.offsets;
+  s.pkt.anchors_complete = pkt.anchors_complete;
   s.live = true;
   bytes_used_ += s.pkt.payload.size();
   link_front(slot);
@@ -199,6 +241,7 @@ void PacketStore::audit() const {
           << SliceArena::class_size(slot.slice.cls);
     }
     BC_AUDIT(slot.live) << "LRU chain reaches freed slot " << s;
+    audit_anchor_list(slot.pkt);
     BC_AUDIT(slot.prev == prev)
         << "slot " << s << " back-link " << slot.prev
         << " does not match predecessor " << prev;

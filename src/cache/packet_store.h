@@ -105,7 +105,27 @@ struct CachedPacket {
   /// Selected fingerprints recorded for this payload at insert time; the
   /// eviction purge erases exactly these from the fingerprint table.
   std::vector<rabin::Fingerprint> fps;
+  /// Window start of each fingerprint (parallel to `fps`, 2 bytes per
+  /// anchor): a region copied out of this payload takes its interior
+  /// anchors from here instead of rescanning (DESIGN.md §15).
+  std::vector<std::uint16_t> offsets;
+  /// True only when fps/offsets are the payload's full anchor set, in
+  /// ascending offset order (every update() stores one).  Snapshot-
+  /// restored packets hold only the fingerprints they own and are
+  /// incomplete.
+  bool anchors_complete = false;
+
+  /// Appends the anchors whose window starts lie in [first, last],
+  /// shifted by `to - first` (the copied region's placement in the new
+  /// payload).  Requires anchors_complete.
+  void copy_anchors(std::size_t first, std::size_t last, std::size_t to,
+                    std::vector<rabin::Anchor>& out) const;
 };
+
+/// Deep check of one packet's anchor list (BC_AUDIT): fps and offsets
+/// are parallel, and a complete list is strictly ascending and inside
+/// the payload.
+void audit_anchor_list(const CachedPacket& pkt);
 
 /// Why a packet is leaving the store.  The L2 tier demotes kBudget
 /// victims (still warm, just crowded out) but must NOT resurrect
@@ -142,8 +162,8 @@ class PacketStore {
 
   /// Stores a payload copy; returns its id.  May evict LRU entries (each
   /// reported to the eviction listener).  `anchors` is the payload's
-  /// selected anchor set, whose fingerprints are retained for the
-  /// eviction purge.
+  /// selected anchor set, retained (fingerprints and offsets, marked
+  /// complete) for the eviction purge and anchor reuse.
   std::uint64_t insert(util::BytesView payload, const PacketMeta& meta,
                        const std::vector<rabin::Anchor>& anchors = {});
 
@@ -167,9 +187,11 @@ class PacketStore {
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
 
-  /// Records `fp` as belonging to stored packet `id` (snapshot restore
-  /// path, which bypasses insert()); no-op if the id is absent.
-  void note_fingerprint(std::uint64_t id, rabin::Fingerprint fp);
+  /// Records the anchor (`fp` at `offset`) as belonging to stored packet
+  /// `id` (snapshot restore path, which bypasses insert()); no-op if the
+  /// id is absent.
+  void note_fingerprint(std::uint64_t id, rabin::Fingerprint fp,
+                        std::uint16_t offset);
 
   /// Patches the host-pair key of stored packet `id` (tier snapshot
   /// restore; see ByteCache::set_host_key); no-op if the id is absent.
@@ -224,14 +246,13 @@ class PacketStore {
   void restore(std::uint64_t id, util::BytesView payload,
                const PacketMeta& meta);
 
-  /// Re-inserts a previously assigned id at the MRU end with its
-  /// fingerprint list (the L2 -> L1 promotion path).  Exactly insert()
-  /// except the id is the caller's: may evict LRU entries, reports them
-  /// to the listener.  `id` must not be live and must have been assigned
-  /// before (the id counter never moves backwards).
-  void reinsert(std::uint64_t id, util::BytesView payload,
-                const PacketMeta& meta,
-                const std::vector<rabin::Fingerprint>& fps);
+  /// Re-inserts `pkt` — a previously assigned id with its payload,
+  /// metadata and anchor list — at the MRU end (the L2 -> L1 promotion
+  /// path).  Exactly insert() except the id is the caller's: may evict
+  /// LRU entries, reports them to the listener.  `pkt.id` must not be
+  /// live and must have been assigned before (the id counter never moves
+  /// backwards).
+  void reinsert(const CachedPacket& pkt);
 
   /// Keeps every future id above `id` (the tier snapshot restore: an
   /// L2 resident's id must never be handed out again).

@@ -2,6 +2,7 @@
 
 #include "cache/snapshot.h"
 #include "core/anchors.h"
+#include "core/cacheable.h"
 #include "core/flow.h"
 #include "core/wire.h"
 #include "util/check.h"
@@ -95,14 +96,51 @@ bool Decoder::load_state(util::BytesView snapshot) {
   return true;
 }
 
-void Decoder::cache_update(util::BytesView payload, std::uint64_t host_key) {
-  if (payload.size() < params_.window || payload.size() > 0xFFFF) return;
-  const auto& anchors = compute_anchors(tables_, payload, params_, anchor_ws_);
+void Decoder::cache_update(const packet::Packet& pkt,
+                           std::span<const EncodedRegion> regions) {
+  if (!cacheable_payload(pkt, params_.window)) return;
+  const util::BytesView payload(pkt.payload);
+  const std::vector<rabin::Anchor>& anchors = anchors_of(payload, regions);
   cache::PacketMeta meta;
   meta.stream_index = stream_index_++;
   meta.epoch = epoch_;
-  meta.host_key = host_key;
+  meta.host_key = host_key_of(pkt.ip.src, pkt.ip.dst);
   cache_.update(payload, anchors, meta);
+}
+
+const std::vector<rabin::Anchor>& Decoder::anchors_of(
+    util::BytesView payload, std::span<const EncodedRegion> regions) {
+  if (regions.empty() || !anchors_reusable(params_)) {
+    return compute_anchors(tables_, payload, params_, anchor_ws_);
+  }
+  // Anchor reuse (core/anchors.h): a region copied from a complete
+  // source takes its interior window starts [nb, nb + len - w] from the
+  // source's list; the gaps between — literals plus the w-1 seam windows
+  // straddling each region edge — are scanned.
+  std::vector<rabin::Anchor>& anchors = anchor_ws_.anchors;
+  anchors.clear();
+  anchors.reserve((payload.size() >> params_.select_bits) + 8);
+  const std::size_t w = params_.window;
+  std::size_t scanned = 0;  // window starts [0, scanned) are in `anchors`
+  bool reused = false;
+  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
+    const EncodedRegion& r = regions[ri];
+    const cache::CachedPacket& src = *sources_[ri];
+    if (r.length < w || !src.anchors_complete) continue;  // gap-scanned
+    scan_anchors(tables_, payload, scanned, r.offset_new, params_,
+                 anchor_ws_);
+    src.copy_anchors(r.offset_stored,
+                     std::size_t{r.offset_stored} + r.length - w,
+                     r.offset_new, anchors);
+    scanned = static_cast<std::size_t>(r.offset_new) + r.length - w + 1;
+    reused = true;
+  }
+  scan_anchors(tables_, payload, scanned, payload.size() - w + 1, params_,
+               anchor_ws_);
+  if (reused) {
+    audit_reused_anchors(tables_, payload, params_, anchors, audit_ws_);
+  }
+  return anchors;
 }
 
 void Decoder::decode_burst(std::span<packet::Packet* const> pkts,
@@ -127,7 +165,7 @@ DecodeInfo Decoder::process(packet::Packet& pkt) {
     info.status = DecodeStatus::kPassthrough;
     info.received_size = pkt.payload.size();
     info.restored_size = pkt.payload.size();
-    cache_update(pkt.payload, host_key_of(pkt.ip.src, pkt.ip.dst));
+    cache_update(pkt, {});
     ++stats_.passthrough;
     stats_.bytes_restored += pkt.payload.size();
     return info;
@@ -204,6 +242,7 @@ DecodeInfo Decoder::process_encoded(packet::Packet& pkt) {
   util::Bytes& out = reassembly_;
   out.clear();
   out.reserve(enc.orig_len);
+  sources_.clear();
   std::size_t lit = 0;  // cursor into literals
   std::size_t pos = 0;  // cursor into the reconstruction
   for (std::size_t ri = 0; ri < enc.regions.size(); ++ri) {
@@ -252,6 +291,7 @@ DecodeInfo Decoder::process_encoded(packet::Packet& pkt) {
     out.insert(out.end(), stored.begin() + r.offset_stored,
                stored.begin() + r.offset_stored + r.length);
     pos += r.length;
+    sources_.push_back(hit->packet);
   }
   out.insert(out.end(), enc.literals.begin() + lit, enc.literals.end());
 
@@ -288,7 +328,7 @@ DecodeInfo Decoder::process_encoded(packet::Packet& pkt) {
       packet::Ipv4Header::kSize + pkt.payload.size());
   info.status = DecodeStatus::kDecoded;
   info.restored_size = pkt.payload.size();
-  cache_update(pkt.payload, host_key_of(pkt.ip.src, pkt.ip.dst));
+  cache_update(pkt, enc.regions);
   return info;
 }
 

@@ -176,7 +176,15 @@ class Decoder {
 
  private:
   DecodeInfo process_encoded(packet::Packet& pkt);
-  void cache_update(util::BytesView payload, std::uint64_t host_key);
+  /// Fig. 2 procedure C over a passthrough or reconstructed packet;
+  /// `regions` are the copies it was rebuilt from (empty for
+  /// passthrough), their sources in sources_.
+  void cache_update(const packet::Packet& pkt,
+                    std::span<const EncodedRegion> regions);
+  /// The payload's full anchor set, reusing each copied region's
+  /// interior anchors from its source where possible (core/anchors.h).
+  const std::vector<rabin::Anchor>& anchors_of(
+      util::BytesView payload, std::span<const EncodedRegion> regions);
 
   DreParams params_;
   rabin::RabinTables tables_;
@@ -191,8 +199,12 @@ class Decoder {
   // encoder): anchor buffers, the parsed encoded form, and the
   // reconstruction buffer swapped into the packet.
   AnchorWorkspace anchor_ws_;
+  AnchorWorkspace audit_ws_;  // full-scan oracle for reused anchor lists
   EncodedPayload enc_;
   util::Bytes reassembly_;
+  /// Cached source of each region of the packet being decoded; valid
+  /// until its cache update (which may promote or evict them).
+  std::vector<const cache::CachedPacket*> sources_;
 };
 
 }  // namespace bytecache::core

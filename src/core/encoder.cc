@@ -4,6 +4,7 @@
 
 #include "cache/snapshot.h"
 #include "core/anchors.h"
+#include "core/cacheable.h"
 #include "core/flow.h"
 #include "core/matcher.h"
 #include "core/wire.h"
@@ -184,6 +185,113 @@ void Encoder::encode_burst(std::span<packet::Packet* const> pkts,
   }
 }
 
+void Encoder::identify_regions(util::BytesView payload,
+                               const PacketContext& ctx, bool allow_encode,
+                               EncodeInfo& info) {
+  // ---- Redundancy identification and elimination (Fig. 2 procedure B) ----
+  // Regions are built directly into the reusable encoded-form scratch.
+  std::vector<rabin::Anchor>& anchors = anchor_ws_.anchors;
+  std::vector<EncodedRegion>& regions = enc_.regions;
+  regions.clear();
+  std::vector<std::uint64_t>& dep_ids = dep_ids_;  // store ids, deduplicated
+  dep_ids.clear();
+  // With anchor reuse (core/anchors.h) the payload is scanned in short
+  // chunks: a region reaching past the scanned part takes its interior
+  // anchors from its source and the scan resumes at its last w-1 window
+  // starts.  A chunk without such a region hands the rest of the payload
+  // to one scan.  Otherwise the whole payload is scanned up front.
+  const bool reuse = allow_encode && anchors_reusable(params_);
+  const std::size_t w = params_.window;
+  const std::size_t starts = payload.size() - w + 1;  // size >= w here
+  std::size_t scanned = 0;  // window starts [0, scanned) are in `anchors`
+  if (reuse) {
+    anchors.clear();
+    anchors.reserve((payload.size() >> params_.select_bits) + 8);
+  } else {
+    compute_anchors(tables_, payload, params_, anchor_ws_);
+    scanned = starts;
+  }
+  bool chunked = reuse;  // scan the next stretch as one short chunk
+  bool reused = false;
+  std::size_t next = 0;         // next anchor to match
+  std::size_t probed_from = 0;  // probe_ws_[i] is anchors[probed_from + i]
+  std::size_t probed_to = 0;    // ... up to here
+  std::size_t cursor = 0;       // end of the last emitted region
+  while (allow_encode) {
+    if (next == anchors.size()) {
+      if (scanned == starts) break;
+      const std::size_t end =
+          chunked ? std::min(scanned + kReuseChunk, starts) : starts;
+      scan_anchors(tables_, payload, scanned, end, params_, anchor_ws_);
+      scanned = end;
+      chunked = false;
+      continue;
+    }
+    if (next == probed_to) {
+      // Probe the fresh anchors' fingerprints up front with slot prefetch
+      // (cache/fingerprint_table.h): the table slots stream in while the
+      // loop works, instead of one serialized miss per anchor.  The
+      // probes are side-effect free; resolve() replays find()'s exact
+      // statistics/stale-erase sequence per anchor, in loop order, so the
+      // batched form is observably identical to per-anchor find().
+      cache_.probe_batch(std::span(anchors).subspan(next), probe_ws_);
+      probed_from = next;
+      probed_to = anchors.size();
+    }
+    const std::size_t ai = next++;
+    const rabin::Anchor a = anchors[ai];
+    if (a.offset < cursor) continue;  // inside an already-encoded area
+    auto hit = cache_.resolve(a.fp, probe_ws_[ai - probed_from]);
+    if (!hit) continue;
+    const cache::CachedPacket& src = *hit->packet;
+    if (!policy_->admit(ctx, src.meta)) continue;
+    if (params_.ack_gated) {
+      // Only reference segments the peer has cumulatively ACKed — such
+      // segments passed the decoder and are provably in its cache.
+      const cache::PacketMeta& m = src.meta;
+      const std::uint32_t* acked =
+          m.has_tcp_seq ? highest_ack_.find(m.flow_key) : nullptr;
+      if (acked == nullptr || !util::seq_le(m.tcp_end_seq, *acked)) {
+        ++stats_.ack_gate_rejections;
+        continue;
+      }
+    }
+    auto m = expand_match(payload, a.offset, src.payload, hit->offset, w,
+                          cursor);
+    if (!m) continue;  // fingerprint collision
+    if (m->length <= params_.min_region) continue;
+    regions.push_back(EncodedRegion{
+        a.fp, static_cast<std::uint16_t>(m->new_begin),
+        static_cast<std::uint16_t>(m->stored_begin),
+        static_cast<std::uint16_t>(m->length)});
+    cursor = m->new_begin + m->length;
+    if (std::find(dep_ids.begin(), dep_ids.end(), src.id) == dep_ids.end()) {
+      dep_ids.push_back(src.id);
+      info.deps.push_back(src.meta.src_uid);
+    }
+    if (regions.size() == 255) break;  // shim region_count is u8
+    if (reuse && cursor - w + 1 > scanned && src.anchors_complete) {
+      // Windows starting in (a.offset, cursor - w] lie inside the copy:
+      // drop the ones already scanned and take them all from the source.
+      const std::size_t first = std::size_t{a.offset} + 1;
+      anchors.resize(next);
+      src.copy_anchors(m->stored_begin + first - m->new_begin,
+                       m->stored_begin + cursor - w - m->new_begin, first,
+                       anchors);
+      next = probed_to = anchors.size();
+      scanned = cursor - w + 1;
+      chunked = true;
+      reused = true;
+    }
+  }
+  if (scanned < starts) {
+    scan_anchors(tables_, payload, scanned, starts, params_, anchor_ws_);
+  }
+  if (reused) {
+    audit_reused_anchors(tables_, payload, params_, anchors, audit_ws_);
+  }
+}
+
 EncodeInfo Encoder::process(packet::Packet& pkt) {
   EncodeInfo info;
   info.uid = pkt.uid;
@@ -193,14 +301,10 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   if (params_.coded_repair) repair_enc_.begin_packet();
 
   // Packets too small to hold a window, without transport data, or too
-  // large for the 16-bit offsets are forwarded untouched and uncached.
+  // large for the 16-bit offsets are forwarded untouched and uncached —
+  // the rule the decoder applies too (core/cacheable.h).
+  if (!cacheable_payload(pkt, params_.window)) return info;
   const auto tcp = data_tcp_info(pkt);
-  const bool is_tcp = pkt.proto() == packet::IpProto::kTcp;
-  const bool has_data = !is_tcp || tcp.has_value();
-  if (pkt.payload.size() < params_.window || !has_data ||
-      pkt.payload.size() > 0xFFFF) {
-    return info;
-  }
   info.data_packet = true;
   ++stats_.data_packets;
   stats_.bytes_in += pkt.payload.size();
@@ -243,57 +347,9 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   }
 
   const util::BytesView payload(pkt.payload);
-  const auto& anchors = compute_anchors(tables_, payload, params_, anchor_ws_);
-
-  // ---- Redundancy identification and elimination (Fig. 2 procedure B) ----
-  // Regions are built directly into the reusable encoded-form scratch.
+  identify_regions(payload, ctx, decision.allow_encode, info);
+  const std::vector<rabin::Anchor>& anchors = anchor_ws_.anchors;
   std::vector<EncodedRegion>& regions = enc_.regions;
-  regions.clear();
-  std::vector<std::uint64_t>& dep_ids = dep_ids_;  // store ids, deduplicated
-  dep_ids.clear();
-  if (decision.allow_encode) {
-    // Probe every anchor's fingerprint up front with slot prefetch
-    // (cache/fingerprint_table.h): the table slots stream in while the
-    // loop below works, instead of one serialized miss per anchor.  The
-    // probes are side-effect free; resolve() replays find()'s exact
-    // statistics/stale-erase sequence per anchor, in loop order, so the
-    // batched form is observably identical to per-anchor find().
-    cache_.probe_batch(anchors, probe_ws_);
-    std::size_t cursor = 0;  // end of the last emitted region
-    for (std::size_t ai = 0; ai < anchors.size(); ++ai) {
-      const rabin::Anchor& a = anchors[ai];
-      if (a.offset < cursor) continue;  // inside an already-encoded area
-      auto hit = cache_.resolve(a.fp, probe_ws_[ai]);
-      if (!hit) continue;
-      if (!policy_->admit(ctx, hit->packet->meta)) continue;
-      if (params_.ack_gated) {
-        // Only reference segments the peer has cumulatively ACKed — such
-        // segments passed the decoder and are provably in its cache.
-        const cache::PacketMeta& m = hit->packet->meta;
-        const std::uint32_t* acked =
-            m.has_tcp_seq ? highest_ack_.find(m.flow_key) : nullptr;
-        if (acked == nullptr || !util::seq_le(m.tcp_end_seq, *acked)) {
-          ++stats_.ack_gate_rejections;
-          continue;
-        }
-      }
-      auto m = expand_match(payload, a.offset, hit->packet->payload,
-                            hit->offset, params_.window, cursor);
-      if (!m) continue;  // fingerprint collision
-      if (m->length <= params_.min_region) continue;
-      regions.push_back(EncodedRegion{
-          a.fp, static_cast<std::uint16_t>(m->new_begin),
-          static_cast<std::uint16_t>(m->stored_begin),
-          static_cast<std::uint16_t>(m->length)});
-      cursor = m->new_begin + m->length;
-      if (std::find(dep_ids.begin(), dep_ids.end(), hit->packet->id) ==
-          dep_ids.end()) {
-        dep_ids.push_back(hit->packet->id);
-        info.deps.push_back(hit->packet->meta.src_uid);
-      }
-      if (regions.size() == 255) break;  // shim region_count is u8
-    }
-  }
 
   // ---- Cache update (Fig. 2 procedure C), always over the original ----
   cache::PacketMeta meta;

@@ -200,6 +200,16 @@ class Encoder {
   void on_resync_request(std::uint16_t decoder_epoch);
 
  private:
+  /// Window starts scanned per chunk while anchor reuse can still skip
+  /// the rest (see identify_regions).
+  static constexpr std::size_t kReuseChunk = 128;
+
+  /// Fig. 2 procedure B: fills anchor_ws_.anchors with the payload's full
+  /// anchor set and, when `allow_encode`, enc_.regions with the
+  /// substitutable regions (their source uids into info.deps).
+  void identify_regions(util::BytesView payload, const PacketContext& ctx,
+                        bool allow_encode, EncodeInfo& info);
+
   DreParams params_;
   rabin::RabinTables tables_;
   std::unique_ptr<EncodingPolicy> policy_;
@@ -222,6 +232,7 @@ class Encoder {
   // literal vectors keep their capacity), and the serialized wire bytes
   // that are swapped into the packet.
   AnchorWorkspace anchor_ws_;
+  AnchorWorkspace audit_ws_;  // full-scan oracle for reused anchor lists
   std::vector<cache::ProbeResult> probe_ws_;  // batched-probe results
   std::vector<std::uint64_t> dep_ids_;
   EncodedPayload enc_;

@@ -48,23 +48,37 @@ void selected_anchors_into(const RabinTables& tables, util::BytesView payload,
   out.reserve((payload.size() >> select_bits) + 8);
   const std::size_t w = tables.window();
   if (payload.size() < w) return;
+  append_selected_anchors(tables, payload, 0, payload.size() - w + 1,
+                          select_bits, out, scan_ws);
+}
+
+void append_selected_anchors(const RabinTables& tables,
+                             util::BytesView payload, std::size_t first,
+                             std::size_t last, unsigned select_bits,
+                             std::vector<Anchor>& out, ScanScratch& scan_ws) {
+  if (first >= last) return;
+  const std::size_t w = tables.window();
+  // The windows starting in [first, last) cover exactly these bytes; a
+  // fingerprint depends only on its window, so scanning the sub-span
+  // yields the same values as a scan of the whole payload.
+  const util::BytesView span = payload.subspan(first, last - first + w - 1);
   const ScanKernel& kernel = scan_kernel();
   if (kernel.kind == ScanKernelKind::kScalar) {
-    scan(tables, payload, [&](std::size_t off, Fingerprint fp) {
+    scan(tables, span, [&](std::size_t off, Fingerprint fp) {
       if (selected(fp, select_bits)) {
-        out.push_back(Anchor{static_cast<std::uint16_t>(off), fp});
+        out.push_back(Anchor{static_cast<std::uint16_t>(first + off), fp});
       }
     });
     return;
   }
-  const std::size_t positions = payload.size() - w + 1;
+  const std::size_t positions = last - first;
   scan_ws.fps.resize(positions);
-  kernel.fill_fingerprints(tables, payload.data(), payload.size(),
+  kernel.fill_fingerprints(tables, span.data(), span.size(),
                            scan_ws.fps.data());
   const Fingerprint* fps = scan_ws.fps.data();
   for (std::size_t i = 0; i < positions; ++i) {
     if (selected(fps[i], select_bits)) {
-      out.push_back(Anchor{static_cast<std::uint16_t>(i), fps[i]});
+      out.push_back(Anchor{static_cast<std::uint16_t>(first + i), fps[i]});
     }
   }
 }

@@ -148,6 +148,17 @@ void selected_anchors_into(const RabinTables& tables, util::BytesView payload,
                                                    util::BytesView payload,
                                                    unsigned select_bits);
 
+/// Appends (no clear) the value-sampling anchors whose window starts lie
+/// in [first, last), offsets absolute in `payload`.  Requires
+/// last + w - 1 <= payload.size().  Scanning a payload piecewise with
+/// this yields exactly selected_anchors_into's list: a fingerprint
+/// depends only on the w bytes of its window (the anchor reuse of
+/// core/anchors.h rests on that).
+void append_selected_anchors(const RabinTables& tables,
+                             util::BytesView payload, std::size_t first,
+                             std::size_t last, unsigned select_bits,
+                             std::vector<Anchor>& out, ScanScratch& scan);
+
 /// Reusable buffer for selected_anchors_maxp_into: the monotonic-maximum
 /// ring of (position, fingerprint) candidates — at most p+1 entries live
 /// transiently, so selection runs fused into the scan without

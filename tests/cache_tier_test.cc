@@ -322,6 +322,7 @@ void run_policy_scenario(EvictionPolicy policy, Verify&& verify) {
     p.payload = PayloadView{bufs[i].data(), bufs[i].size()};
     p.meta.host_key = 0x99;
     p.fps = {fps[i]};
+    p.offsets = {0};
     index.put(fps[i], FpEntry{p.id, 0});
     ASSERT_TRUE(s->admit(p));
     if (i == 0) {
@@ -414,6 +415,37 @@ TEST(CacheTierAudit, CatchesAnEntryNamingAPacketNoTierHolds) {
   util::set_check_failure_handler(std::move(prev));
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("stale fingerprint entries"), std::string::npos)
+      << failures[0];
+}
+
+TEST(CacheTierAudit, CatchesAMiscountedOwner) {
+  // The per-owner entry counts let a victim owning nothing skip the
+  // purge walk; a count that drifts from the entries would skip a purge
+  // that had work to do.  The index rule holds every count exact.
+  if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
+  CacheConfig cc;
+  cc.l1_bytes = 250;
+  cc.l2_bytes = 64 * 1024;
+  L2Store l2(cc, 1);
+  CacheTier tier(cc, &l2);
+  const std::uint64_t id_a =
+      tier.update(payload_of('a'), anchors_at({{0, 0xA0}, {10, 0xA1}}), {});
+  tier.update(payload_of('b'), anchors_at({{0, 0xB0}}), {});
+  tier.update(payload_of('c'), anchors_at({{0, 0xC0}}), {});
+  ASSERT_TRUE(tier.stripe()->contains(id_a));  // demoted, counts intact
+  EXPECT_EQ(tier.table().owned(id_a), 2u);
+
+  std::vector<std::string> failures;
+  auto prev = util::set_check_failure_handler(
+      [&](const util::CheckFailure& f) { failures.emplace_back(f.message); });
+  CacheTier::audit_index(tier.table(), tier.store(), tier.stripe());
+  EXPECT_TRUE(failures.empty());
+  FingerprintTable bad = tier.table();
+  bad.skew_owner_count_for_test(id_a, +1);
+  CacheTier::audit_index(bad, tier.store(), tier.stripe());
+  util::set_check_failure_handler(std::move(prev));
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("owner count of packet"), std::string::npos)
       << failures[0];
 }
 
