@@ -45,8 +45,12 @@ std::string jsonl_buckets(const HistogramValue& h) {
     if (h.buckets[i] == 0) continue;
     if (!first) out += ",";
     first = false;
-    out += "[" + fmt_u64(Histogram::upper_bound(i)) + "," +
-           fmt_u64(h.buckets[i]) + "]";
+    // Appended piecewise: GCC 12 -O3 flags `"[" + tmp` as -Wrestrict.
+    out += '[';
+    out += fmt_u64(Histogram::upper_bound(i));
+    out += ',';
+    out += fmt_u64(h.buckets[i]);
+    out += ']';
   }
   out += "]";
   return out;
