@@ -1,7 +1,7 @@
 // Microbenchmarks: encoder/decoder throughput and cache operations.
 #include <benchmark/benchmark.h>
 
-#include "cache/byte_cache.h"
+#include "cache/cache_tier.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "core/factory.h"
@@ -99,7 +99,7 @@ void BM_CacheUpdate(benchmark::State& state) {
   rabin::RabinTables tables(16);
   const auto anchors = rabin::selected_anchors(tables, payload, 4);
   for (auto _ : state) {
-    cache::ByteCache cache;
+    cache::CacheTier cache;
     for (int i = 0; i < 100; ++i) {
       cache.update(payload, anchors, {});
     }
@@ -114,7 +114,7 @@ void BM_CacheFind(benchmark::State& state) {
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
   rabin::RabinTables tables(16);
   const auto anchors = rabin::selected_anchors(tables, payload, 4);
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   cache.update(payload, anchors, {});
   for (auto _ : state) {
     for (const auto& a : anchors) {

@@ -5,7 +5,7 @@
 // shared L2 behind it (cache/l2_store.h), the per-host-pair admission
 // budget inside the L2, the eviction policy, and how snapshots are
 // taken.  Replaces the former positional byte-budget constructors
-// (`ByteCache(std::size_t)`, `PacketStore(std::size_t)`): every knob is
+// (one per cache class, e.g. `PacketStore(std::size_t)`): every knob is
 // named, a config travels through core::GatewayConfig unchanged, and an
 // encoder-side/decoder-side pair built from the same config is
 // guaranteed to run identical cache rules — the lockstep requirement.

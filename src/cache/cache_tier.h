@@ -1,91 +1,148 @@
-// The two-tier cache facade the codecs hold (DESIGN.md §14).
+// The byte cache each codec holds (DESIGN.md §14): one L1 packet store,
+// one fingerprint index, and optionally a stripe of a shared L2 behind
+// them.
 //
-// CacheTier mirrors ByteCache's API, so the codecs kept every call site;
-// with no L2 configured (the default) it is a passthrough, bit-identical
-// to the flat cache, which the equivalence suite pins.
+// The eviction hook keeps store and index consistent: when a payload
+// leaves the cache for good (byte budget or NACK), every fingerprint
+// entry still pointing at it is purged, so the index is bounded by the
+// live contents; a hit on a vanished packet anyway is a miss, lazily
+// erased (defense in depth).  Encoder and decoder run the *identical*
+// cache-update procedure over the same original payload bytes, so with
+// in-order, undamaged delivery the two caches evolve in lockstep — the
+// paper's core synchronization assumption, and exactly what
+// loss/reorder/corruption breaks (Section IV).
 //
-// With an L2 (CacheConfig::l2_bytes > 0, an L2Store stripe attached) the
-// codec still keeps ONE fingerprint index for both tiers, sized for the
-// L1 budget plus the stripe share.  An entry names its owner by id, and
-// the owner's tier is found by id (the L1 store's id index, then the
-// stripe's), so every fingerprint resolves in exactly one tier by
-// construction.  L1 budget evictions demote into the stripe and L2 hits
-// promote back (deferred to the next update(), so the L1 never mutates
-// mid-match-loop), each moving only payload, metadata and anchor list —
-// no index edits.  update()'s overwrite moves ownership to the
-// newest packet in either tier.  Entries are erased only when a packet
-// leaves the cache for good: an L2 eviction, an admission rejection, a
-// NACK invalidation in either tier, or an L1 victim owning nothing.
+// With an L2 stripe attached (CacheConfig::l2_bytes > 0) the one index
+// serves both tiers: an entry names its owner by id, and the owner's
+// tier is found by id (the L1 store's id index, then the stripe's), so
+// every fingerprint resolves in exactly one tier.  L1 budget victims
+// demote into the stripe and L2 hits promote back at the next update(),
+// each moving payload, metadata and anchor list — never index entries.
+// Entries are erased only when a packet leaves the cache for good.
 //
-// Snapshots: save()/load() emit the legacy flat "BCC1" block when no L2
-// is attached (byte-identical to the pre-tier persist format) and the
-// two-tier "BCT1" container when one is; load() sniffs the magic, so
-// either side reads either vintage.  With SnapshotMode::kIncremental the
-// tier also journals update/invalidate/flush operations, and
-// save_incremental() emits a CRC-guarded "BCI1" delta replayed on load.
+// Snapshots: "BCC1" with no L2 in kFull mode (the pre-tier persist
+// format), "BCT1" otherwise; load() sniffs the magic.  In kIncremental
+// mode update/invalidate/flush are journaled and save_incremental()
+// emits a CRC-guarded "BCI1" delta replayed on load.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "cache/byte_cache.h"
 #include "cache/cache_config.h"
+#include "cache/fingerprint_table.h"
 #include "cache/l2_store.h"
+#include "cache/packet_store.h"
 #include "cache/snapshot.h"
+#include "obs/fields.h"
+#include "rabin/window.h"
+#include "util/bytes.h"
 
 namespace bytecache::cache {
 
-class CacheTier final : private LowerTier {
+struct CacheStats {
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t stale_hits = 0;  // fingerprint present, packet evicted
+  std::uint64_t packets_inserted = 0;
+  std::uint64_t fingerprints_inserted = 0;
+  std::uint64_t fingerprints_purged = 0;  // erased by the eviction hook
+  std::uint64_t flushes = 0;
+};
+
+/// Telemetry field table (obs/fields.h): drives the generic merge_into /
+/// reset / snapshot operations and the registry metric names.
+[[nodiscard]] constexpr auto stats_fields(const CacheStats*) {
+  return obs::field_table<CacheStats>(
+      obs::Field<CacheStats>{"lookups", &CacheStats::lookups},
+      obs::Field<CacheStats>{"hits", &CacheStats::hits},
+      obs::Field<CacheStats>{"stale_hits", &CacheStats::stale_hits},
+      obs::Field<CacheStats>{"packets_inserted",
+                             &CacheStats::packets_inserted},
+      obs::Field<CacheStats>{"fingerprints_inserted",
+                             &CacheStats::fingerprints_inserted},
+      obs::Field<CacheStats>{"fingerprints_purged",
+                             &CacheStats::fingerprints_purged},
+      obs::Field<CacheStats>{"flushes", &CacheStats::flushes});
+}
+
+/// Result of a successful fingerprint lookup.
+struct CacheHit {
+  const CachedPacket* packet = nullptr;
+  std::uint16_t offset = 0;  // window start within packet->payload
+};
+
+class CacheTier final : private EvictionListener {
  public:
-  /// An L2-less tier (l2 == nullptr) is a plain ByteCache behind the same
-  /// API.  With a store, one stripe is attached (claimed for this codec's
-  /// thread) and L1 evictions start demoting into it.
+  /// `config.l1_bytes` bounds stored payload bytes (0 = unbounded); the
+  /// fingerprint table is pre-sized from it (about one selected anchor
+  /// per 16 payload bytes at the paper's parameters).  With `l2`, one
+  /// stripe is attached (claimed for this codec's thread) and L1
+  /// evictions start demoting into it.
   explicit CacheTier(const CacheConfig& config = {},
                      L2Store* l2 = nullptr);
 
-  // The L1 points back at this object as its lower tier.
+  // The store holds a pointer back to this object as its eviction
+  // listener, and the stripe one to its index; relocation would leave
+  // them dangling.
   CacheTier(const CacheTier&) = delete;
   CacheTier& operator=(const CacheTier&) = delete;
 
-  /// The cache-update procedure (paper Fig. 2 C) plus tier maintenance:
-  /// queued promotions apply first (in hit order), then the L1 update
-  /// (its index overwrites move ownership, whichever tier held it), and
-  /// the stripe's epoch boundary runs (budget eviction + limbo).
+  /// Runs the cache-update procedure (paper Fig. 2 C): stores `payload`
+  /// and points every anchor's fingerprint at it.  `anchors` must be the
+  /// selected anchors of `payload` — all of them, in ascending offset
+  /// order, as later copies of this payload reuse them (DESIGN.md §15).
+  /// No-op if `anchors` is empty (a packet with no selected fingerprint
+  /// can never be referenced).  Returns the store id (0 if not stored).
+  /// Tiered, queued promotions apply first (in hit order), and the
+  /// stripe's epoch boundary runs last (budget eviction + limbo).
   std::uint64_t update(util::BytesView payload,
                        const std::vector<rabin::Anchor>& anchors,
                        const PacketMeta& meta);
 
-  /// Index lookup, served from whichever tier holds the owner.  An L2
-  /// hit stays valid through this packet's update and is promoted at the
-  /// next update().
-  [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp) {
-    return l1_.find(fp);
-  }
+  /// Fingerprint lookup with lazy invalidation, served from whichever
+  /// tier holds the owner.  Returns nullopt on miss.  An L2 hit stays
+  /// valid through this packet's update and is promoted at the next
+  /// update().
+  [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp);
 
-  /// Batched probe of the one index (see ByteCache::probe_batch): a
-  /// probe that misses is a miss in both tiers.  Side-effect free.
+  /// Batched-probe front half of find(): probes every anchor's
+  /// fingerprint with slot prefetch (FingerprintTable::probe_batch) and
+  /// resizes `out` to anchors.size().  Side-effect free — no statistics,
+  /// no LRU touch — so probing anchors the match loop later skips cannot
+  /// perturb eviction order or counters.  A probe that misses is a miss
+  /// in both tiers.
   void probe_batch(std::span<const rabin::Anchor> anchors,
-                   std::vector<ProbeResult>& out) const {
-    l1_.probe_batch(anchors, out);
-  }
+                   std::vector<ProbeResult>& out) const;
 
-  /// Resolves one probed anchor exactly as find() would, tiered or not.
+  /// Back half: resolves one probed anchor with exactly find()'s
+  /// statistics, LRU-touch, and stale-erase sequence, so a
+  /// probe_batch+resolve loop is observably identical to per-anchor
+  /// find() calls in the same order.  `fp` must be the fingerprint the
+  /// probe was issued for.
   [[nodiscard]] std::optional<CacheHit> resolve(rabin::Fingerprint fp,
-                                                const ProbeResult& probe) {
-    return l1_.resolve(fp, probe);
-  }
+                                                const ProbeResult& probe);
 
-  void prefetch(rabin::Fingerprint fp) const { l1_.prefetch(fp); }
+  /// Hints the cache to pull `fp`'s fingerprint-table slot (decoder's
+  /// next-region lookahead).
+  void prefetch(rabin::Fingerprint fp) const { table_.prefetch(fp); }
 
   /// Cache flush (paper Section V-A): both tiers.
   void flush();
 
-  /// NACK invalidation: kills the owning packet in whichever tier holds
-  /// the fingerprint (never demotes it — the peer lost those bytes).
+  /// Reacts to a decoder NACK for `fp`: removes the fingerprint AND the
+  /// whole packet it points to, in whichever tier holds it (the purge
+  /// takes every other fingerprint referencing that packet; never
+  /// demotes it — the peer lost those bytes).  Returns true if an entry
+  /// existed.
   bool invalidate(rabin::Fingerprint fp);
 
-  /// Deep invariant audit: both tiers, plus the index rule (see
-  /// audit_index) and no packet id resident in both tiers.
+  /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
+  /// audits): both tiers, the fingerprint table against the L1 store,
+  /// the statistics counters for internal consistency, the index rule
+  /// (see audit_index) and no packet id resident in both tiers.
   void audit() const;
 
   /// The index rule, over any index/L1/L2 triple (`l2` may be null):
@@ -97,17 +154,19 @@ class CacheTier final : private LowerTier {
                           const PacketStore& l1,
                           const L2Store::Stripe* l2);
 
-  // ---- L1 passthrough (telemetry, tests, snapshot primitives) ----
-  [[nodiscard]] const CacheStats& stats() const { return l1_.stats(); }
-  [[nodiscard]] const PacketStore& store() const { return l1_.store(); }
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+  [[nodiscard]] const PacketStore& store() const { return store_; }
   /// The codec's one index, both tiers' entries.
-  [[nodiscard]] const FingerprintTable& table() const { return l1_.table(); }
-  /// Entries owned by L1 residents (see ByteCache).
+  [[nodiscard]] const FingerprintTable& table() const { return table_; }
+  /// Entries owned by L1 residents; a table scan when an L2 is attached
+  /// (telemetry and tests only).
   [[nodiscard]] std::size_t fingerprint_count() const {
-    return l1_.fingerprint_count();
+    return owned_entries(/*in_l2=*/false);
   }
   /// Entries owned by L2 residents; a table scan (telemetry and tests).
-  [[nodiscard]] std::size_t l2_fingerprint_count() const;
+  [[nodiscard]] std::size_t l2_fingerprint_count() const {
+    return owned_entries(/*in_l2=*/true);
+  }
 
   // ---- Tier introspection ----
   [[nodiscard]] bool has_l2() const { return stripe_ != nullptr; }
@@ -119,9 +178,9 @@ class CacheTier final : private LowerTier {
 
   // ---- Versioned snapshot/restore (cache/snapshot.h) ----
 
-  /// Full image: the legacy flat "BCC1" block when no L2 is attached
-  /// (byte-identical to the pre-tier format), the "BCT1" container
-  /// otherwise.  Starts a new journal epoch.
+  /// Full image: the flat "BCC1" block when no L2 is attached and the
+  /// mode is kFull (byte-identical to the pre-tier format), the "BCT1"
+  /// container otherwise.  Starts a new journal epoch.
   void save(SnapshotWriter& w);
 
   /// Incremental delta ("BCI1"): the operations journaled since the last
@@ -131,14 +190,29 @@ class CacheTier final : private LowerTier {
 
   /// Restores from any of the three formats (sniffed by magic).  A
   /// "BCI1" delta only applies on top of the exact state version it was
-  /// taken against (the save boundary sequence number).  Returns false —
-  /// with the tier flushed and the reader failed — on malformed input,
-  /// a version mismatch, or a format/configuration mismatch (a "BCT1"
-  /// image needs an attached L2).
+  /// taken against (the save boundary sequence number).  Consumes exactly
+  /// the image's bytes (callers embedding it in a larger snapshot keep
+  /// reading after it; stand-alone callers check r.at_end()).  Returns
+  /// false — with the cache flushed and the reader failed — on malformed
+  /// input, a version mismatch, or a format/configuration mismatch (a
+  /// "BCT1" image holding L2 contents needs an attached L2).
   bool load(SnapshotReader& r);
 
   /// State version, bumped at each save boundary (deltas chain on it).
   [[nodiscard]] std::uint64_t snapshot_seq() const { return seq_; }
+
+  /// Snapshot-restore primitives (test seams for the audits); bypass the
+  /// normal update path and statistics.  restore_fingerprint also
+  /// records the fingerprint on its packet so the eviction purge keeps
+  /// working after a warm restart.
+  void restore_packet(std::uint64_t id, util::BytesView payload,
+                      const PacketMeta& meta) {
+    store_.restore(id, payload, meta);
+  }
+  void restore_fingerprint(rabin::Fingerprint fp, FpEntry entry) {
+    table_.put(fp, entry);
+    store_.note_fingerprint(entry.packet_id, fp, entry.offset);
+  }
 
  private:
   static constexpr std::size_t kJournalCapBytes = 8 * 1024 * 1024;
@@ -147,13 +221,22 @@ class CacheTier final : private LowerTier {
   static constexpr std::uint8_t kOpInvalidate = 0x02;
   static constexpr std::uint8_t kOpFlush = 0x03;
 
-  bool on_demote(const CachedPacket& pkt) override {
-    return stripe_->admit(pkt);
-  }
-  const CachedPacket* lookup(std::uint64_t id) override;
+  /// A packet leaving the L1 store: budget victims that still own
+  /// entries demote into the stripe; everything else has its entries
+  /// purged.
+  void on_evict(const CachedPacket& pkt, EvictReason reason) override;
+
+  /// find()/resolve() tail: the hit on `entry`, from either tier.
+  std::optional<CacheHit> hit(rabin::Fingerprint fp, const FpEntry& entry);
 
   /// Applies the queued L2 -> L1 promotions in hit order.
   void apply_promotions();
+
+  /// Entries owned by residents of the L2 (`in_l2`) or the L1.
+  [[nodiscard]] std::size_t owned_entries(bool in_l2) const;
+
+  /// Empties the L1 store and the whole index (counted as a flush).
+  void clear_l1();
 
   void journal_update(util::BytesView payload,
                       const std::vector<rabin::Anchor>& anchors,
@@ -165,12 +248,21 @@ class CacheTier final : private LowerTier {
            !replaying_;
   }
 
+  /// The "BCC1" block: L1 residents and the entries they own.
+  void save_l1(SnapshotWriter& w) const;
+  /// Replaces the L1 and the index with one "BCC1" block; false on
+  /// malformed input (the caller rejects).
+  bool load_l1(SnapshotReader& r);
   bool load_flat(SnapshotReader& r);
   bool load_tier(SnapshotReader& r);
   bool load_incremental(SnapshotReader& r);
+  /// Ends a successful restore at state version `seq`.
+  void loaded(std::uint64_t seq);
   bool reject(SnapshotReader& r);
 
-  ByteCache l1_;
+  PacketStore store_;
+  FingerprintTable table_;
+  CacheStats stats_;
   L2Store::Stripe* stripe_ = nullptr;  // owned by the shared L2Store
   CacheConfig config_;
 

@@ -9,7 +9,7 @@
 // Backed by the open-addressing FlatMap64 (see flat_map.h) rather than
 // std::unordered_map: one contiguous probe per lookup and no per-entry
 // allocation on the encoder's per-packet path.  Entries whose packet was
-// evicted are purged eagerly by ByteCache's eviction hook, so the table's
+// evicted are purged eagerly by CacheTier's eviction hook, so the table's
 // memory is bounded by the live cache contents; lazy invalidation at
 // lookup time remains as defense in depth.
 //
@@ -79,7 +79,7 @@ class FingerprintTable {
   /// N+kProbeAhead's home slot, so the encoder's anchor->match loop pays
   /// one L1 hit per probe instead of one cache miss each.  Side-effect
   /// free: no stats, no LRU touch — the caller resolves hits through
-  /// ByteCache::resolve in its own order.  Requires out.size() >=
+  /// CacheTier::resolve in its own order.  Requires out.size() >=
   /// anchors.size().
   void probe_batch(std::span<const rabin::Anchor> anchors,
                    std::span<ProbeResult> out) const;
@@ -124,7 +124,7 @@ class FingerprintTable {
   }
 
   /// Pre-sizes the table for `n` fingerprints (derived from the cache
-  /// byte budget by ByteCache) so steady-state inserts never rehash.  The
+  /// byte budget by CacheTier) so steady-state inserts never rehash.  The
   /// owner counts get one slot per 16 fingerprints — one per 256 budget
   /// bytes, the minimum arena slice a stored packet occupies.
   void reserve(std::size_t n) {

@@ -10,7 +10,7 @@ HostEntry* HostLedger::obtain(std::uint64_t host_key) {
 
 void HostLedger::release_if_idle(std::uint64_t host_key) {
   const HostEntry* e = map_.find(host_key);
-  if (e != nullptr && e->bytes == 0 && e->head == kNil) {
+  if (e != nullptr && e->bytes == 0 && e->chain.head == kNilSlot) {
     map_.erase(host_key);
   }
 }

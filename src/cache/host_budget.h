@@ -17,25 +17,23 @@
 #include <cstdint>
 
 #include "cache/flat_map.h"
+#include "cache/recency_chain.h"
 
 namespace bytecache::cache {
 
 struct HostEntry {
   /// Payload bytes this pair currently holds in the stripe.
   std::size_t bytes = 0;
-  /// Per-pair recency chain through the stripe's slots (kNil-terminated;
-  /// head = warmest, tail = coldest).  The slot links themselves live in
-  /// the stripe (L2Store::Slot::{host_prev,host_next}).
-  std::uint32_t head = 0xFFFFFFFFu;
-  std::uint32_t tail = 0xFFFFFFFFu;
+  /// Per-pair recency chain through the stripe's slots (head = warmest,
+  /// tail = coldest).  The slot links themselves live in the stripe
+  /// (L2Store::Slot::{host_prev,host_next}).
+  ChainEnds chain;
   /// Packets this pair evicted of its own to stay under budget.
   std::uint64_t evictions = 0;
 };
 
 class HostLedger {
  public:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
   /// The entry for `host_key`, created zeroed if absent.  The pointer is
   /// valid only until the next obtain/release (open addressing moves).
   HostEntry* obtain(std::uint64_t host_key);

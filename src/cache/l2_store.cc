@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "util/check.h"
 
@@ -17,14 +18,30 @@ L2Store::Stripe::Stripe(const CacheConfig& config, std::size_t share_bytes)
   id_index_.reserve(share_ / SliceArena::kMinSlice);
 }
 
-std::uint32_t L2Store::Stripe::acquire_slot() {
-  if (!free_.empty()) {
-    const std::uint32_t s = free_.back();
-    free_.pop_back();
-    return s;
+std::uint32_t L2Store::Stripe::occupy(std::uint64_t id,
+                                      util::BytesView payload,
+                                      const PacketMeta& meta, bool warm) {
+  const std::uint32_t slot = acquire_slot(slots_, free_);
+  Slot& s = slots_[slot];
+  const std::size_t len = payload.size();
+  s.pkt.id = id;
+  s.slice = arena_.alloc(len);
+  if (len != 0) std::memcpy(s.slice.data, payload.data(), len);
+  s.pkt.payload = PayloadView{s.slice.data, len};
+  s.pkt.meta = meta;
+  s.live = true;
+  bytes_used_ += len;
+  HostEntry* e = hosts_.obtain(meta.host_key);
+  if (warm) {
+    Global::push_front(slots_, recency_, slot);
+    HostChain::push_front(slots_, e->chain, slot);
+  } else {
+    Global::push_back(slots_, recency_, slot);
+    HostChain::push_back(slots_, e->chain, slot);
   }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  e->bytes += len;
+  id_index_.put(id, slot);
+  return slot;
 }
 
 void L2Store::Stripe::retire_slot(std::uint32_t slot) {
@@ -45,75 +62,10 @@ void L2Store::Stripe::retire_slot(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-void L2Store::Stripe::link_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.prev = kNil;
-  s.next = head_;
-  if (head_ != kNil) slots_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
-void L2Store::Stripe::link_back(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.next = kNil;
-  s.prev = tail_;
-  if (tail_ != kNil) slots_[tail_].next = slot;
-  tail_ = slot;
-  if (head_ == kNil) head_ = slot;
-}
-
-void L2Store::Stripe::unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) slots_[s.prev].next = s.next;
-  if (s.next != kNil) slots_[s.next].prev = s.prev;
-  if (head_ == slot) head_ = s.next;
-  if (tail_ == slot) tail_ = s.prev;
-  s.prev = s.next = kNil;
-}
-
-void L2Store::Stripe::host_link_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  HostEntry* e = hosts_.obtain(s.pkt.meta.host_key);
-  s.host_prev = kNil;
-  s.host_next = e->head;
-  if (e->head != kNil) slots_[e->head].host_prev = slot;
-  e->head = slot;
-  if (e->tail == kNil) e->tail = slot;
-}
-
-void L2Store::Stripe::host_link_back(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  HostEntry* e = hosts_.obtain(s.pkt.meta.host_key);
-  s.host_next = kNil;
-  s.host_prev = e->tail;
-  if (e->tail != kNil) slots_[e->tail].host_next = slot;
-  e->tail = slot;
-  if (e->head == kNil) e->head = slot;
-}
-
-void L2Store::Stripe::host_unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  HostEntry* e = hosts_.find(s.pkt.meta.host_key);
-  BC_CHECK(e != nullptr) << "slot " << slot << " chained under host key "
-                         << s.pkt.meta.host_key << " the ledger lost";
-  if (s.host_prev != kNil) slots_[s.host_prev].host_next = s.host_next;
-  if (s.host_next != kNil) slots_[s.host_next].host_prev = s.host_prev;
-  if (e->head == slot) e->head = s.host_next;
-  if (e->tail == slot) e->tail = s.host_prev;
-  s.host_prev = s.host_next = kNil;
-}
-
 void L2Store::Stripe::touch(std::uint32_t slot) {
-  if (head_ != slot) {
-    unlink(slot);
-    link_front(slot);
-  }
-  const HostEntry* e = hosts_.find(slots_[slot].pkt.meta.host_key);
-  if (e != nullptr && e->head != slot) {
-    host_unlink(slot);
-    host_link_front(slot);
-  }
+  Global::touch(slots_, recency_, slot);
+  HostEntry* e = hosts_.find(slots_[slot].pkt.meta.host_key);
+  if (e != nullptr) HostChain::touch(slots_, e->chain, slot);
 }
 
 void L2Store::Stripe::remove_slot(std::uint32_t slot) {
@@ -121,12 +73,13 @@ void L2Store::Stripe::remove_slot(std::uint32_t slot) {
   const std::uint64_t key = s.pkt.meta.host_key;
   const std::size_t len = s.pkt.payload.size();
   bytes_used_ -= len;
-  unlink(slot);
+  Global::unlink(slots_, recency_, slot);
   // Host accounting must run while the slot's meta/payload are intact.
-  host_unlink(slot);
   HostEntry* he = hosts_.find(key);
   BC_CHECK(he != nullptr && he->bytes >= len)
-      << "host ledger under-accounts pair " << key;
+      << "slot " << slot << " chained under host pair " << key
+      << " the ledger lost or under-accounts";
+  HostChain::unlink(slots_, he->chain, slot);
   he->bytes -= len;
   hosts_.release_if_idle(key);
   id_index_.erase(s.pkt.id);
@@ -143,16 +96,16 @@ std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
 }
 
 std::uint32_t L2Store::Stripe::pick_victim() {
-  if (config_.eviction == EvictionPolicy::kLru) return tail_;
+  if (config_.eviction == EvictionPolicy::kLru) return recency_.tail;
   // kZipfAware: give recently *hit* packets a second chance — scan a
   // bounded window from the cold end, evicting the first zero-hit packet
   // (or the least-hit one in the window), and halve the counts we skip so
   // a once-hot packet cannot pin its slot forever.  The scan depends only
   // on cache state, so encoder and decoder pick identical victims.
-  std::uint32_t best = tail_;
+  std::uint32_t best = recency_.tail;
   std::uint32_t best_count = 0xFFFFFFFFu;
   std::uint32_t scanned = 0;
-  for (std::uint32_t s = tail_; s != kNil && scanned < kZipfScan;
+  for (std::uint32_t s = recency_.tail; s != kNilSlot && scanned < kZipfScan;
        ++scanned) {
     const std::uint32_t prev = slots_[s].prev;
     const std::uint32_t c = slots_[s].hit_count;
@@ -206,32 +159,20 @@ bool L2Store::Stripe::admit(const CachedPacket& pkt) {
       if (e == nullptr || e->bytes + len <= config_.per_host_pair_bytes) {
         break;
       }
-      BC_CHECK(e->tail != kNil)
+      BC_CHECK(e->chain.tail != kNilSlot)
           << "pair " << host << " holds " << e->bytes
           << " bytes but chains no packets";
       ++e->evictions;
-      stats_.l2_fingerprints_purged += evict_slot(e->tail);
+      stats_.l2_fingerprints_purged += evict_slot(e->chain.tail);
       ++stats_.host_evictions;
     }
   }
   BC_CHECK(id_index_.find(pkt.id) == nullptr)
       << "demoted packet " << pkt.id << " is already L2-resident";
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.pkt.id = pkt.id;
-  s.slice = arena_.alloc(len);
-  if (len != 0) std::memcpy(s.slice.data, pkt.payload.data(), len);
-  s.pkt.payload = PayloadView{s.slice.data, len};
-  s.pkt.meta = pkt.meta;
+  Slot& s = slots_[occupy(pkt.id, pkt.payload, pkt.meta, /*warm=*/true)];
   s.pkt.fps = pkt.fps;  // reuses the slot's capacity
   s.pkt.offsets = pkt.offsets;
   s.pkt.anchors_complete = pkt.anchors_complete;
-  s.live = true;
-  bytes_used_ += len;
-  link_front(slot);
-  host_link_front(slot);
-  hosts_.find(host)->bytes += len;
-  id_index_.put(pkt.id, slot);
   // NOTE: the stripe may now exceed its share; enforcement is deferred to
   // end_packet() so nothing this packet referenced is freed under it.
   return true;
@@ -261,46 +202,37 @@ bool L2Store::Stripe::invalidate(std::uint64_t id) {
 void L2Store::Stripe::end_packet() {
   // Never evicts the sole resident (admit() already bounds any single
   // packet by the share, so the loop terminates regardless).
-  while (bytes_used_ > share_ && head_ != tail_) {
+  while (bytes_used_ > share_ && recency_.head != recency_.tail) {
     stats_.l2_fingerprints_purged += evict_slot(pick_victim());
     ++stats_.l2_evictions;
   }
-  for (const SliceArena::Slice& s : limbo_) arena_.free(s);
-  limbo_.clear();
+  free_limbo();
 }
 
 void L2Store::Stripe::clear() {
-  for (std::uint32_t s = head_; s != kNil;) {
+  for (std::uint32_t s = recency_.head; s != kNilSlot;) {
     const std::uint32_t next = slots_[s].next;
-    Slot& slot = slots_[s];
-    arena_.free(slot.slice);
-    slot.slice = SliceArena::Slice{};
-    slot.pkt.payload = PayloadView{};
-    slot.pkt.fps.clear();
-    slot.pkt.offsets.clear();
-    slot.pkt.anchors_complete = false;
-    slot.pkt.id = 0;
-    slot.pkt.meta = PacketMeta{};
-    slot.prev = slot.next = kNil;
-    slot.host_prev = slot.host_next = kNil;
-    slot.hit_count = 0;
-    slot.promote_pending = false;
-    slot.live = false;
-    free_.push_back(s);
+    slots_[s].prev = slots_[s].next = kNilSlot;
+    slots_[s].host_prev = slots_[s].host_next = kNilSlot;
+    retire_slot(s);
     s = next;
   }
-  head_ = tail_ = kNil;
+  recency_ = ChainEnds{};
   id_index_.clear();
   hosts_.clear();
   bytes_used_ = 0;
   // A flush frees limbo immediately: no payload view survives a flush.
+  free_limbo();
+}
+
+void L2Store::Stripe::free_limbo() {
   for (const SliceArena::Slice& s : limbo_) arena_.free(s);
   limbo_.clear();
 }
 
 std::uint64_t L2Store::Stripe::max_id() const {
   std::uint64_t id = 0;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+  for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
     id = std::max(id, slots_[s].pkt.id);
   }
   return id;
@@ -314,18 +246,11 @@ std::size_t L2Store::Stripe::host_bytes(std::uint64_t host_key) const {
 void L2Store::Stripe::save(SnapshotWriter& w) const {
   w.u32(kSnapMagicL2);
   w.u32(static_cast<std::uint32_t>(size()));
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+  for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
     const Slot& slot = slots_[s];
     const CachedPacket& p = slot.pkt;
     w.u64(p.id);
-    w.u64(p.meta.flow_key);
-    w.u64(p.meta.src_uid);
-    w.u64(p.meta.stream_index);
-    w.u32(p.meta.tcp_seq);
-    w.u32(p.meta.tcp_end_seq);
-    w.u32(p.meta.epoch);
-    w.u8(p.meta.has_tcp_seq ? 1 : 0);
-    w.u64(p.meta.host_key);
+    write_meta(w, p.meta, MetaFields::kWithHostKey);
     w.u32(slot.hit_count);
     w.u32(static_cast<std::uint32_t>(p.payload.size()));
     w.bytes(p.payload);
@@ -366,40 +291,19 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
   const std::uint32_t packets = r.u32();
   for (std::uint32_t i = 0; i < packets; ++i) {
     const std::uint64_t id = r.u64();
-    PacketMeta meta;
-    meta.flow_key = r.u64();
-    meta.src_uid = r.u64();
-    meta.stream_index = r.u64();
-    meta.tcp_seq = r.u32();
-    meta.tcp_end_seq = r.u32();
-    meta.epoch = r.u32();
-    meta.has_tcp_seq = r.u8() != 0;
-    meta.host_key = r.u64();
+    const PacketMeta meta = read_meta(r, MetaFields::kWithHostKey);
     const std::uint32_t hit_count = r.u32();
     const std::uint32_t len = r.u32();
     const util::BytesView payload = r.bytes(len);
     if (!r.ok() || id == 0 || id_index_.find(id) != nullptr) {
       return reject();
     }
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slots_[slot];
-    s.pkt.id = id;
-    s.slice = arena_.alloc(len);
-    if (len != 0) std::memcpy(s.slice.data, payload.data(), len);
-    s.pkt.payload = PayloadView{s.slice.data, len};
-    s.pkt.meta = meta;
-    s.pkt.fps.clear();
-    s.pkt.offsets.clear();
-    s.pkt.anchors_complete = false;  // holds only the entries it owns
-    s.hit_count = hit_count;
-    s.live = true;
-    bytes_used_ += len;
     // Snapshots walk MRU to LRU, so appending at the cold end preserves
-    // both the global and the per-host recency orders.
-    link_back(slot);
-    host_link_back(slot);
-    hosts_.find(meta.host_key)->bytes += len;
-    id_index_.put(id, slot);
+    // both the global and the per-host recency orders.  The slot's
+    // anchor list starts empty and incomplete: it holds only the entries
+    // the packet owns.
+    Slot& s = slots_[occupy(id, payload, meta, /*warm=*/false)];
+    s.hit_count = hit_count;
     const std::uint32_t owned = r.u32();
     for (std::uint32_t f = 0; f < owned; ++f) {
       const rabin::Fingerprint fp = r.u64();
@@ -420,7 +324,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
   // this pair budget): trim deterministically, exactly as the runtime
   // eviction would, without counting runtime movement statistics.
   if (config_.per_host_pair_bytes > 0) {
-    for (std::uint32_t s = tail_; s != kNil;) {
+    for (std::uint32_t s = recency_.tail; s != kNilSlot;) {
       const std::uint32_t prev = slots_[s].prev;
       const HostEntry* e = hosts_.find(slots_[s].pkt.meta.host_key);
       if (e != nullptr && e->bytes > config_.per_host_pair_bytes) {
@@ -429,45 +333,33 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
       s = prev;
     }
   }
-  while (bytes_used_ > share_ && head_ != tail_) {
+  while (bytes_used_ > share_ && recency_.head != recency_.tail) {
     evict_slot(pick_victim());
   }
   // No payload view is outstanding during a restore; free limbo now.
-  for (const SliceArena::Slice& s : limbo_) arena_.free(s);
-  limbo_.clear();
+  free_limbo();
   return true;
 }
 
 void L2Store::Stripe::audit() const {
   if (!util::kAuditEnabled) return;
   std::size_t bytes = 0;
-  std::size_t entries = 0;
   std::size_t arena_slices = 0;
-  std::uint32_t prev = kNil;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    const Slot& slot = slots_[s];
-    bytes += slot.pkt.payload.size();
-    ++entries;
-    BC_AUDIT(slot.live) << "L2 chain reaches freed slot " << s;
-    BC_AUDIT(slot.prev == prev)
-        << "L2 slot " << s << " back-link " << slot.prev
-        << " does not match predecessor " << prev;
-    BC_AUDIT(slot.pkt.payload.data() == slot.slice.data)
-        << "L2 slot " << s << " payload view detached from its slice";
-    if (slot.slice.data != nullptr &&
-        slot.slice.cls != SliceArena::kHeapClass) {
-      ++arena_slices;
-    }
-    BC_AUDIT(slot.pkt.id != 0) << "live L2 slot " << s << " holds id 0";
-    audit_anchor_list(slot.pkt);
-    const std::uint32_t* idx = id_index_.find(slot.pkt.id);
-    BC_AUDIT(idx != nullptr && *idx == s)
-        << "L2 id index disagrees with the chain for id " << slot.pkt.id;
-    prev = s;
-  }
-  BC_AUDIT(tail_ == prev)
-      << "L2 tail " << tail_ << " does not terminate the chain (" << prev
-      << ")";
+  const std::size_t entries = Global::audit(
+      slots_, recency_, "L2 chain", [&](std::uint32_t s, const Slot& slot) {
+        bytes += slot.pkt.payload.size();
+        BC_AUDIT(slot.pkt.payload.data() == slot.slice.data)
+            << "L2 slot " << s << " payload view detached from its slice";
+        if (slot.slice.data != nullptr &&
+            slot.slice.cls != SliceArena::kHeapClass) {
+          ++arena_slices;
+        }
+        BC_AUDIT(slot.pkt.id != 0) << "live L2 slot " << s << " holds id 0";
+        audit_anchor_list(slot.pkt);
+        const std::uint32_t* idx = id_index_.find(slot.pkt.id);
+        BC_AUDIT(idx != nullptr && *idx == s)
+            << "L2 id index disagrees with the chain for id " << slot.pkt.id;
+      });
   BC_AUDIT(entries == id_index_.size())
       << "L2 chain has " << entries << " entries but the id index has "
       << id_index_.size();
@@ -486,26 +378,18 @@ void L2Store::Stripe::audit() const {
   std::size_t host_entries_total = 0;
   hosts_.for_each([&](std::uint64_t key, const HostEntry& e) {
     std::size_t pair_bytes = 0;
-    std::uint32_t hprev = kNil;
-    for (std::uint32_t s = e.head; s != kNil; s = slots_[s].host_next) {
-      const Slot& slot = slots_[s];
-      BC_AUDIT(slot.live) << "host chain of pair " << key
-                          << " reaches freed slot " << s;
-      BC_AUDIT(slot.pkt.meta.host_key == key)
-          << "slot " << s << " chained under pair " << key
-          << " but attributed to " << slot.pkt.meta.host_key;
-      BC_AUDIT(slot.host_prev == hprev)
-          << "host back-link broken at slot " << s;
-      pair_bytes += slot.pkt.payload.size();
-      ++host_entries_total;
-      hprev = s;
-    }
-    BC_AUDIT(e.tail == hprev)
-        << "host tail of pair " << key << " does not terminate its chain";
+    host_entries_total += HostChain::audit(
+        slots_, e.chain, "host chain of pair " + std::to_string(key),
+        [&](std::uint32_t s, const Slot& slot) {
+          BC_AUDIT(slot.pkt.meta.host_key == key)
+              << "slot " << s << " chained under pair " << key
+              << " but attributed to " << slot.pkt.meta.host_key;
+          pair_bytes += slot.pkt.payload.size();
+        });
     BC_AUDIT(pair_bytes == e.bytes)
         << "pair " << key << " ledger says " << e.bytes
         << " bytes but chains " << pair_bytes;
-    BC_AUDIT(e.bytes > 0 || e.head != kNil)
+    BC_AUDIT(e.bytes > 0 || e.chain.head != kNilSlot)
         << "idle pair " << key << " was not released";
     BC_AUDIT(config_.per_host_pair_bytes == 0 ||
              e.bytes <= config_.per_host_pair_bytes)

@@ -33,10 +33,12 @@
 #include <memory>
 #include <vector>
 
-#include "cache/byte_cache.h"
 #include "cache/cache_config.h"
+#include "cache/fingerprint_table.h"
 #include "cache/flat_map.h"
 #include "cache/host_budget.h"
+#include "cache/packet_store.h"
+#include "cache/recency_chain.h"
 #include "cache/slice_arena.h"
 #include "cache/snapshot.h"
 #include "obs/fields.h"
@@ -148,31 +150,32 @@ class L2Store {
    private:
     friend class L2Store;  // attach() wires in the codec's index
 
-    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
     static constexpr std::uint32_t kZipfScan = 8;
 
     struct Slot {
       CachedPacket pkt;
       SliceArena::Slice slice;
-      std::uint32_t prev = kNil;       // global chain (head = warmest)
-      std::uint32_t next = kNil;
-      std::uint32_t host_prev = kNil;  // per-host-pair chain
-      std::uint32_t host_next = kNil;
-      std::uint32_t hit_count = 0;     // kZipfAware decayed frequency
+      std::uint32_t prev = kNilSlot;       // global chain (head = warmest)
+      std::uint32_t next = kNilSlot;
+      std::uint32_t host_prev = kNilSlot;  // per-host-pair chain
+      std::uint32_t host_next = kNilSlot;
+      std::uint32_t hit_count = 0;         // kZipfAware decayed frequency
       bool live = false;
       bool promote_pending = false;
     };
+    using Global = RecencyChain<&Slot::prev, &Slot::next>;
+    using HostChain = RecencyChain<&Slot::host_prev, &Slot::host_next>;
 
-    std::uint32_t acquire_slot();
+    /// Copies a packet's payload and metadata into a fresh slot chained
+    /// at the warm (`warm`) or cold end of the global chain and of its
+    /// host pair's, charging the pair; returns the slot.
+    std::uint32_t occupy(std::uint64_t id, util::BytesView payload,
+                         const PacketMeta& meta, bool warm);
     /// Frees the slot, parking its slice on the limbo list (never frees
     /// payload bytes mid-packet — the deferred-reclamation contract).
     void retire_slot(std::uint32_t slot);
-    void link_front(std::uint32_t slot);
-    void link_back(std::uint32_t slot);
-    void unlink(std::uint32_t slot);
-    void host_link_front(std::uint32_t slot);
-    void host_link_back(std::uint32_t slot);
-    void host_unlink(std::uint32_t slot);
+    /// Frees every parked slice (epoch boundary, flush, restore).
+    void free_limbo();
     void touch(std::uint32_t slot);
     /// Unchains and retires a resident slot, settling its accounting.
     void remove_slot(std::uint32_t slot);
@@ -185,8 +188,7 @@ class L2Store {
     CacheConfig config_;
     std::size_t share_;
     std::size_t bytes_used_ = 0;
-    std::uint32_t head_ = kNil;
-    std::uint32_t tail_ = kNil;
+    ChainEnds recency_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_;
     FlatMap64<std::uint32_t> id_index_;  // packet id -> slot

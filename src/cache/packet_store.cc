@@ -39,16 +39,6 @@ void audit_anchor_list(const CachedPacket& pkt) {
 PacketStore::PacketStore(const CacheConfig& config)
     : byte_budget_(config.l1_bytes) {}
 
-std::uint32_t PacketStore::acquire_slot() {
-  if (!free_.empty()) {
-    const std::uint32_t s = free_.back();
-    free_.pop_back();
-    return s;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void PacketStore::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   // The payload's slice goes back on its arena freelist; the fingerprint
@@ -64,49 +54,33 @@ void PacketStore::release_slot(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-void PacketStore::assign_payload(Slot& s, util::BytesView payload) {
+PacketStore::Slot& PacketStore::occupy(std::uint64_t id,
+                                       util::BytesView payload,
+                                       const PacketMeta& meta, bool mru) {
+  const std::uint32_t slot = acquire_slot(slots_, free_);
+  Slot& s = slots_[slot];
+  s.pkt.id = id;
   s.slice = arena_.alloc(payload.size());
   if (!payload.empty()) {
     std::memcpy(s.slice.data, payload.data(), payload.size());
   }
   s.pkt.payload = PayloadView{s.slice.data, payload.size()};
-}
-
-void PacketStore::link_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.prev = kNil;
-  s.next = head_;
-  if (head_ != kNil) slots_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
-void PacketStore::link_back(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.next = kNil;
-  s.prev = tail_;
-  if (tail_ != kNil) slots_[tail_].next = slot;
-  tail_ = slot;
-  if (head_ == kNil) head_ = slot;
-}
-
-void PacketStore::unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) slots_[s.prev].next = s.next;
-  if (s.next != kNil) slots_[s.next].prev = s.prev;
-  if (head_ == slot) head_ = s.next;
-  if (tail_ == slot) tail_ = s.prev;
-  s.prev = s.next = kNil;
+  s.pkt.meta = meta;
+  s.live = true;
+  bytes_used_ += payload.size();
+  if (mru) {
+    Lru::push_front(slots_, lru_, slot);
+  } else {
+    Lru::push_back(slots_, lru_, slot);
+  }
+  index_.put(id, slot);
+  return s;
 }
 
 std::uint64_t PacketStore::insert(util::BytesView payload,
                                   const PacketMeta& meta,
                                   const std::vector<rabin::Anchor>& anchors) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.pkt.id = next_id_++;
-  assign_payload(s, payload);
-  s.pkt.meta = meta;
+  Slot& s = occupy(next_id_++, payload, meta, /*mru=*/true);
   s.pkt.fps.resize(anchors.size());
   s.pkt.offsets.resize(anchors.size());
   for (std::size_t i = 0; i < anchors.size(); ++i) {
@@ -114,21 +88,14 @@ std::uint64_t PacketStore::insert(util::BytesView payload,
     s.pkt.offsets[i] = anchors[i].offset;
   }
   s.pkt.anchors_complete = true;
-  s.live = true;
-  bytes_used_ += s.pkt.payload.size();
-  link_front(slot);
-  index_.put(s.pkt.id, slot);
   evict_to_budget();
-  return head_ == kNil ? 0 : slots_[head_].pkt.id;
+  return lru_.head == kNilSlot ? 0 : slots_[lru_.head].pkt.id;
 }
 
 const CachedPacket* PacketStore::lookup(std::uint64_t id) {
   const std::uint32_t* slot = index_.find(id);
   if (slot == nullptr) return nullptr;
-  if (head_ != *slot) {  // move to front
-    unlink(*slot);
-    link_front(*slot);
-  }
+  Lru::touch(slots_, lru_, *slot);
   return &slots_[*slot].pkt;
 }
 
@@ -158,18 +125,8 @@ void PacketStore::set_host_key(std::uint64_t id, std::uint64_t host_key) {
 void PacketStore::restore(std::uint64_t id, util::BytesView payload,
                           const PacketMeta& meta) {
   next_id_ = std::max(next_id_, id + 1);
-  bytes_used_ += payload.size();
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.pkt.id = id;
-  assign_payload(s, payload);
-  s.pkt.meta = meta;
-  s.pkt.fps.clear();
-  s.pkt.offsets.clear();
-  s.pkt.anchors_complete = false;
-  s.live = true;
-  link_back(slot);
-  index_.put(s.pkt.id, slot);
+  // A recycled slot's anchor list is already empty and incomplete.
+  (void)occupy(id, payload, meta, /*mru=*/false);
 }
 
 void PacketStore::reinsert(const CachedPacket& pkt) {
@@ -179,18 +136,10 @@ void PacketStore::reinsert(const CachedPacket& pkt) {
       << next_id_ << ")";
   BC_CHECK(index_.find(id) == nullptr)
       << "reinsert of live id " << id;
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.pkt.id = id;
-  assign_payload(s, pkt.payload);
-  s.pkt.meta = pkt.meta;
+  Slot& s = occupy(id, pkt.payload, pkt.meta, /*mru=*/true);
   s.pkt.fps = pkt.fps;  // copies reuse the slot's capacity
   s.pkt.offsets = pkt.offsets;
   s.pkt.anchors_complete = pkt.anchors_complete;
-  s.live = true;
-  bytes_used_ += s.pkt.payload.size();
-  link_front(slot);
-  index_.put(id, slot);
   evict_to_budget();
 }
 
@@ -202,20 +151,20 @@ bool PacketStore::erase(std::uint64_t id) {
     listener_->on_evict(slots_[slot].pkt, EvictReason::kExplicit);
   }
   bytes_used_ -= slots_[slot].pkt.payload.size();
-  unlink(slot);
+  Lru::unlink(slots_, lru_, slot);
   index_.erase(id);
   release_slot(slot);
   return true;
 }
 
 void PacketStore::clear() {
-  for (std::uint32_t s = head_; s != kNil;) {
+  for (std::uint32_t s = lru_.head; s != kNilSlot;) {
     const std::uint32_t next = slots_[s].next;
-    slots_[s].prev = slots_[s].next = kNil;
+    slots_[s].prev = slots_[s].next = kNilSlot;
     release_slot(s);
     s = next;
   }
-  head_ = tail_ = kNil;
+  lru_ = ChainEnds{};
   index_.clear();
   bytes_used_ = 0;
 }
@@ -223,43 +172,33 @@ void PacketStore::clear() {
 void PacketStore::audit() const {
   if (!util::kAuditEnabled) return;
   std::size_t bytes = 0;
-  std::size_t entries = 0;
   std::size_t arena_slices = 0;  // live entries backed by an arena slice
-  std::uint32_t prev = kNil;
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    const Slot& slot = slots_[s];
-    bytes += slot.pkt.payload.size();
-    ++entries;
-    BC_AUDIT(slot.pkt.payload.data() == slot.slice.data)
-        << "slot " << s << " payload view detached from its slice";
-    if (slot.slice.data != nullptr && slot.slice.cls != SliceArena::kHeapClass) {
-      ++arena_slices;
-      BC_AUDIT(slot.pkt.payload.size() <=
-               SliceArena::class_size(slot.slice.cls))
-          << "slot " << s << " payload of " << slot.pkt.payload.size()
-          << " bytes overflows its class "
-          << SliceArena::class_size(slot.slice.cls);
-    }
-    BC_AUDIT(slot.live) << "LRU chain reaches freed slot " << s;
-    audit_anchor_list(slot.pkt);
-    BC_AUDIT(slot.prev == prev)
-        << "slot " << s << " back-link " << slot.prev
-        << " does not match predecessor " << prev;
-    BC_AUDIT(slot.pkt.id != 0 && slot.pkt.id < next_id_)
-        << "stored id " << slot.pkt.id << " was never assigned (next_id "
-        << next_id_ << ")";
-    const std::uint32_t* idx = index_.find(slot.pkt.id);
-    BC_AUDIT(idx != nullptr)
-        << "LRU entry " << slot.pkt.id << " missing from the id index";
-    if (idx != nullptr) {
-      BC_AUDIT(*idx == s) << "index entry for id " << slot.pkt.id
-                          << " points at slot " << *idx << ", not " << s;
-    }
-    prev = s;
-  }
-  BC_AUDIT(tail_ == prev)
-      << "LRU tail " << tail_ << " does not terminate the chain (" << prev
-      << ")";
+  const std::size_t entries = Lru::audit(
+      slots_, lru_, "LRU chain", [&](std::uint32_t s, const Slot& slot) {
+        bytes += slot.pkt.payload.size();
+        BC_AUDIT(slot.pkt.payload.data() == slot.slice.data)
+            << "slot " << s << " payload view detached from its slice";
+        if (slot.slice.data != nullptr &&
+            slot.slice.cls != SliceArena::kHeapClass) {
+          ++arena_slices;
+          BC_AUDIT(slot.pkt.payload.size() <=
+                   SliceArena::class_size(slot.slice.cls))
+              << "slot " << s << " payload of " << slot.pkt.payload.size()
+              << " bytes overflows its class "
+              << SliceArena::class_size(slot.slice.cls);
+        }
+        audit_anchor_list(slot.pkt);
+        BC_AUDIT(slot.pkt.id != 0 && slot.pkt.id < next_id_)
+            << "stored id " << slot.pkt.id << " was never assigned (next_id "
+            << next_id_ << ")";
+        const std::uint32_t* idx = index_.find(slot.pkt.id);
+        BC_AUDIT(idx != nullptr)
+            << "LRU entry " << slot.pkt.id << " missing from the id index";
+        if (idx != nullptr) {
+          BC_AUDIT(*idx == s) << "index entry for id " << slot.pkt.id
+                              << " points at slot " << *idx << ", not " << s;
+        }
+      });
   // Together with the per-entry lookups above this makes index_ <-> chain
   // a bijection: every chain node is indexed, and the sizes match.
   BC_AUDIT(entries == index_.size())
@@ -283,14 +222,14 @@ void PacketStore::audit() const {
 
 void PacketStore::evict_to_budget() {
   if (byte_budget_ == 0) return;
-  while (bytes_used_ > byte_budget_ && head_ != tail_) {
+  while (bytes_used_ > byte_budget_ && lru_.head != lru_.tail) {
     // Never evict the entry just inserted (front).
-    const std::uint32_t victim = tail_;
+    const std::uint32_t victim = lru_.tail;
     const CachedPacket& pkt = slots_[victim].pkt;
     if (listener_ != nullptr) listener_->on_evict(pkt, EvictReason::kBudget);
     bytes_used_ -= pkt.payload.size();
     index_.erase(pkt.id);
-    unlink(victim);
+    Lru::unlink(slots_, lru_, victim);
     release_slot(victim);
     ++evictions_;
   }

@@ -1,6 +1,6 @@
 // Versioned snapshot I/O: the one save(Writer&) / load(Reader&) surface
-// every cache layer implements (ByteCache, L2Store stripes, CacheTier),
-// replacing the former persist.h free functions.
+// every cache layer implements (CacheTier, L2Store stripes), replacing
+// the former persist.h free functions.
 //
 // A SnapshotWriter is an append-only byte builder; a SnapshotReader is a
 // bounds-checked cursor with a sticky failure flag, so load paths can
@@ -10,16 +10,20 @@
 //
 // Container formats (each starts with a u32 magic, so load paths can
 // sniff what they were handed):
-//   "BCC1"  flat ByteCache image (unchanged since PR 3 — old snapshots
-//           stay readable, and an L2-less tier still emits exactly it)
+//   "BCC1"  flat L1 image (the original persist format, unchanged —
+//           old snapshots stay readable, and an L2-less CacheTier still
+//           emits exactly it)
 //   "BCL2"  one L2 stripe's contents
 //   "BCT1"  full two-tier image: seq | BCC1 L1 block | host-key patch
 //           table | BCL2 block
 //   "BCI1"  incremental delta: base seq | op journal | CRC32
+// All three packet-carrying formats store a packet's metadata as one
+// PacketMeta record (write_meta / read_meta below).
 #pragma once
 
 #include <cstdint>
 
+#include "cache/packet_store.h"
 #include "util/bytes.h"
 
 namespace bytecache::cache {
@@ -100,5 +104,38 @@ class SnapshotReader {
   std::size_t off_ = 0;
   bool failed_ = false;
 };
+
+/// Which PacketMeta fields a snapshot record carries.  BCC1 predates
+/// host attribution (BCT1 patches its host keys in out of band); BCL2
+/// and BCI1 records append the host key.
+enum class MetaFields : std::uint8_t { kBase, kWithHostKey };
+
+/// Writes one PacketMeta record: flow_key, src_uid, stream_index,
+/// tcp_seq, tcp_end_seq, epoch, has_tcp_seq [, host_key].
+inline void write_meta(SnapshotWriter& w, const PacketMeta& m,
+                       MetaFields fields) {
+  w.u64(m.flow_key);
+  w.u64(m.src_uid);
+  w.u64(m.stream_index);
+  w.u32(m.tcp_seq);
+  w.u32(m.tcp_end_seq);
+  w.u32(m.epoch);
+  w.u8(m.has_tcp_seq ? 1 : 0);
+  if (fields == MetaFields::kWithHostKey) w.u64(m.host_key);
+}
+
+/// Reads the record write_meta() wrote (check r.ok() afterwards).
+inline PacketMeta read_meta(SnapshotReader& r, MetaFields fields) {
+  PacketMeta m;
+  m.flow_key = r.u64();
+  m.src_uid = r.u64();
+  m.stream_index = r.u64();
+  m.tcp_seq = r.u32();
+  m.tcp_end_seq = r.u32();
+  m.epoch = r.u32();
+  m.has_tcp_seq = r.u8() != 0;
+  if (fields == MetaFields::kWithHostKey) m.host_key = r.u64();
+  return m;
+}
 
 }  // namespace bytecache::cache

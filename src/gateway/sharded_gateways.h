@@ -2,7 +2,7 @@
 //
 // Traffic is partitioned by a stable flow-key hash into N shared-nothing
 // shards, each owning a private EncoderGateway / DecoderGateway (and so
-// a private ByteCache), driven by one worker thread per shard and fed
+// a private CacheTier), driven by one worker thread per shard and fed
 // through fixed-capacity SPSC rings (util/spsc_ring.h).  A shard's codec
 // is touched by exactly one thread, so the allocation-free hot path runs
 // unmodified and lock-free inside it; the wire format is untouched, and

@@ -66,20 +66,6 @@ std::size_t stale_entries(const CacheTier& tier) {
 
 // --------------------------------------------------- basic mechanics --
 
-TEST(CacheTier, NoL2IsPlainByteCache) {
-  CacheTier tier;  // default config: unbounded L1, no L2
-  EXPECT_FALSE(tier.has_l2());
-  EXPECT_EQ(tier.stripe(), nullptr);
-  const Bytes p = payload_of('a');
-  tier.update(p, anchors_at({{10, 0xF0}}), {});
-  auto hit = tier.find(0xF0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->offset, 10u);
-  EXPECT_EQ(tier.tier_stats().l2_hits, 0u);
-  EXPECT_EQ(tier.tier_stats().demotions, 0u);
-  tier.audit();
-}
-
 TEST(CacheTier, L1EvictionDemotesAndL2HitPromotes) {
   CacheConfig cc;
   cc.l1_bytes = 250;  // two 100-byte payloads

@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "app/pipeline.h"
-#include "cache/byte_cache.h"
+#include "cache/cache_tier.h"
 #include "cache/packet_store.h"
+#include "cache/recency_chain.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "rabin/window.h"
@@ -142,9 +143,57 @@ TEST(PacketStoreAudit, CatchesDuplicateIdRestore) {
   ASSERT_TRUE(rec.tripped());
 }
 
+// The store's LRU list and the L2 stripe's global and per-host chains
+// all audit through this one helper, so a known-bad chain here stands
+// for all three.
+struct ChainSlot {
+  std::uint32_t prev = cache::kNilSlot;
+  std::uint32_t next = cache::kNilSlot;
+  bool live = true;
+};
+using TestChain = cache::RecencyChain<&ChainSlot::prev, &ChainSlot::next>;
+
+TEST(RecencyChainAudit, CatchesBrokenBackLinkFreedSlotAndTail) {
+  if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
+  std::vector<ChainSlot> slots(3);
+  cache::ChainEnds ends;
+  for (std::uint32_t i = 0; i < 3; ++i) TestChain::push_back(slots, ends, i);
+  const auto noop = [](std::uint32_t, const ChainSlot&) {};
+  {
+    FailureRecorder rec;
+    EXPECT_EQ(TestChain::audit(slots, ends, "chain", noop), 3u);
+    EXPECT_FALSE(rec.tripped());
+  }
+  {
+    std::vector<ChainSlot> bad = slots;
+    bad[2].prev = 0;  // skips its real predecessor
+    FailureRecorder rec;
+    (void)TestChain::audit(bad, ends, "chain", noop);
+    ASSERT_TRUE(rec.tripped());
+    EXPECT_NE(rec.messages()[0].find("back-link"), std::string::npos);
+  }
+  {
+    std::vector<ChainSlot> bad = slots;
+    bad[1].live = false;
+    FailureRecorder rec;
+    (void)TestChain::audit(bad, ends, "chain", noop);
+    ASSERT_TRUE(rec.tripped());
+    EXPECT_NE(rec.messages()[0].find("freed slot"), std::string::npos);
+  }
+  {
+    cache::ChainEnds bad_ends = ends;
+    bad_ends.tail = 1;  // the walk ends at 2
+    FailureRecorder rec;
+    (void)TestChain::audit(slots, bad_ends, "chain", noop);
+    ASSERT_TRUE(rec.tripped());
+    EXPECT_NE(rec.messages()[0].find("does not terminate"),
+              std::string::npos);
+  }
+}
+
 TEST(ByteCacheAudit, CatchesFingerprintBeyondIdHorizon) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   // An id the store never assigned: every audit must flag it, because a
   // decoder holding such an entry can never resolve the region.
   cache.restore_fingerprint(0xDEADBEEFu, cache::FpEntry{99, 0});
@@ -156,7 +205,7 @@ TEST(ByteCacheAudit, CatchesFingerprintBeyondIdHorizon) {
 
 TEST(ByteCacheAudit, CatchesOffsetOutsidePayload) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   cache.restore_packet(1, util::Bytes(64, 0xAA), cache::PacketMeta{});
   cache.restore_fingerprint(0x1234u, cache::FpEntry{1, 64});  // one past end
   FailureRecorder rec;
@@ -168,7 +217,7 @@ TEST(ByteCacheAudit, CatchesOffsetOutsidePayload) {
 TEST(ByteCacheAudit, StaleEntriesAreLegal) {
   // Lazy invalidation means a fingerprint may outlive its packet; the
   // audit must count, not flag, those entries.
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   cache.restore_packet(1, util::Bytes(64, 0xAA), cache::PacketMeta{});
   cache.restore_fingerprint(0x1234u, cache::FpEntry{1, 10});
   FailureRecorder rec;

@@ -244,7 +244,11 @@ TEST_P(KDistanceSweep, ReferenceRateMatchesK) {
 INSTANTIATE_TEST_SUITE_P(Ks, KDistanceSweep,
                          ::testing::Values(1u, 2u, 3u, 8u, 16u, 64u),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "k" + std::to_string(i.param);
+                           // Appended, not `"k" + tmp`: GCC 12 -O3 flags
+                           // that as -Wrestrict.
+                           std::string name = "k";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 // -------------------------------------------------------- determinism --

@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/byte_cache.h"
+#include "cache/cache_tier.h"
 #include "cache/flat_map.h"
 #include "core/anchors.h"
 #include "core/decoder.h"
@@ -398,8 +398,7 @@ TEST(CodecEquiv, EncodingBitIdenticalAcrossInstances) {
 /// Counts fingerprint entries whose packet is gone, independent of the
 /// build's BC_AUDIT setting (the audit() form is a no-op in plain
 /// Release).
-template <typename CacheLike>  // ByteCache or the CacheTier facade
-std::size_t stale_entries(const CacheLike& cache) {
+std::size_t stale_entries(const cache::CacheTier& cache) {
   std::size_t stale = 0;
   cache.table().for_each(
       [&](rabin::Fingerprint, const cache::FpEntry& entry) {
@@ -410,7 +409,7 @@ std::size_t stale_entries(const CacheLike& cache) {
 
 TEST(EvictionPurge, NoStaleEntriesUnderChurn) {
   const rabin::RabinTables tables(16);
-  cache::ByteCache cache(
+  cache::CacheTier cache(
       cache::CacheConfig{.l1_bytes = 8 * 1024});  // constant eviction
   Rng rng(testutil::test_seed(108));
   for (int i = 0; i < 400; ++i) {

@@ -4,7 +4,7 @@
 // ACK-gated references.
 #include <gtest/gtest.h>
 
-#include "cache/byte_cache.h"
+#include "cache/cache_tier.h"
 #include "core/control.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
@@ -64,7 +64,7 @@ TEST(ControlMessage, EmptyNackAllowed) {
 // -------------------------------------------------- cache invalidation --
 
 TEST(ByteCacheInvalidate, RemovesPacketAndAllItsEntries) {
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   std::vector<rabin::Anchor> anchors = {{0, 0xA0}, {10, 0xB0}};
   cache.update(Bytes(64, 'p'), anchors, {});
   ASSERT_TRUE(cache.invalidate(0xA0));
@@ -75,7 +75,7 @@ TEST(ByteCacheInvalidate, RemovesPacketAndAllItsEntries) {
 }
 
 TEST(ByteCacheInvalidate, UnknownFingerprintIsNoop) {
-  cache::ByteCache cache;
+  cache::CacheTier cache;
   EXPECT_FALSE(cache.invalidate(0x123));
 }
 
