@@ -124,7 +124,7 @@ std::size_t FingerprintTable::audit(const PacketStore& store) const {
 
 void FingerprintTable::audit_owner_counts() const {
   if (!util::kAuditEnabled) return;
-  FlatMap64<std::uint32_t> tally;
+  util::FlatMap64<std::uint32_t> tally;
   map_.for_each([&](std::uint64_t, const FpEntry& entry) {
     bool inserted = false;
     ++tally.upsert(entry.packet_id, inserted);

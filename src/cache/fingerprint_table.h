@@ -6,7 +6,7 @@
 // fingerprint overwrites the entry ("the encoder also updates its cache by
 // replacing the entry for r from Pstored to Pnew", Section III-A).
 //
-// Backed by the open-addressing FlatMap64 (see flat_map.h) rather than
+// Backed by the open-addressing FlatMap64 (see util/flat_map.h) rather than
 // std::unordered_map: one contiguous probe per lookup and no per-entry
 // allocation on the encoder's per-packet path.  Entries whose packet was
 // evicted are purged eagerly by CacheTier's eviction hook, so the table's
@@ -23,7 +23,7 @@
 #include <optional>
 #include <span>
 
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 #include "rabin/rabin.h"
 #include "rabin/window.h"
 
@@ -176,8 +176,8 @@ class FingerprintTable {
     }
   }
 
-  FlatMap64<FpEntry> map_;
-  FlatMap64<std::uint32_t> owners_;  // packet id -> entries naming it
+  util::FlatMap64<FpEntry> map_;
+  util::FlatMap64<std::uint32_t> owners_;  // packet id -> entries naming it
 };
 
 }  // namespace bytecache::cache

@@ -16,7 +16,7 @@
 
 #include <cstdint>
 
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 #include "cache/recency_chain.h"
 
 namespace bytecache::cache {
@@ -61,7 +61,7 @@ class HostLedger {
   }
 
  private:
-  FlatMap64<HostEntry> map_;
+  util::FlatMap64<HostEntry> map_;
 };
 
 }  // namespace bytecache::cache

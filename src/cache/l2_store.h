@@ -35,7 +35,7 @@
 
 #include "cache/cache_config.h"
 #include "cache/fingerprint_table.h"
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 #include "cache/host_budget.h"
 #include "cache/packet_store.h"
 #include "cache/recency_chain.h"
@@ -191,7 +191,7 @@ class L2Store {
     ChainEnds recency_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_;
-    FlatMap64<std::uint32_t> id_index_;  // packet id -> slot
+    util::FlatMap64<std::uint32_t> id_index_;  // packet id -> slot
     FingerprintTable* index_ = nullptr;  // the attached codec's index
     SliceArena arena_;
     HostLedger hosts_;

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "cache/cache_config.h"
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 #include "cache/recency_chain.h"
 #include "cache/slice_arena.h"
 #include "rabin/window.h"
@@ -304,9 +304,9 @@ class PacketStore {
   std::uint64_t evictions_ = 0;
   ChainEnds lru_;  // head = most recently used
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;      // recycled slot indices
-  FlatMap64<std::uint32_t> index_;       // id -> slot
-  SliceArena arena_;                     // payload byte storage
+  std::vector<std::uint32_t> free_;       // recycled slot indices
+  util::FlatMap64<std::uint32_t> index_;  // id -> slot
+  SliceArena arena_;                      // payload byte storage
   EvictionListener* listener_ = nullptr;
 };
 

@@ -164,11 +164,7 @@ void Encoder::on_resync_request(std::uint16_t decoder_epoch) {
 }
 
 void Encoder::on_reverse_ack(std::uint64_t flow_key, std::uint32_t ack) {
-  if (std::uint32_t* cur = highest_ack_.find(flow_key)) {
-    if (util::seq_gt(ack, *cur)) *cur = ack;
-  } else {
-    highest_ack_.put(flow_key, ack);
-  }
+  flows_.upsert(flow_key).observe_ack(ack);
 }
 
 void Encoder::encode_burst(std::span<packet::Packet* const> pkts,
@@ -249,9 +245,10 @@ void Encoder::identify_regions(util::BytesView payload,
       // Only reference segments the peer has cumulatively ACKed — such
       // segments passed the decoder and are provably in its cache.
       const cache::PacketMeta& m = src.meta;
-      const std::uint32_t* acked =
-          m.has_tcp_seq ? highest_ack_.find(m.flow_key) : nullptr;
-      if (acked == nullptr || !util::seq_le(m.tcp_end_seq, *acked)) {
+      const FlowState* flow = m.has_tcp_seq ? flows_.find(m.flow_key)
+                                            : nullptr;
+      if (flow == nullptr || !flow->has_highest_ack ||
+          !util::seq_le(m.tcp_end_seq, flow->highest_ack)) {
         ++stats_.ack_gate_rejections;
         continue;
       }
@@ -310,8 +307,11 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   stats_.bytes_in += pkt.payload.size();
 
   PacketContext ctx;
-  if (tcp) ctx.tcp_seq = tcp->seq;
-  ctx.flow_key = tcp ? tcp->flow_key : 0;
+  if (tcp) {
+    ctx.tcp_seq = tcp->seq;
+    ctx.flow_key = tcp->flow_key;
+    ctx.retransmission = flows_.upsert(tcp->flow_key).observe_seq(tcp->seq);
+  }
   ctx.host_key = host_key_of(pkt.ip.src, pkt.ip.dst);
   ctx.stream_index = stream_index_++;
   ctx.payload_size = pkt.payload.size();

@@ -19,16 +19,17 @@
 #include <vector>
 
 #include "cache/cache_tier.h"
-#include "cache/flat_map.h"
 #include "core/anchors.h"
-#include "fec/encoder.h"
+#include "core/flow.h"
 #include "core/params.h"
 #include "core/policy.h"
 #include "core/region.h"
 #include "core/wire.h"
+#include "fec/encoder.h"
 #include "obs/fields.h"
 #include "packet/packet.h"
 #include "rabin/window.h"
+#include "util/flat_map.h"
 
 namespace bytecache::core {
 
@@ -38,7 +39,7 @@ struct EncodeInfo {
   bool data_packet = false;     // considered by the codec at all
   bool encoded = false;         // payload replaced by the shim form
   bool reference = false;       // k-distance reference
-  bool retransmission = false;  // policy classified as TCP retransmission
+  bool retransmission = false;  // policy acted on a TCP retransmission
   bool flushed = false;         // cache flushed before this packet
   std::size_t regions = 0;
   std::size_t original_size = 0;  // payload bytes before encoding
@@ -153,7 +154,8 @@ class Encoder {
   /// freshly-constructed state — the conservative post-restart behavior
   /// of load_state() — and the cache is flushed first so the decoder
   /// never sees references admitted under rules the operator just
-  /// revoked.  `policy` must be non-null (kNone cannot be switched to).
+  /// revoked.  The flow records are the encoder's and carry over.
+  /// `policy` must be non-null (kNone cannot be switched to).
   void set_policy(std::unique_ptr<EncodingPolicy> policy);
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
@@ -220,11 +222,12 @@ class Encoder {
   bool epoch_bumped_ = false;  // next encoded packet carries the flag
   fec::RepairEncoder repair_enc_;  // idle unless params.coded_repair
   bool fec_was_active_ = false;    // rung turn-off closes the generation
-  // ack-gated mode: per-flow highest cumulative ACK seen.  Flat map, not
-  // unordered_map: on_reverse_ack runs once per reverse-path packet, and
-  // a node-based map would pay one heap node per new flow on that path
-  // (bc-hotpath-alloc).
-  cache::FlatMap64<std::uint32_t> highest_ack_;
+  // The one record per TCP flow (core/flow.h): the previous outgoing
+  // seq that classifies retransmissions for every policy, and the highest
+  // reverse ACK for ack-gated admission.  A flat map: process() and
+  // on_reverse_ack touch it once per packet, and a node-based map would
+  // pay one heap node per new flow on that path (bc-hotpath-alloc).
+  util::FlatMap64<FlowState> flows_;
 
   // Per-packet scratch, reused across process() calls so the steady-state
   // hot path stays allocation-free: anchor buffers, the dependency-id

@@ -1,9 +1,6 @@
 // The paper's encoding policies.
 #pragma once
 
-#include <memory>
-
-#include "cache/flat_map.h"
 #include "core/params.h"
 #include "core/policy.h"
 #include "resilience/degradation.h"
@@ -23,12 +20,13 @@ class NaivePolicy final : public EncodingPolicy {
 };
 
 /// Cache Flush (paper Section V-A): flush the encoder cache upon detecting
-/// a TCP retransmission, so retransmitted segments are never encoded using
-/// a succeeding segment or themselves.
+/// a TCP retransmission (PacketContext::retransmission), so retransmitted
+/// segments are never encoded using a succeeding segment or themselves.
 ///
 /// Deviation from the paper's one-line description: the paper triggers on
-/// an observed *decrease* of the outgoing TCP sequence number; we trigger
-/// on any *non-increase*, because back-to-back retransmissions of the same
+/// an observed *decrease* of the outgoing TCP sequence number; the
+/// encoder's classification (FlowState::observe_seq) counts any
+/// *non-increase*, because back-to-back retransmissions of the same
 /// segment carry equal sequence numbers and a strict-decrease trigger would
 /// let the second retransmission be encoded against the (possibly lost)
 /// first — recreating the circular dependency the flush exists to break.
@@ -38,10 +36,6 @@ class CacheFlushPolicy final : public EncodingPolicy {
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
-
- private:
-  // Last outgoing data sequence number, per flow.
-  std::unordered_map<std::uint64_t, std::uint32_t> last_seq_;
 };
 
 /// TCP Sequence Number encoding (paper Section V-B, Fig. 7): a repeated
@@ -54,10 +48,6 @@ class TcpSeqPolicy final : public EncodingPolicy {
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
-
- private:
-  // Retransmission detection only, per flow.
-  std::unordered_map<std::uint64_t, std::uint32_t> last_seq_;
 };
 
 /// k-distance encoding (paper Section V-C, Fig. 9): every k-th packet is a
@@ -114,7 +104,6 @@ class AdaptivePolicy final : public EncodingPolicy {
   std::size_t k_min_;
   std::size_t k_max_;
   double loss_estimate_ = 0.0;
-  std::unordered_map<std::uint64_t, std::uint32_t> last_seq_;  // per flow
 };
 
 /// Adaptive resilience (DESIGN.md §9): the paper's Section VII argument
@@ -158,21 +147,16 @@ class ResilientPolicy final : public EncodingPolicy {
   [[nodiscard]] std::uint64_t transitions() const;
 
  private:
-  resilience::DegradationController& controller_for(std::uint64_t host_key);
-
-  resilience::LossEstimatorConfig estimator_config_;
-  resilience::DegradationConfig degradation_config_;
+  // The one host-pair table: each record holds the pair's perceived-loss
+  // state and its DegradationController (resilience::HostPairState).
   resilience::PerceivedLossEstimator estimator_;
-  // Flat map, not unordered_map: controller_for runs inside
-  // before_encode on every packet, and a node-based map would pay one
-  // heap node per new host pair on that path (bc-hotpath-alloc).
-  cache::FlatMap64<resilience::DegradationController> controllers_;
   // The rung picked in before_encode(), read by admit() for the same
   // packet (the encoder always calls them in that order).
   resilience::DegradationLevel current_ =
       resilience::DegradationLevel::kKDistance;
-  // One shared instance per rung: policy-internal per-flow state (retx
-  // trackers, reference spacing) persists across rung changes.
+  // One shared instance per rung.  Only k-distance keeps state (its
+  // reference spacing), which persists across rung changes; the
+  // retransmission classification every rung reads is the encoder's.
   KDistancePolicy k_distance_;
   TcpSeqPolicy tcp_seq_;
   CacheFlushPolicy cache_flush_;

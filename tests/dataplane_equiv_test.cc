@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "cache/cache_tier.h"
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 #include "core/anchors.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
@@ -118,7 +118,7 @@ TEST(RollingWindowEquiv, ResetMatchesFreshWindow) {
 // ---------------------------------------------------------- flat table --
 
 TEST(FlatMapEquiv, RandomOpsMatchUnorderedMap) {
-  cache::FlatMap64<std::uint64_t> flat;
+  util::FlatMap64<std::uint64_t> flat;
   std::unordered_map<std::uint64_t, std::uint64_t> ref;
   Rng rng(testutil::test_seed(104));
   for (int op = 0; op < 20000; ++op) {

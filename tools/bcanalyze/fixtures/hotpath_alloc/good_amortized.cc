@@ -9,13 +9,13 @@
 #include <memory>
 #include <vector>
 
-#include "cache/flat_map.h"
+#include "util/flat_map.h"
 
 namespace bytecache::cache {
 
 struct FixtureScratch {
   std::vector<std::uint8_t> bytes;
-  FlatMap64<std::uint32_t> index;
+  util::FlatMap64<std::uint32_t> index;
 
   void per_packet(std::uint64_t key, std::uint8_t b) {
     bytes.push_back(b);      // contiguous growth: amortised, no finding
