@@ -9,7 +9,8 @@ hot root and reports, with the call chain:
 
   * operator new / make_unique / make_shared / malloc-family calls;
   * growth of *node-based* containers (map/set/list/deque families) —
-    every insert is a heap node;
+    every insert is a heap node, and so is every subscript (`m[k]`
+    inserts a missing key);
   * std::function locals/parameters — type-erased, possibly allocating.
 
 Contiguous-container growth (vector/Bytes push_back, reserve, assign) is
@@ -28,7 +29,7 @@ RULE = "bc-hotpath-alloc"
 
 ROOT_DIRS = ("src/rabin/", "src/cache/", "src/core/", "src/fec/")
 SITE_DIRS = ("src/rabin/", "src/cache/", "src/core/", "src/gateway/",
-             "src/net/", "src/fec/")
+             "src/net/", "src/fec/", "src/resilience/")
 
 # Burst entry points are hot roots wherever they live: they are the
 # batched per-packet path (PR 7), so a gateway or ring function with one
@@ -53,7 +54,7 @@ NODE_CONTAINERS = {
 }
 GROWTH_CALLS = {"insert", "emplace", "emplace_back", "emplace_front",
                 "emplace_hint", "push_back", "push_front", "push",
-                "try_emplace", "insert_or_assign"}
+                "try_emplace", "insert_or_assign", "operator[]"}
 ALLOC_CALLS = {"malloc", "calloc", "realloc", "strdup", "make_unique",
                "make_shared", "new_handler"}
 
@@ -86,10 +87,11 @@ def _alloc_sites(project, fn, struct_index, aliases):
                                    aliases)
             base = container_base(canon)
             if base in NODE_CONTAINERS:
+                use = f"{c.receiver}[...]" if callee == "operator[]" \
+                    else f"{c.receiver}.{callee}(...)"
                 sites.append((c.line,
-                              f"`{c.receiver}.{callee}(...)` grows "
-                              f"node-based std::{base} (one heap node "
-                              f"per insert)"))
+                              f"`{use}` grows node-based std::{base} "
+                              f"(one heap node per insert)"))
     for d in list(fn.locals) + list(fn.params):
         declared_base = d.type_text.replace("&", " ").replace("*", " ") \
             .replace("const", " ").split("<")[0].split("::")[-1].strip()

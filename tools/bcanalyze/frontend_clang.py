@@ -2,8 +2,9 @@
 
 Produces the same ir.py IR as frontend_fallback.py, but from the real
 AST: canonical types come from the type system instead of alias-chasing,
-call receivers from MEMBER_REF_EXPR bases, and the statement tree from
-real IfStmt/ForStmt/WhileStmt/ReturnStmt cursors.  Compilation flags are
+call receivers from MEMBER_REF_EXPR bases (the subscripted object for an
+operator[] call), and the statement tree from real
+IfStmt/ForStmt/WhileStmt/ReturnStmt cursors.  Compilation flags are
 taken from compile_commands.json (CMake exports it by default in this
 repo — see CMAKE_EXPORT_COMPILE_COMMANDS in the top-level
 CMakeLists.txt).
@@ -188,7 +189,10 @@ def _function_ir(cursor, path):
             callee = c.spelling or ""
             receiver = ""
             kids = list(c.get_children())
-            if kids and kids[0].kind == K.MEMBER_REF_EXPR:
+            if callee == "operator[]" and kids:
+                # m[k]: the object being subscripted is the first child.
+                receiver = _tokens_text(kids[0]).replace(" ", "")
+            elif kids and kids[0].kind == K.MEMBER_REF_EXPR:
                 base = list(kids[0].get_children())
                 if base:
                     receiver = _tokens_text(base[0]).replace(" ", "")

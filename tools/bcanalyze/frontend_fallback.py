@@ -252,6 +252,18 @@ def _scan_expressions(tokens, fn):
         if t.text == "new" and t.kind == "id":
             fn.news.append(t.line)
             continue
+        if t.text == "[" and i > 0 and tokens[i - 1].kind == "id" and \
+                tokens[i - 1].text not in _STMT_KEYWORDS:
+            # `id[...]` is a call to id's operator[]; on a node-based map
+            # that inserts a missing key, so the checkers must see it.
+            obj = _receiver_of(tokens, i - 1)
+            name = tokens[i - 1].text
+            close = match_brace(tokens, i)
+            fn.calls.append(ir.Call(
+                callee="operator[]",
+                receiver=f"{obj}.{name}" if obj and obj != "this" else name,
+                line=t.line, args_text=text_of(tokens[i + 1:close])))
+            continue
         if t.text == "(" and i > 0:
             # callee chain ends at tokens[i-1]
             j = i - 1
