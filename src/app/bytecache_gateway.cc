@@ -15,18 +15,14 @@
 // bytes to --egress.  Reverse tunnel datagrams carry the decoder's
 // control feedback (NACK / resync, core/control.h).
 //
-// `--backend=sim` runs BOTH tunnels in one process over a modeled
-// sim::Link wire instead of a peer socket — the second backend behind
-// the transport seam.  Same tunnels, same framing: the encoder stats it
-// reports are byte-comparable with a two-process UDP run, which is what
-// the loopback smoke test (tools/loopback_smoke.py) asserts.
+// The binary carries no simulator: the simulated wire behind the same
+// transport seam is a test fixture (tests/sim_transport.h).
 //
 // Flags:
-//   --role=encode|decode      which side (udp backend; sim runs both)
-//   --backend=udp|sim         transport backend          (default udp)
-//   --ingress=a.b.c.d:port    plain-side bind (encode/sim)
-//   --egress=a.b.c.d:port     plain-side destination (decode/sim)
-//   --tunnel=a.b.c.d:port     tunnel socket bind (udp backend)
+//   --role=encode|decode      which side
+//   --ingress=a.b.c.d:port    plain-side bind (encode)
+//   --egress=a.b.c.d:port     plain-side destination (decode)
+//   --tunnel=a.b.c.d:port     tunnel socket bind
 //   --peer=a.b.c.d:port       peer tunnel address (required for encode;
 //                             decode learns it from the first datagram)
 //   --control=a.b.c.d:port    runtime control channel (net/control.h)
@@ -47,7 +43,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -55,19 +50,16 @@
 #include "net/control.h"
 #include "net/event_loop.h"
 #include "net/gateway_tunnel.h"
-#include "net/sim_transport.h"
 #include "net/udp_socket.h"
 #include "net/udp_transport.h"
 #include "obs/export.h"
-#include "sim/simulator.h"
 
 using namespace bytecache;
 
 namespace {
 
 struct Options {
-  std::string role;  // "encode" | "decode" | "" (sim backend runs both)
-  std::string backend = "udp";
+  std::string role;  // "encode" | "decode"
   std::optional<net::SocketAddr> ingress;
   std::optional<net::SocketAddr> egress;
   std::optional<net::SocketAddr> tunnel;
@@ -109,7 +101,6 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (parse_flag(a, "--role", v)) opt.role = v;
-    else if (parse_flag(a, "--backend", v)) opt.backend = v;
     else if (parse_flag(a, "--ingress", v)) opt.ingress = parse_addr(v, a);
     else if (parse_flag(a, "--egress", v)) opt.egress = parse_addr(v, a);
     else if (parse_flag(a, "--tunnel", v)) opt.tunnel = parse_addr(v, a);
@@ -127,22 +118,15 @@ Options parse_options(int argc, char** argv) {
     else if (std::strcmp(a, "--stats-exit") == 0) opt.stats_exit = true;
     else die(std::string("unknown argument '") + a + "'");
   }
-  if (opt.backend != "udp" && opt.backend != "sim")
-    die("--backend must be udp or sim");
-  if (opt.backend == "udp") {
-    if (opt.role != "encode" && opt.role != "decode")
-      die("--role=encode|decode is required with --backend=udp");
-    if (!opt.tunnel) die("--tunnel is required with --backend=udp");
-    if (opt.role == "encode" && !opt.peer.valid())
-      die("--peer is required for the encoder side");
-    if (opt.role == "encode" && !opt.ingress)
-      die("--ingress is required for the encoder side");
-    if (opt.role == "decode" && !opt.egress)
-      die("--egress is required for the decoder side");
-  } else {
-    if (!opt.ingress || !opt.egress)
-      die("--backend=sim needs both --ingress and --egress");
-  }
+  if (opt.role != "encode" && opt.role != "decode")
+    die("--role=encode|decode is required");
+  if (!opt.tunnel) die("--tunnel is required");
+  if (opt.role == "encode" && !opt.peer.valid())
+    die("--peer is required for the encoder side");
+  if (opt.role == "encode" && !opt.ingress)
+    die("--ingress is required for the encoder side");
+  if (opt.role == "decode" && !opt.egress)
+    die("--egress is required for the decoder side");
   return opt;
 }
 
@@ -166,26 +150,20 @@ void on_signal(int /*sig*/) {
 }
 
 /// Binds the plain-side ingress socket and feeds every datagram (keyed
-/// by its source address) into the encoder tunnel.  `after_drain` runs
-/// once per readiness batch — the sim backend's hook for flushing the
-/// modeled wire.
+/// by its source address) into the encoder tunnel.
 void add_ingress(net::EventLoop& loop, net::UdpSocket& socket,
-                 const net::SocketAddr& addr, net::EncoderTunnel& enc,
-                 std::function<void()> after_drain) {
+                 const net::SocketAddr& addr, net::EncoderTunnel& enc) {
   if (!socket.bind(addr))
     die("cannot bind --ingress " + addr.to_string() + ": " +
         std::strerror(errno));
-  loop.add_fd(socket.fd(), EPOLLIN,
-              [&socket, &enc, after_drain](std::uint32_t) {
-                socket.drain([&enc](util::BytesView data,
-                                    const net::SocketAddr& from) {
-                  enc.on_plain_datagram(data, from.key());
-                });
-                if (after_drain) after_drain();
-              });
+  loop.add_fd(socket.fd(), EPOLLIN, [&socket, &enc](std::uint32_t) {
+    socket.drain([&enc](util::BytesView data, const net::SocketAddr& from) {
+      enc.on_plain_datagram(data, from.key());
+    });
+  });
 }
 
-int run_udp(const Options& opt) {
+int run(const Options& opt) {
   net::EventLoop loop;
   g_loop = &loop;
   std::signal(SIGINT, on_signal);
@@ -202,7 +180,7 @@ int run_udp(const Options& opt) {
   net::ControlHandlers handlers;
   if (opt.role == "encode") {
     enc.emplace(tc, tunnel);
-    add_ingress(loop, ingress, *opt.ingress, *enc, nullptr);
+    add_ingress(loop, ingress, *opt.ingress, *enc);
     handlers.stats_jsonl = [&] { return obs::to_jsonl(enc->snapshot()); };
     handlers.flush_cache = [&] { return enc->flush_cache(); };
     handlers.switch_policy = [&](std::string_view name) {
@@ -239,57 +217,6 @@ int run_udp(const Options& opt) {
   return 0;
 }
 
-int run_sim(const Options& opt) {
-  net::EventLoop loop;
-  g_loop = &loop;
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-
-  sim::Simulator sim;
-  net::SimTransportPair pair(sim, net::SimTransportConfig{});
-  const net::TunnelConfig tc = tunnel_config(opt);
-
-  net::EncoderTunnel enc(tc, pair.end_a());
-  net::UdpSocket egress;
-  if (!egress.bind(net::SocketAddr{}))
-    die(std::string("cannot bind egress socket: ") + std::strerror(errno));
-  const net::SocketAddr to = *opt.egress;
-  net::DecoderTunnel dec(tc, pair.end_b(), [&egress, to](util::BytesView d) {
-    (void)egress.send_to(to, d);
-  });
-
-  // The modeled wire only moves when the simulator runs: flush it after
-  // every ingress batch, so encode -> link -> decode -> feedback -> ...
-  // all settle before the loop sleeps again.
-  net::UdpSocket ingress;
-  add_ingress(loop, ingress, *opt.ingress, enc, [&sim] { sim.run(); });
-
-  net::ControlHandlers handlers;
-  handlers.stats_jsonl = [&] { return obs::to_jsonl(enc.snapshot()); };
-  handlers.flush_cache = [&] { return enc.flush_cache(); };
-  handlers.switch_policy = [&](std::string_view name) {
-    return enc.switch_policy(name);
-  };
-  handlers.shutdown = [&loop] { loop.stop(); };
-  std::optional<net::ControlServer> control;
-  if (opt.control) control.emplace(loop, *opt.control, handlers);
-
-  std::fprintf(stderr, "bytecache_gateway: backend=sim control=%s\n",
-               control ? control->local_addr().to_string().c_str() : "-");
-  loop.run();
-  sim.run();  // drain anything in flight on the modeled wire
-  g_loop = nullptr;
-
-  if (opt.stats_exit) {
-    const std::string jsonl = obs::to_jsonl(enc.snapshot());
-    std::fwrite(jsonl.data(), 1, jsonl.size(), stdout);
-  }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
-  return opt.backend == "sim" ? run_sim(opt) : run_udp(opt);
-}
+int main(int argc, char** argv) { return run(parse_options(argc, argv)); }

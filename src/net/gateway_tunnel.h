@@ -14,8 +14,8 @@
 // handed to the plain-side sink.
 //
 // Both tunnels are backend-agnostic: the same objects run over a
-// UdpTunnelTransport (two real processes) or over a SimTransportPair
-// (one process, modeled wire).  Virtual flow addressing is
+// UdpTunnelTransport (two real processes) or over the tests'
+// SimTransportPair (one process, modeled wire).  Virtual flow addressing is
 // deterministic — source N of a run maps to the same virtual IP pair in
 // every backend — which is what makes wire_ratio comparable across
 // backends down to the byte.

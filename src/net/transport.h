@@ -13,10 +13,11 @@
 //   - UdpTunnelTransport (udp_transport.h): a real UDP socket on an
 //     epoll EventLoop — genuine loss, reordering, and NIC-shaped
 //     arrival.
-//   - SimTransportPair (sim_transport.h): the discrete-event simulator's
-//     sim::Link behind the same interface, so the pair of tunnels runs
-//     unchanged against modeled loss — the proof that the sim is "the
-//     second backend", not a separate code path.
+//   - SimTransportPair (tests/sim_transport.h, test-only): the
+//     discrete-event simulator's sim::Link behind the same interface, so
+//     the pair of tunnels runs unchanged against modeled loss — the
+//     proof that the sim is "the second backend", not a separate code
+//     path.
 //
 // Delivery is push: the backend invokes the handler from its own
 // drive (the event loop thread or the simulator run).  Transports are

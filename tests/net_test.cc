@@ -17,10 +17,10 @@
 #include "net/control.h"
 #include "net/event_loop.h"
 #include "net/gateway_tunnel.h"
-#include "net/sim_transport.h"
 #include "net/udp_socket.h"
 #include "net/udp_transport.h"
 #include "packet/packet.h"
+#include "tests/sim_transport.h"
 #include "tests/testutil.h"
 #include "util/rng.h"
 

@@ -64,11 +64,13 @@ Rules (see DESIGN.md "Correctness tooling"):
                 fine.  Suppress with NOLINT(bc-obs).
 
   bc-layer      A file under src/{util,obs,rabin,packet,cache,resilience,
-                fec,core,gateway} includes a sim/ or tcp/ header.  Those
-                layers make up the middlebox (bc_gateway links only
-                bc_core); the simulator and the simulated TCP stack sit
-                above them, and a topology that needs both lives in
-                src/app/ (app::Pipeline).  Suppress with NOLINT(bc-layer).
+                fec,core,gateway,net} includes a sim/ or tcp/ header.
+                Those layers make up the middlebox (bc_gateway links only
+                bc_core, bc_net only bc_gateway); the simulator and the
+                simulated TCP stack sit above them, a topology that needs
+                both lives in src/app/ (app::Pipeline), and the simulated
+                tunnel wire lives with the tests (tests/sim_transport.h).
+                Suppress with NOLINT(bc-layer).
 
 Division of labour with tools/bcanalyze (DESIGN.md §11): this script is
 the *fast pre-pass* — pure-regex, no parsing, runs in milliseconds and
@@ -145,7 +147,7 @@ OBS_EXEMPT_DIRS = ("src/obs/", "src/harness/")
 LAYER_RE = re.compile(r'^\s*#\s*include\s+["<](?P<path>(?:sim|tcp)/[^">]+)[">]')
 LAYER_DIRS = tuple(f"src/{d}/" for d in (
     "util", "obs", "rabin", "packet", "cache", "resilience", "fec", "core",
-    "gateway"))
+    "gateway", "net"))
 
 
 class Violation:
@@ -552,13 +554,16 @@ SELF_TEST_CASES = [
     ("bc-layer", '#include "sim/trace.h"', True),
     ("bc-layer", '#include "core/encoder.h"', False),
     ("bc-layer", '#include "tcp/sender.h"  // NOLINT(bc-layer)', False),
+    # Optional fourth field: the path the snippet is scanned as.
+    ("bc-layer", '#include "sim/link.h"', True, "src/net/selftest_snippet.cc"),
+    ("bc-layer", '#include "sim/link.h"', False, "src/app/selftest_snippet.cc"),
 ]
 
 
 def self_test():
     failures = 0
     root = Path(".")
-    for rule, code, expect in SELF_TEST_CASES:
+    for rule, code, expect, *where in SELF_TEST_CASES:
         raw_lines = code.splitlines()
         code_lines = strip_comments_and_strings(code).splitlines()
         path = Path("tests/selftest_snippet.cc")
@@ -576,8 +581,9 @@ def self_test():
                                 raw_lines, code_lines)
         elif rule == "bc-layer":
             # The rule only fires in the middlebox layers.
-            found = scan_layer(Path("src/gateway/selftest_snippet.cc"),
-                               raw_lines)
+            found = scan_layer(
+                Path(where[0] if where else "src/gateway/selftest_snippet.cc"),
+                raw_lines)
         elif rule == "bc-obs":
             # The rule only fires in src/ outside src/obs and src/harness.
             found = scan_obs(Path("src/core/selftest_snippet.cc"),
