@@ -5,8 +5,11 @@
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "core/factory.h"
+#include "fec/gf256.h"
 #include "packet/packet.h"
 #include "packet/tcp.h"
+#include "rabin/scan_kernel.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -124,6 +127,72 @@ void BM_CacheFind(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheFind);
 
+// The per-byte kernels every literal pays for, dispatched (util/simd.h)
+// and as their scalar references, over one MSS payload.  The label
+// names the tier that ran.
+util::Bytes mss_payload(std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::Bytes payload(1460);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+  return payload;
+}
+
+template <std::uint32_t (*Crc)(util::BytesView, std::uint32_t)>
+void crc32_bench(benchmark::State& state, const char* tier) {
+  const util::Bytes payload = mss_payload(6);
+  for (auto _ : state) benchmark::DoNotOptimize(Crc(payload, 0));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+  state.SetLabel(tier);
+}
+
+void BM_Crc32(benchmark::State& state) {
+  crc32_bench<&util::crc32>(state, util::crc32_kernel());
+}
+BENCHMARK(BM_Crc32);
+
+void BM_Crc32Scalar(benchmark::State& state) {
+  crc32_bench<&util::crc32_scalar>(state, "slice8");
+}
+BENCHMARK(BM_Crc32Scalar);
+
+template <void (*Axpy)(std::uint8_t*, const std::uint8_t*, std::size_t,
+                       std::uint8_t)>
+void gf_axpy_bench(benchmark::State& state, const char* tier) {
+  const util::Bytes src = mss_payload(7);
+  util::Bytes dst = mss_payload(8);
+  std::uint8_t c = 2;
+  for (auto _ : state) {
+    Axpy(dst.data(), src.data(), src.size(), c);
+    c = static_cast<std::uint8_t>(c == 255 ? 2 : c + 1);  // c > 1
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(src.size()));
+  state.SetLabel(tier);
+}
+
+void BM_GfAxpy(benchmark::State& state) {
+  gf_axpy_bench<&fec::gf_axpy>(state, fec::gf_kernel());
+}
+BENCHMARK(BM_GfAxpy);
+
+void BM_GfAxpyScalar(benchmark::State& state) {
+  gf_axpy_bench<&fec::gf_axpy_scalar>(state, "scalar");
+}
+BENCHMARK(BM_GfAxpyScalar);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Stamp every dispatched tier, as bench_micro_rabin does the scan's.
+  benchmark::AddCustomContext("scan_kernel", rabin::scan_kernel().name);
+  benchmark::AddCustomContext("crc32_kernel", util::crc32_kernel());
+  benchmark::AddCustomContext("gf_kernel", fec::gf_kernel());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -62,16 +62,15 @@ void FingerprintTable::put_anchors(std::uint64_t id,
 
 std::size_t FingerprintTable::purge(std::uint64_t packet_id,
                                    std::span<const rabin::Fingerprint> fps) {
-  if (owned(packet_id) == 0) return 0;
+  const std::uint32_t owned_entries = owned(packet_id);
+  if (owned_entries == 0) return 0;
   // The fingerprints' slots are spread over the whole index, so pull
   // them all in before walking them.
   for (rabin::Fingerprint fp : fps) map_.prefetch(fp);
   std::uint32_t purged = 0;
   for (rabin::Fingerprint fp : fps) {
-    const FpEntry* e = map_.find(fp);
-    if (e != nullptr && e->packet_id == packet_id) {
-      map_.erase(fp);
-      ++purged;
+    if (map_.erase_if(fp, OwnedBy{packet_id}) && ++purged == owned_entries) {
+      break;
     }
   }
   disown(packet_id, purged);

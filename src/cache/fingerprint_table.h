@@ -65,10 +65,13 @@ class FingerprintTable {
 
   /// Removes the entry for `fp` if present.
   void erase(rabin::Fingerprint fp) {
-    const FpEntry* e = map_.find(fp);
-    if (e == nullptr) return;
-    disown(e->packet_id, 1);
-    map_.erase(fp);
+    std::uint64_t owner = 0;
+    if (map_.erase_if(fp, [&](const FpEntry& e) {
+          owner = e.packet_id;
+          return true;
+        })) {
+      disown(owner, 1);
+    }
   }
 
   /// Hints the cache to pull `fp`'s home slot (see FlatMap64::prefetch).
@@ -94,17 +97,17 @@ class FingerprintTable {
   /// which must then survive the old packet's eviction).  Returns true if
   /// an entry was removed.
   bool erase_if_owner(rabin::Fingerprint fp, std::uint64_t packet_id) {
-    const FpEntry* e = map_.find(fp);
-    if (e == nullptr || e->packet_id != packet_id) return false;
-    map_.erase(fp);
+    if (!map_.erase_if(fp, OwnedBy{packet_id})) return false;
     disown(packet_id, 1);
     return true;
   }
 
   /// The eviction purge: erases the entries packet `packet_id` still owns
   /// among `fps` (its fingerprint list; newer packets' overwrites
-  /// survive) and settles its owner count once.  A packet owning nothing
-  /// skips the walk.  Returns the number of entries erased.
+  /// survive) and settles its owner count once.  One probe per
+  /// fingerprint; the walk stops once owned(packet_id) entries are gone,
+  /// and a packet owning nothing skips it.  Returns the number of
+  /// entries erased.
   std::size_t purge(std::uint64_t packet_id,
                     std::span<const rabin::Fingerprint> fps);
 
@@ -165,6 +168,12 @@ class FingerprintTable {
   }
 
  private:
+  /// erase_if predicate: the entry names packet `id`.
+  struct OwnedBy {
+    std::uint64_t id;
+    bool operator()(const FpEntry& e) const { return e.packet_id == id; }
+  };
+
   /// Drops `n` entries from `packet_id`'s count, releasing the slot at 0.
   void disown(std::uint64_t packet_id, std::uint32_t n) {
     std::uint32_t* count = owners_.find(packet_id);

@@ -1,14 +1,10 @@
 #include "cache/slice_arena.h"
 
 #include <bit>
-#include <cstdlib>
 #include <new>
 
-#ifdef __linux__
-#include <sys/mman.h>
-#endif
-
 #include "util/check.h"
+#include "util/huge_pages.h"
 
 namespace bytecache::cache {
 
@@ -16,7 +12,7 @@ SliceArena::TestHooks SliceArena::test_hooks;
 
 SliceArena::~SliceArena() {
   for (const Area& a : areas_) {
-    std::free(a.base);
+    util::huge_free(a.base);
     ++test_hooks.areas_freed;
   }
 }
@@ -39,17 +35,12 @@ void SliceArena::grow_bookkeeping() {
 
 void SliceArena::carve_area(std::uint8_t cls) {
   // Bookkeeping first: if the vector growth throws here, nothing has
-  // been allocated yet.  The former order — aligned_alloc, then a
+  // been allocated yet.  The former order — allocate, then a
   // possibly-throwing push_back — leaked the fresh area on growth
   // failure, because ~SliceArena only frees *recorded* areas.
   grow_bookkeeping();
-  void* mem = std::aligned_alloc(kAreaBytes, kAreaBytes);
-  if (mem == nullptr) throw std::bad_alloc();
+  void* mem = util::huge_alloc(kAreaBytes);
   ++test_hooks.areas_allocated;
-#ifdef __linux__
-  // Advisory: a kernel without THP support just ignores it.
-  (void)madvise(mem, kAreaBytes, MADV_HUGEPAGE);
-#endif
   // Cannot throw: capacity was reserved above.
   areas_.push_back(Area{static_cast<std::uint8_t*>(mem), cls});
   const std::size_t size = class_size(cls);

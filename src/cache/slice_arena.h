@@ -2,9 +2,10 @@
 // memory), in the style of beng-proxy's SlicePool.
 //
 // Payload buffers come from per-size-class freelists carved out of
-// 2 MiB-aligned areas (hinted MADV_HUGEPAGE on Linux, so the kernel can
-// back the whole arena with huge pages and the data-plane TLB footprint
-// of a multi-hundred-MB cache collapses to one entry per 2 MiB).
+// 2 MiB-aligned areas (util::huge_alloc: hinted MADV_HUGEPAGE on Linux,
+// so the kernel can back the whole arena with huge pages and the
+// data-plane TLB footprint of a multi-hundred-MB cache collapses to one
+// entry per 2 MiB).
 #pragma once
 //
 // Size classes are the powers of two from 256 B to 64 KiB — the upper
@@ -27,6 +28,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/huge_pages.h"
+
 namespace bytecache::cache {
 
 class SliceArena {
@@ -43,7 +46,7 @@ class SliceArena {
   static constexpr std::size_t kMinSlice = 256;
   static constexpr std::size_t kMaxSlice = 64 * 1024;
   static constexpr std::size_t kClasses = 9;  // 256 << 0 .. 256 << 8
-  static constexpr std::size_t kAreaBytes = 2 * 1024 * 1024;
+  static constexpr std::size_t kAreaBytes = util::kHugePageBytes;
   /// Marker class for oversize heap-backed slices.
   static constexpr std::uint8_t kHeapClass = 0xFF;
 

@@ -3,10 +3,15 @@
 // The field is GF(256) under the primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11D, the classic Reed-Solomon modulus).  Tables are flat constexpr
 // arrays: the antilog table is doubled so gf_mul needs no mod-255
-// reduction, and the row kernels (gf_axpy / gf_scale) expand the scalar
-// into one contiguous 256-byte product row and stream over it — the
-// exact layout a split-nibble PSHUFB/TBL kernel would consume, so a SIMD
-// drop-in changes only the .cc.
+// reduction.
+//
+// The row kernels (gf_axpy / gf_scale) are dispatched (util/simd.h).
+// Multiplication by c is linear over GF(2), so c*x = c*(x & 0x0F) ^
+// c*(x & 0xF0): the AVX2 tier builds those two 16-entry product tables
+// (32 gf_mul per call) and looks up 32 bytes per step with two PSHUFBs.
+// The scalar reference expands c into one 256-byte product row and
+// streams over it; it is the oracle and the BYTECACHE_DISABLE_SIMD=1
+// fallback.
 #pragma once
 
 #include <array>
@@ -68,6 +73,14 @@ void gf_axpy(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
 
 /// buf[i] = c * buf[i] for i < n (pivot-row normalization).
 void gf_scale(std::uint8_t* buf, std::size_t n, std::uint8_t c);
+
+/// The 256-byte product-row references of gf_axpy / gf_scale.
+void gf_axpy_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                    std::uint8_t c);
+void gf_scale_scalar(std::uint8_t* buf, std::size_t n, std::uint8_t c);
+
+/// The tier gf_axpy / gf_scale dispatch to: "avx2" or "scalar".
+[[nodiscard]] const char* gf_kernel();
 
 /// Coefficient of repair row r over generation member j: the Cauchy
 /// matrix 1/(x_r + y_j) with x_r = r and y_j = 0x80|j.  The index sets

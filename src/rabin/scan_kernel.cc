@@ -4,15 +4,18 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/simd.h"
+
 namespace bytecache::rabin {
 
-#if defined(__x86_64__) || defined(__i386__)
-#define BYTECACHE_X86 1
+#ifdef BYTECACHE_X86
 namespace detail {
 // Defined in scan_kernel_avx2.cc, compiled with target("avx2") function
 // attributes so the rest of the library stays baseline-ISA.
 void mask_avx2(const std::array<std::uint64_t, 4>& set, const std::uint8_t* p,
                std::size_t n, std::uint64_t* masks);
+void select_avx2(const Fingerprint* fps, std::size_t n, unsigned select_bits,
+                 std::uint64_t* masks);
 }  // namespace detail
 #endif
 
@@ -42,6 +45,18 @@ void mask_scalar(const std::array<std::uint64_t, 4>& set,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t b = p[i];
     const std::uint64_t bit = (set[b >> 6] >> (b & 63u)) & 1u;
+    masks[i >> 6] |= bit << (i & 63u);
+  }
+}
+
+// Branch-free: a per-position `if (selected(..))` mispredicts once per
+// anchor, which cost as much as the fill itself.
+void select_scalar(const Fingerprint* fps, std::size_t n, unsigned select_bits,
+                   std::uint64_t* masks) {
+  const std::size_t words = (n + 63) / 64;
+  for (std::size_t i = 0; i < words; ++i) masks[i] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bit = selected(fps[i], select_bits) ? 1u : 0u;
     masks[i >> 6] |= bit << (i & 63u);
   }
 }
@@ -105,30 +120,28 @@ void fill_ilp4(const RabinTables& tables, const std::uint8_t* p, std::size_t n,
 // ---- kernel table and dispatch -----------------------------------------
 
 constexpr ScanKernel kScalarKernel{ScanKernelKind::kScalar, "scalar",
-                                   &fill_scalar, &mask_scalar};
+                                   &fill_scalar, &mask_scalar,
+                                   &select_scalar};
 #ifdef BYTECACHE_X86
 constexpr ScanKernel kSse2Kernel{ScanKernelKind::kSse2, "sse2", &fill_ilp4,
-                                 &mask_scalar};
+                                 &mask_scalar, &select_scalar};
 // The AVX2 tier shares fill_ilp4: a vpgatherqq vector roll was measured
 // ~1.8x slower than the 4-lane GPR fill (gathers lose to scalar L1
 // loads for these table sizes), so the tier's delta is the vectorized
-// SAMPLEBYTE membership classification.
+// SAMPLEBYTE membership classification and value-sampling selection.
 constexpr ScanKernel kAvx2Kernel{ScanKernelKind::kAvx2, "avx2", &fill_ilp4,
-                                 &detail::mask_avx2};
+                                 &detail::mask_avx2, &detail::select_avx2};
 #endif
-
-bool env_flag_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
 
 const ScanKernel* detect() {
+  // The kill switch always wins (util::simd() reports nothing under it).
+  const util::SimdFeatures simd = util::simd();
+  if (!simd.enabled) return &kScalarKernel;
   const ScanKernel* best = &kScalarKernel;
 #ifdef BYTECACHE_X86
-  best = &kSse2Kernel;
-  if (__builtin_cpu_supports("avx2")) best = &kAvx2Kernel;
+  best = simd.avx2 ? &kAvx2Kernel : &kSse2Kernel;
 #endif
-  // Explicit tier pin (clamped to what the CPU supports) ...
+  // Explicit tier pin, clamped to what the CPU supports.
   if (const char* v = std::getenv("BYTECACHE_SCAN_KERNEL")) {
     if (std::strcmp(v, "scalar") == 0) {
       best = &kScalarKernel;
@@ -138,8 +151,6 @@ const ScanKernel* detect() {
       best = &scan_kernel(ScanKernelKind::kAvx2);
     }
   }
-  // ... but the kill switch always wins.
-  if (env_flag_set("BYTECACHE_DISABLE_SIMD")) best = &kScalarKernel;
   return best;
 }
 
@@ -162,7 +173,7 @@ const ScanKernel& scan_kernel(ScanKernelKind kind) {
   switch (kind) {
     case ScanKernelKind::kAvx2:
 #ifdef BYTECACHE_X86
-      if (__builtin_cpu_supports("avx2")) return kAvx2Kernel;
+      if (util::cpu_simd().avx2) return kAvx2Kernel;
 #endif
       [[fallthrough]];
     case ScanKernelKind::kSse2:
@@ -181,6 +192,7 @@ bool scan_kernel_available(ScanKernelKind kind) {
 }
 
 void refresh_scan_kernel() {
+  util::refresh_simd();
   g_kernel.store(detect(), std::memory_order_release);
 }
 

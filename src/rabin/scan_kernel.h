@@ -28,13 +28,17 @@
 //   kAvx2    same block-split fill as kSse2 — a vpgatherqq-based vector
 //            roll was implemented and measured ~1.8x SLOWER than the
 //            4-lane GPR fill on the target Xeon (gather throughput loses
-//            to two scalar L1 loads per step; see DESIGN.md §7) — plus a
-//            genuinely vector SAMPLEBYTE membership path: 32 bytes per
-//            step classified against the 256-bit sample bitmap with
-//            nibble pshufb lookups.
+//            to two scalar L1 loads per step; see DESIGN.md §7) — plus
+//            two genuinely vector classifiers: SAMPLEBYTE membership (32
+//            bytes per step against the 256-bit sample bitmap with
+//            nibble pshufb lookups) and value-sampling selection (4
+//            fingerprints per step, compare + movemask).
 //
-// Selection (value sampling / MAXP / SAMPLEBYTE skip walk) stays scalar
-// and runs as a second phase over the filled arrays — see window.cc.
+// Value sampling and SAMPLEBYTE run as phases over the filled arrays:
+// the kernel classifies positions into 64-bit mask words and window.cc
+// walks the set bits with tzcnt.  MAXP's queue and the SAMPLEBYTE skip
+// walk stay scalar.  Which tier runs follows util/simd.h, the dispatch
+// rule the CRC-32 and GF(256) kernels share.
 
 #include <array>
 #include <cstddef>
@@ -64,9 +68,15 @@ struct ScanKernel {
   void (*member_mask)(const std::array<std::uint64_t, 4>& set,
                       const std::uint8_t* p, std::size_t n,
                       std::uint64_t* masks);
+
+  /// Sets bit i of masks[] iff fps[i] is value-sampling selected (its
+  /// low `select_bits` bits are zero, rabin::selected).  masks must hold
+  /// (n + 63) / 64 words; bits past n are written zero.
+  void (*select_mask)(const Fingerprint* fps, std::size_t n,
+                      unsigned select_bits, std::uint64_t* masks);
 };
 
-/// The dispatched kernel: best tier the CPU supports, unless overridden
+/// The dispatched kernel: best tier util::simd() allows, unless overridden
 /// by environment (`BYTECACHE_DISABLE_SIMD=1` forces scalar;
 /// `BYTECACHE_SCAN_KERNEL=scalar|sse2|avx2` pins a tier, clamped to what
 /// the CPU supports).  Detection runs once and is cached; call
@@ -80,7 +90,9 @@ struct ScanKernel {
 /// True if `kind` is compiled in and supported by this CPU.
 [[nodiscard]] bool scan_kernel_available(ScanKernelKind kind);
 
-/// Re-runs CPUID + environment detection (after setenv in tests).
+/// Re-reads the environment (util::refresh_simd, so the CRC-32 and
+/// GF(256) tiers follow too) and re-runs detection (after setenv in
+/// tests).
 void refresh_scan_kernel();
 
 /// RAII override of the dispatched kernel for tests/benches.  Not

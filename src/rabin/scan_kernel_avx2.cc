@@ -3,12 +3,13 @@
 // every function carries a target("avx2") attribute so the file builds
 // without -mavx2 and the library as a whole stays baseline-ISA.
 // Dispatch in scan_kernel.cc guarantees these functions are only ever
-// called after __builtin_cpu_supports("avx2").
+// called when util::cpu_simd() reports avx2.
 //
-// Only SAMPLEBYTE membership lives here: the fingerprint fill is shared
-// with the sse2 tier (block-split GPR lanes) because a vpgatherqq-based
-// vector roll measured ~1.8x slower on the target Xeon — the two table
-// lookups per step come straight from L1 and beat gather throughput.
+// Only the classifiers live here (SAMPLEBYTE membership, value-sampling
+// selection): the fingerprint fill is shared with the sse2 tier
+// (block-split GPR lanes) because a vpgatherqq-based vector roll
+// measured ~1.8x slower on the target Xeon — the two table lookups per
+// step come straight from L1 and beat gather throughput.
 
 #include "rabin/scan_kernel.h"
 
@@ -78,6 +79,45 @@ __attribute__((target("avx2"))) void mask_avx2(
       const std::uint8_t b = p[k];
       const std::uint64_t bit = (set[b >> 6] >> (b & 63u)) & 1u;
       m |= bit << (k - i);
+    }
+    masks[word] = m;
+  }
+}
+
+// Selection bits of fps[0..3]: bit k set iff (fps[k] & low) == 0.
+__attribute__((target("avx2"))) inline std::uint64_t select4(
+    const Fingerprint* fps, __m256i low) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fps));
+  const __m256i hit = _mm256_cmpeq_epi64(_mm256_and_si256(v, low),
+                                         _mm256_setzero_si256());
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_pd(_mm256_castsi256_pd(hit)));
+}
+
+// Value-sampling selection, 4 fingerprints per step: AND with the low-bit
+// mask, compare to zero, movemask the 64-bit lanes into the mask word.
+// No branch per position, so no misprediction per anchor.
+__attribute__((target("avx2"))) void select_avx2(const Fingerprint* fps,
+                                                 std::size_t n,
+                                                 unsigned select_bits,
+                                                 std::uint64_t* masks) {
+  const std::uint64_t low = (std::uint64_t{1} << select_bits) - 1;
+  const __m256i lowv = _mm256_set1_epi64x(static_cast<long long>(low));
+  std::size_t i = 0;
+  std::size_t word = 0;
+  for (; i + 64 <= n; i += 64, ++word) {
+    std::uint64_t m = 0;
+    for (unsigned k = 0; k < 16; ++k) {
+      m |= select4(fps + i + 4 * k, lowv) << (4 * k);
+    }
+    masks[word] = m;
+  }
+  if (i < n) {
+    std::uint64_t m = 0;
+    std::size_t k = 0;
+    for (; i + k + 4 <= n; k += 4) m |= select4(fps + i + k, lowv) << k;
+    for (; i + k < n; ++k) {
+      m |= static_cast<std::uint64_t>((fps[i + k] & low) == 0) << k;
     }
     masks[word] = m;
   }

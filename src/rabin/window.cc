@@ -31,13 +31,14 @@ std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
 //   scalar kernel  the original fused single pass — scan() inlines the
 //                  selection into the roll loop.  This is the oracle and
 //                  the BYTECACHE_DISABLE_SIMD=1 fallback.
-//   SIMD kernels   two phases: the dispatched kernel fills a
-//                  per-position fingerprint array (K independent lanes,
-//                  each warmed up from scratch so lane values are
-//                  bit-identical to the serial roll), then selection
-//                  runs scalar over the array.  Selection decouples from
-//                  the byte-serial hash exactly as in Anand et al.
-//                  (SIGMETRICS 2009), which is what makes the split pay.
+//   SIMD kernels   phases: the dispatched kernel fills a per-position
+//                  fingerprint array (K independent lanes, each warmed
+//                  up from scratch so lane values are bit-identical to
+//                  the serial roll), classifies the positions into mask
+//                  words, and the set bits are walked in order.
+//                  Selection decouples from the byte-serial hash exactly
+//                  as in Anand et al. (SIGMETRICS 2009), which is what
+//                  makes the split pay.
 
 void selected_anchors_into(const RabinTables& tables, util::BytesView payload,
                            unsigned select_bits, std::vector<Anchor>& out,
@@ -72,12 +73,18 @@ void append_selected_anchors(const RabinTables& tables,
     return;
   }
   const std::size_t positions = last - first;
+  const std::size_t words = (positions + 63) / 64;
   scan_ws.fps.resize(positions);
+  scan_ws.masks.resize(words);
   kernel.fill_fingerprints(tables, span.data(), span.size(),
                            scan_ws.fps.data());
+  kernel.select_mask(scan_ws.fps.data(), positions, select_bits,
+                     scan_ws.masks.data());
   const Fingerprint* fps = scan_ws.fps.data();
-  for (std::size_t i = 0; i < positions; ++i) {
-    if (selected(fps[i], select_bits)) {
+  for (std::size_t word = 0; word < words; ++word) {
+    for (std::uint64_t m = scan_ws.masks[word]; m != 0; m &= m - 1) {
+      const std::size_t i =
+          (word << 6) + static_cast<std::size_t>(std::countr_zero(m));
       out.push_back(Anchor{static_cast<std::uint16_t>(first + i), fps[i]});
     }
   }

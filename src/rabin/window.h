@@ -122,14 +122,14 @@ class ScanSink {
 std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
                         ScanSink sink);
 
-/// Reusable buffers for the two-phase anchor-selection paths (kernel
-/// fill + scalar select — see scan_kernel.h).  Encoder and Decoder each
-/// own one, so steady-state selection never touches the allocator.  With
-/// the scalar kernel dispatched, selection runs fused (the original
+/// Reusable buffers for the phased anchor-selection paths (kernel fill,
+/// kernel classify, bit walk — see scan_kernel.h).  Encoder and Decoder
+/// each own one, so steady-state selection never touches the allocator.
+/// With the scalar kernel dispatched, selection runs fused (the original
 /// single-pass code) and these buffers stay untouched.
 struct ScanScratch {
   std::vector<Fingerprint> fps;          // per-position fingerprints
-  std::vector<std::uint64_t> masks;      // SAMPLEBYTE membership bitset
+  std::vector<std::uint64_t> masks;      // selection / membership bitset
   std::vector<std::uint32_t> positions;  // SAMPLEBYTE anchor positions
 };
 

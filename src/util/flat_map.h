@@ -10,12 +10,17 @@
 // `select_bits` bits are zero by construction, so the raw value must
 // never be used as an index), and deletes by backward shifting instead
 // of tombstones, so lookup cost never degrades with churn.  Capacity is
-// a power of two; the load factor is kept at or below 3/4.
+// a power of two; the load factor is kept at or below 3/4.  Slot arrays
+// of 2 MiB or more sit on huge pages (util/huge_pages.h): the
+// fingerprint index is probed at random across megabytes, and on 4 KiB
+// pages nearly every probe also missed the TLB.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/huge_pages.h"
 
 namespace bytecache::util {
 
@@ -102,12 +107,21 @@ class FlatMap64 {
   /// Removes `key` if present; backward-shifts the probe chain so no
   /// tombstone is left behind.  Returns true if an entry was removed.
   bool erase(std::uint64_t key) {
+    return erase_if(key, [](const V&) { return true; });
+  }
+
+  /// Removes `key` if present and `pred(value)` holds, in one probe (a
+  /// find() then erase() walks the chain twice).  Returns true if an
+  /// entry was removed.
+  template <typename Pred>
+  bool erase_if(std::uint64_t key, Pred&& pred) {
     std::size_t i = mix64(key) & mask_;
     while (true) {
       if (!slots_[i].used) return false;
       if (slots_[i].key == key) break;
       i = (i + 1) & mask_;
     }
+    if (!pred(static_cast<const V&>(slots_[i].value))) return false;
     // Knuth Vol. 3, 6.4 Algorithm R: refill the hole with any later
     // element of the probe chain whose home slot does not lie cyclically
     // inside (i, j], repeating until a gap terminates the chain.
@@ -155,8 +169,10 @@ class FlatMap64 {
     std::uint8_t used = 0;
   };
 
+  using Slots = std::vector<Slot, HugePageAllocator<Slot>>;
+
   void rehash(std::size_t new_capacity) {
-    std::vector<Slot> old = std::move(slots_);
+    Slots old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
     mask_ = new_capacity - 1;
     size_ = 0;
@@ -165,7 +181,7 @@ class FlatMap64 {
     }
   }
 
-  std::vector<Slot> slots_;
+  Slots slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

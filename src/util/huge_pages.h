@@ -1,0 +1,59 @@
+// Huge-page backed memory for the data plane's large arrays: the
+// SliceArena's 2 MiB payload areas and the FlatMap64 slot arrays of the
+// fingerprint index (8 MiB per codec at the default cache size).
+//
+// Blocks of kHugePageBytes or more are allocated 2 MiB-aligned and
+// hinted MADV_HUGEPAGE on Linux, so with transparent huge pages in
+// `madvise` mode (or `always`) each 2 MiB of a table costs one TLB entry
+// instead of 512.  On a random-probe table far larger than the TLB's
+// 4 KiB reach, that removes a page walk from nearly every probe.  The
+// hint is advisory: a kernel without THP backs the block with ordinary
+// pages.
+#pragma once
+
+#include <cstddef>
+#include <new>
+
+namespace bytecache::util {
+
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// A block of `bytes` rounded up to whole huge pages, 2 MiB-aligned and
+/// hinted for huge pages.  Throws std::bad_alloc; release with
+/// huge_free.
+[[nodiscard]] void* huge_alloc(std::size_t bytes);
+void huge_free(void* p) noexcept;
+
+/// std::allocator drop-in: arrays of kHugePageBytes or more come from
+/// huge_alloc, smaller ones from operator new.  deallocate() sees the
+/// same element count, so it takes the same branch.
+template <typename T>
+struct HugePageAllocator {
+  using value_type = T;
+
+  HugePageAllocator() = default;
+  template <typename U>
+  HugePageAllocator(const HugePageAllocator<U>&) {}  // NOLINT
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes >= kHugePageBytes) return static_cast<T*>(huge_alloc(bytes));
+    return static_cast<T*>(::operator new(bytes));
+  }
+
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) >= kHugePageBytes) {
+      huge_free(p);
+    } else {
+      ::operator delete(p);
+    }
+  }
+
+  template <typename U>
+  friend bool operator==(const HugePageAllocator&,
+                         const HugePageAllocator<U>&) {
+    return true;
+  }
+};
+
+}  // namespace bytecache::util

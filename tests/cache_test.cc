@@ -130,6 +130,58 @@ TEST(FingerprintTable, Clear) {
   EXPECT_EQ(t.size(), 0u);
 }
 
+std::vector<rabin::Anchor> anchors_of(
+    std::initializer_list<rabin::Fingerprint> fps) {
+  std::vector<rabin::Anchor> v;
+  std::uint16_t off = 0;
+  for (rabin::Fingerprint fp : fps) v.push_back(rabin::Anchor{off++, fp});
+  return v;
+}
+
+TEST(FingerprintTable, PurgeErasesExactlyTheEntriesThePacketOwns) {
+  FingerprintTable t;
+  // Packet 1 lists 0x10 twice; packet 2 later takes over 0x20 and 0x30.
+  const std::vector<rabin::Fingerprint> fps1 = {0x10, 0x20, 0x10, 0x30,
+                                                0x40};
+  t.put_anchors(1, anchors_of({0x10, 0x20, 0x10, 0x30, 0x40}));
+  t.put_anchors(2, anchors_of({0x20, 0x30, 0x50}));
+  ASSERT_EQ(t.owned(1), 2u);  // 0x10 (once) and 0x40
+  ASSERT_EQ(t.owned(2), 3u);
+
+  EXPECT_EQ(t.purge(1, fps1), 2u);
+  EXPECT_EQ(t.owned(1), 0u);
+  EXPECT_FALSE(t.get(0x10).has_value());
+  EXPECT_FALSE(t.get(0x40).has_value());
+  // The newer packet's overwrites survive the old packet's purge.
+  for (const rabin::Fingerprint fp : {0x20, 0x30, 0x50}) {
+    const auto e = t.get(fp);
+    ASSERT_TRUE(e.has_value()) << fp;
+    EXPECT_EQ(e->packet_id, 2u) << fp;
+  }
+  EXPECT_EQ(t.owned(2), 3u);
+  EXPECT_EQ(t.size(), 3u);
+  t.audit_owner_counts();
+
+  // Nothing left to purge: a second purge erases nothing.
+  EXPECT_EQ(t.purge(1, fps1), 0u);
+  EXPECT_EQ(t.size(), 3u);
+}
+
+TEST(FingerprintTable, PurgeStopsOnceOwnedEntriesAreGone) {
+  FingerprintTable t;
+  t.put_anchors(3, anchors_of({0x100, 0x200, 0x300}));
+  // Claim one entry fewer than the table holds: the walk stops after
+  // the second erase, so the third entry is never reached.  (With a
+  // true count the early stop only skips entries the packet cannot own.)
+  t.skew_owner_count_for_test(3, -1);
+  EXPECT_EQ(t.purge(3, std::vector<rabin::Fingerprint>{0x100, 0x200, 0x300}),
+            2u);
+  EXPECT_EQ(t.owned(3), 0u);
+  EXPECT_FALSE(t.get(0x100).has_value());
+  EXPECT_FALSE(t.get(0x200).has_value());
+  EXPECT_TRUE(t.get(0x300).has_value());
+}
+
 // -------------------------------------------------- L2-less CacheTier --
 // (The suite keeps the name of the flat cache class these tests were
 // written against, which CacheTier absorbed, so test ids stay stable.)

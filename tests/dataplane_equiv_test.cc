@@ -160,6 +160,46 @@ TEST(FlatMapEquiv, RandomOpsMatchUnorderedMap) {
   EXPECT_EQ(visited, ref.size());
 }
 
+// erase_if is the one-probe form of find-then-erase: the same erasures
+// in the same order must leave the same slot layout, which for_each's
+// visiting order exposes.  Both maps are sized past 2 MiB of slots, so
+// they sit on the huge-page allocation path.
+TEST(FlatMapEquiv, EraseIfKeepsTheFindThenEraseLayout) {
+  util::FlatMap64<std::uint64_t> one_probe;
+  util::FlatMap64<std::uint64_t> two_probe;
+  one_probe.reserve(150000);
+  two_probe.reserve(150000);
+  ASSERT_GE(one_probe.capacity() * 3 * sizeof(std::uint64_t),
+            util::kHugePageBytes);
+  Rng rng(testutil::test_seed(106));
+  for (int op = 0; op < 200000; ++op) {
+    const std::uint64_t key = rng.uniform(0, 60000) << 4;
+    const std::uint64_t value = rng.uniform(0, 3);
+    if (rng.uniform(0, 2) != 0) {
+      one_probe.put(key, value);
+      two_probe.put(key, value);
+      continue;
+    }
+    // Erase only entries holding `value`, as the purge erases only the
+    // entries its packet still owns.
+    const bool erased = one_probe.erase_if(
+        key, [&](const std::uint64_t& v) { return v == value; });
+    const std::uint64_t* found = two_probe.find(key);
+    const bool match = found != nullptr && *found == value;
+    if (match) two_probe.erase(key);
+    ASSERT_EQ(erased, match) << "op " << op;
+  }
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const auto visit = [](const util::FlatMap64<std::uint64_t>& map) {
+    Pairs out;
+    map.for_each(
+        [&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); });
+    return out;
+  };
+  EXPECT_EQ(visit(one_probe), visit(two_probe));
+  EXPECT_EQ(one_probe.size(), two_probe.size());
+}
+
 TEST(FingerprintTableEquiv, RandomOpsMatchReferenceModel) {
   cache::FingerprintTable table;
   std::unordered_map<std::uint64_t, cache::FpEntry> ref;

@@ -8,6 +8,7 @@
 #include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/hexdump.h"
+#include "util/huge_pages.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/seqcmp.h"
@@ -87,6 +88,24 @@ TEST(Crc32, SeedContinuation) {
 }
 
 // --------------------------------------------------------------- rng.h --
+
+// ------------------------------------------------------ huge_pages.h --
+
+TEST(HugePages, LargeArraysAreHugePageAligned) {
+  HugePageAllocator<std::uint64_t> alloc;
+  const std::size_t big = kHugePageBytes / sizeof(std::uint64_t) + 1;
+  std::uint64_t* p = alloc.allocate(big);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes, 0u);
+  p[0] = 1;
+  p[big - 1] = 2;  // the rounded block covers the whole array
+  EXPECT_EQ(p[0] + p[big - 1], 3u);
+  alloc.deallocate(p, big);
+  // Small arrays take the ordinary heap path.
+  std::uint64_t* q = alloc.allocate(16);
+  q[15] = 7;
+  EXPECT_EQ(q[15], 7u);
+  alloc.deallocate(q, 16);
+}
 
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);

@@ -50,10 +50,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-# ISA extensions relevant to the scan-kernel dispatch (rabin/scan_kernel.h)
-# — recorded per entry so a number can always be traced to the silicon and
-# kernel tier that produced it.
-_KERNEL_FLAGS = ("sse2", "avx", "avx2", "avx512f", "bmi2", "neon", "asimd")
+# ISA extensions relevant to the kernel dispatch (util/simd.h: scan, CRC-32,
+# GF(256)) — recorded per entry so a number can always be traced to the
+# silicon and kernel tier that produced it.
+_KERNEL_FLAGS = ("sse2", "avx", "avx2", "avx512f", "bmi2", "pclmulqdq",
+                 "neon", "asimd")
 
 
 def detect_cpu_flags():
