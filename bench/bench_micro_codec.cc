@@ -1,10 +1,14 @@
 // Microbenchmarks: encoder/decoder throughput and cache operations.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "cache/cache_tier.h"
+#include "cache/fingerprint_table.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "core/factory.h"
+#include "core/matcher.h"
 #include "fec/gf256.h"
 #include "packet/packet.h"
 #include "packet/tcp.h"
@@ -126,6 +130,123 @@ void BM_CacheFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheFind);
+
+// A copied byte's costs: growing a fingerprint hit into the whole
+// repeated region, and pointing a packet's fingerprints at it in the
+// index (and purging them when it leaves).
+
+// One hit in the middle of a 1,460-byte payload the stored one repeats
+// in full: the match grows 722 bytes left and 722 right.
+void BM_ExpandMatch(benchmark::State& state) {
+  util::Rng rng(9);
+  util::Bytes payload(1460);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+  const util::Bytes stored = payload;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::expand_match(payload, 722, stored, 722, 16, 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_ExpandMatch);
+
+// The index of one codec with a 2 MiB L1 (262,144 slots) holding
+// churn_mix's ~140k entries: kIndexPackets live packets of one MSS
+// payload's anchors each, oldest evicted first.
+constexpr std::size_t kAnchorsPerPacket = 1460 / cache::kBytesPerAnchor;
+constexpr std::size_t kIndexPackets = 140000 / kAnchorsPerPacket;
+
+struct IndexRig {
+  cache::FingerprintTable table;
+  /// Anchor list of each packet; one more than are live, so the list
+  /// put next was purged when its last owner left.
+  std::vector<std::vector<rabin::Anchor>> lists;
+  std::vector<rabin::Fingerprint> fps;  // scratch: one list's fingerprints
+  std::uint64_t next_id = 1;
+
+  IndexRig() : lists(kIndexPackets + 1) {
+    table.reserve((std::size_t{2} << 20) / cache::kBytesPerAnchor);
+    util::Rng rng(10);
+    for (auto& list : lists) {
+      for (std::size_t i = 0; i < kAnchorsPerPacket; ++i) {
+        list.push_back(rabin::Anchor{
+            static_cast<std::uint16_t>(i * cache::kBytesPerAnchor),
+            rng.next_u64() << 4});
+      }
+    }
+    for (std::size_t k = 0; k < kIndexPackets; ++k) {
+      const std::uint64_t id = next_id++;
+      table.put_anchors(id, list_of(id));
+    }
+  }
+
+  /// Live packet ids are [next_id - kIndexPackets, next_id); packet `id`
+  /// holds list id % lists.size().
+  [[nodiscard]] const std::vector<rabin::Anchor>& list_of(
+      std::uint64_t id) const {
+    return lists[id % lists.size()];
+  }
+
+  /// Evicts the oldest packet (purging what it still owns); returns the
+  /// number of entries purged and the purge's duration in seconds.
+  double purge_oldest(std::size_t& purged) {
+    const std::uint64_t oldest = next_id - kIndexPackets;
+    fps.clear();
+    for (const rabin::Anchor& a : list_of(oldest)) fps.push_back(a.fp);
+    const auto t0 = std::chrono::steady_clock::now();
+    purged = table.purge(oldest, fps);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  }
+};
+
+// Arg 0: a literal packet's fingerprints, all new to the index (the
+// oldest packet is purged untimed first, holding occupancy steady).
+// Arg 1: a copied packet's fingerprints, every one taken over from the
+// older packet that held the same content (hot_replay's case).
+void BM_IndexPutAnchors(benchmark::State& state) {
+  IndexRig rig;
+  const bool copied = state.range(0) != 0;
+  for (auto _ : state) {
+    std::size_t purged = 0;
+    if (!copied) (void)rig.purge_oldest(purged);
+    const std::uint64_t id = rig.next_id++;
+    // A copy cycles through the lists the initial fill put (never the
+    // spare), so each of its entries has an owner to take over from.
+    const auto& anchors =
+        copied ? rig.lists[1 + id % kIndexPackets] : rig.list_of(id);
+    const auto t0 = std::chrono::steady_clock::now();
+    rig.table.put_anchors(id, anchors);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+  state.counters["entries"] = static_cast<double>(rig.table.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kAnchorsPerPacket));
+}
+BENCHMARK(BM_IndexPutAnchors)->Arg(0)->Arg(1)->UseManualTime();
+
+// The eviction purge of a packet that still owns all its entries, then
+// (untimed) a literal packet's put to refill the index.
+void BM_IndexPurge(benchmark::State& state) {
+  IndexRig rig;
+  std::size_t total = 0;
+  for (auto _ : state) {
+    std::size_t purged = 0;
+    state.SetIterationTime(rig.purge_oldest(purged));
+    total += purged;
+    const std::uint64_t id = rig.next_id++;
+    rig.table.put_anchors(id, rig.list_of(id));
+  }
+  benchmark::DoNotOptimize(total);
+  state.counters["entries"] = static_cast<double>(rig.table.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kAnchorsPerPacket));
+}
+BENCHMARK(BM_IndexPurge)->UseManualTime();
 
 // The per-byte kernels every literal pays for, dispatched (util/simd.h)
 // and as their scalar references, over one MSS payload.  The label

@@ -11,18 +11,17 @@ CacheTier::CacheTier(const CacheConfig& config, L2Store* l2)
     : store_(config), config_(config) {
   store_.set_evict_listener(this);
   if (config.l1_bytes > 0) {
-    // One selected fingerprint per 2^select_bits = 16 payload bytes at the
-    // paper's parameters: pre-size the table so steady state never
-    // rehashes.
-    table_.reserve(config.l1_bytes / 16);
+    // Pre-sized at kBytesPerAnchor so steady state never rehashes.
+    table_.reserve(config.l1_bytes / kBytesPerAnchor);
   }
   if (l2 != nullptr) {
     BC_CHECK(l2->config().l2_bytes == config.l2_bytes &&
              l2->config().per_host_pair_bytes == config.per_host_pair_bytes)
         << "CacheTier and its L2Store were built from different configs";
     stripe_ = l2->attach(table_);
-    // The L1's density (one fingerprint per 16 bytes) over both tiers.
-    table_.reserve((config.l1_bytes + stripe_->share_bytes()) / 16);
+    // The L1's density over both tiers.
+    table_.reserve((config.l1_bytes + stripe_->share_bytes()) /
+                   kBytesPerAnchor);
   }
 }
 
@@ -253,8 +252,9 @@ bool CacheTier::load_l1(SnapshotReader& r) {
     const std::uint32_t len = r.u32();
     const util::BytesView payload = r.bytes(len);
     // PacketStore::restore trusts its input: a zero or duplicate id would
-    // corrupt the id index, so reject the snapshot instead.
-    if (!r.ok() || id == 0 || store_.contains(id)) return false;
+    // corrupt the id index, and one past the 48-bit id field would be
+    // truncated in the fingerprint index, so reject the snapshot instead.
+    if (!r.ok() || !valid_packet_id(id) || store_.contains(id)) return false;
     // The payload is copied straight from the snapshot into the store's
     // arena — no intermediate owning buffer.
     restore_packet(id, payload, meta);
@@ -376,7 +376,9 @@ bool CacheTier::load_tier(SnapshotReader& r) {
   for (std::uint32_t i = 0; i < patched; ++i) {
     const std::uint64_t id = r.u64();
     const std::uint64_t host_key = r.u64();
-    // A patch naming an absent packet cannot come from save().
+    // A patch naming an absent packet cannot come from save().  (The
+    // lookup takes the whole u64, so an id past the 48-bit field is
+    // absent, never truncated onto another packet.)
     if (!r.ok() || !store_.contains(id)) return reject(r);
     store_.set_host_key(id, host_key);
   }
@@ -434,7 +436,9 @@ bool CacheTier::load_incremental(SnapshotReader& r) {
           if (anch.offset >= plen) bad = true;
           anchors.push_back(anch);
         }
-        if (bad) br.fail();
+        // The update takes the store's next id, which must still fit
+        // the 48-bit id field.
+        if (bad || !valid_packet_id(store_.next_id())) br.fail();
         if (!br.ok()) break;
         // Replays through the normal update path, so the replayed state
         // obeys every tier invariant the live one did.

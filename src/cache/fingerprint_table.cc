@@ -10,10 +10,13 @@ namespace bytecache::cache {
 
 void FingerprintTable::put(rabin::Fingerprint fp, FpEntry entry) {
   if (entry.packet_id == 0) return;
+  BC_CHECK(entry.packet_id < kPacketIdLimit)
+      << "fingerprint entry names id " << entry.packet_id
+      << ", past the 48-bit id field";
   bool inserted = false;
-  FpEntry& slot = map_.upsert(fp, inserted);
-  const std::uint64_t previous = inserted ? 0 : slot.packet_id;
-  slot = entry;
+  Packed& slot = map_.upsert(fp, inserted);
+  const std::uint64_t previous = inserted ? 0 : unpack(slot).packet_id;
+  slot = pack(entry.packet_id, entry.offset);
   if (previous == entry.packet_id) return;
   if (previous != 0) disown(previous, 1);
   bool fresh = false;
@@ -39,19 +42,20 @@ void FingerprintTable::put_anchors(std::uint64_t id,
     if (i + kProbeAhead < n) map_.prefetch(anchors[i + kProbeAhead].fp);
     const rabin::Anchor& a = anchors[i];
     bool inserted = false;
-    FpEntry& slot = map_.upsert(a.fp, inserted);
+    Packed& slot = map_.upsert(a.fp, inserted);
     if (inserted) {
       ++gained;
-    } else if (slot.packet_id != id) {
-      if (slot.packet_id != run_owner) {
+    } else if (const std::uint64_t owner = unpack(slot).packet_id;
+               owner != id) {
+      if (owner != run_owner) {
         if (run_len != 0) disown(run_owner, run_len);
-        run_owner = slot.packet_id;
+        run_owner = owner;
         run_len = 0;
       }
       ++run_len;
       ++gained;
     }
-    slot = FpEntry{id, a.offset};
+    slot = pack(id, a.offset);
   }
   if (run_len != 0) disown(run_owner, run_len);
   if (gained != 0) {
@@ -89,11 +93,11 @@ void FingerprintTable::probe_batch(std::span<const rabin::Anchor> anchors,
   for (std::size_t i = 0; i < warm; ++i) map_.prefetch(anchors[i].fp);
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kProbeAhead < n) map_.prefetch(anchors[i + kProbeAhead].fp);
-    const FpEntry* e = map_.find(anchors[i].fp);
+    const Packed* e = map_.find(anchors[i].fp);
     if (e == nullptr) {
       out[i].found = false;
     } else {
-      out[i].entry = *e;
+      out[i].entry = unpack(*e);
       out[i].found = true;
     }
   }
@@ -102,7 +106,7 @@ void FingerprintTable::probe_batch(std::span<const rabin::Anchor> anchors,
 std::size_t FingerprintTable::audit(const PacketStore& store) const {
   if (!util::kAuditEnabled) return 0;
   std::size_t stale = 0;
-  map_.for_each([&](std::uint64_t fp, const FpEntry& entry) {
+  for_each([&](std::uint64_t fp, const FpEntry& entry) {
     BC_AUDIT(entry.packet_id != 0 && entry.packet_id < store.next_id())
         << "fingerprint 0x" << std::hex << fp << std::dec
         << " references id " << entry.packet_id
@@ -124,7 +128,7 @@ std::size_t FingerprintTable::audit(const PacketStore& store) const {
 void FingerprintTable::audit_owner_counts() const {
   if (!util::kAuditEnabled) return;
   util::FlatMap64<std::uint32_t> tally;
-  map_.for_each([&](std::uint64_t, const FpEntry& entry) {
+  for_each([&](std::uint64_t, const FpEntry& entry) {
     bool inserted = false;
     ++tally.upsert(entry.packet_id, inserted);
   });

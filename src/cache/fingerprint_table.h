@@ -13,6 +13,13 @@
 // memory is bounded by the live cache contents; lazy invalidation at
 // lookup time remains as defense in depth.
 //
+// A slot is 16 bytes: the fingerprint and one packed word holding the
+// packet id (high 48 bits) and the window offset (low 16).  Ids start at
+// 1, so a stored word is never zero and a zero word marks an empty slot
+// (util::EmptySlot::kZeroValue); PacketStore keeps ids below
+// kPacketIdLimit, the 48-bit bound, and every snapshot restore rejects a
+// larger one.
+//
 // The table also counts, per packet id, the entries naming that packet.
 // A departing packet whose count is zero — every fingerprint it held was
 // overwritten by a newer copy, the common case on repetitive traffic —
@@ -23,13 +30,12 @@
 #include <optional>
 #include <span>
 
+#include "cache/packet_store.h"
 #include "util/flat_map.h"
 #include "rabin/rabin.h"
 #include "rabin/window.h"
 
 namespace bytecache::cache {
-
-class PacketStore;
 
 struct FpEntry {
   std::uint64_t packet_id = 0;  // PacketStore id
@@ -58,16 +64,16 @@ class FingerprintTable {
 
   /// Looks up `fp`; nullopt if absent.
   [[nodiscard]] std::optional<FpEntry> get(rabin::Fingerprint fp) const {
-    const FpEntry* e = map_.find(fp);
+    const Packed* e = map_.find(fp);
     if (e == nullptr) return std::nullopt;
-    return *e;
+    return unpack(*e);
   }
 
   /// Removes the entry for `fp` if present.
   void erase(rabin::Fingerprint fp) {
     std::uint64_t owner = 0;
-    if (map_.erase_if(fp, [&](const FpEntry& e) {
-          owner = e.packet_id;
+    if (map_.erase_if(fp, [&](Packed e) {
+          owner = unpack(e).packet_id;
           return true;
         })) {
       disown(owner, 1);
@@ -89,7 +95,8 @@ class FingerprintTable {
 
   /// Probe lookahead distance: far enough to cover an L2 miss across the
   /// ~6 probes in flight at typical anchor densities, small enough that
-  /// short anchor lists still get full coverage.
+  /// short anchor lists still get full coverage.  Re-measured with 16 B
+  /// slots: 24 won 3 of 8 interleaved churn_mix pairs against 8.
   static constexpr std::size_t kProbeAhead = 8;
 
   /// Removes the entry for `fp` only if it references `packet_id` (the
@@ -164,14 +171,25 @@ class FingerprintTable {
   /// (snapshots and audits).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    map_.for_each(fn);
+    map_.for_each([&](std::uint64_t fp, Packed e) { fn(fp, unpack(e)); });
   }
 
  private:
+  /// A slot's entry word: packet id << 16 | offset (never zero).
+  using Packed = std::uint64_t;
+  static constexpr unsigned kOffsetBits = 16;
+
+  [[nodiscard]] static Packed pack(std::uint64_t id, std::uint16_t offset) {
+    return id << kOffsetBits | offset;
+  }
+  [[nodiscard]] static FpEntry unpack(Packed e) {
+    return FpEntry{e >> kOffsetBits, static_cast<std::uint16_t>(e)};
+  }
+
   /// erase_if predicate: the entry names packet `id`.
   struct OwnedBy {
     std::uint64_t id;
-    bool operator()(const FpEntry& e) const { return e.packet_id == id; }
+    bool operator()(Packed e) const { return e >> kOffsetBits == id; }
   };
 
   /// Drops `n` entries from `packet_id`'s count, releasing the slot at 0.
@@ -185,7 +203,7 @@ class FingerprintTable {
     }
   }
 
-  util::FlatMap64<FpEntry> map_;
+  util::FlatMap64<Packed, util::EmptySlot::kZeroValue> map_;
   util::FlatMap64<std::uint32_t> owners_;  // packet id -> entries naming it
 };
 

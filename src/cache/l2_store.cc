@@ -21,9 +21,11 @@ L2Store::Stripe::Stripe(const CacheConfig& config, std::size_t share_bytes)
 std::uint32_t L2Store::Stripe::occupy(std::uint64_t id,
                                       util::BytesView payload,
                                       const PacketMeta& meta, bool warm) {
+  const bool fresh = free_.empty();
   const std::uint32_t slot = acquire_slot(slots_, free_);
   Slot& s = slots_[slot];
   const std::size_t len = payload.size();
+  if (fresh) reserve_anchor_lists(s.pkt, len);
   s.pkt.id = id;
   s.slice = arena_.alloc(len);
   if (len != 0) std::memcpy(s.slice.data, payload.data(), len);
@@ -295,7 +297,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     const std::uint32_t hit_count = r.u32();
     const std::uint32_t len = r.u32();
     const util::BytesView payload = r.bytes(len);
-    if (!r.ok() || id == 0 || id_index_.find(id) != nullptr) {
+    if (!r.ok() || !valid_packet_id(id) || id_index_.find(id) != nullptr) {
       return reject();
     }
     // Snapshots walk MRU to LRU, so appending at the cold end preserves

@@ -10,13 +10,30 @@ namespace bytecache::cache {
 void CachedPacket::copy_anchors(std::size_t first, std::size_t last,
                                 std::size_t to,
                                 std::vector<rabin::Anchor>& out) const {
-  std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(offsets.begin(), offsets.end(), first) -
-      offsets.begin());
-  for (; i < offsets.size() && offsets[i] <= last; ++i) {
-    out.push_back(rabin::Anchor{
-        static_cast<std::uint16_t>(offsets[i] - first + to), fps[i]});
+  const auto lo = std::lower_bound(offsets.begin(), offsets.end(), first);
+  const auto hi = std::upper_bound(lo, offsets.end(), last);
+  const auto begin = static_cast<std::size_t>(lo - offsets.begin());
+  const auto n = static_cast<std::size_t>(hi - lo);
+  const std::size_t base = out.size();
+  out.resize(base + n);
+  rabin::Anchor* dst = out.data() + base;
+  const std::uint16_t* off = offsets.data() + begin;
+  const rabin::Fingerprint* fp = fps.data() + begin;
+  // `to - first` may be negative; 16-bit wrap-around still gives
+  // offset - first + to exactly.
+  const auto shift = static_cast<std::uint16_t>(to - first);
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = rabin::Anchor{static_cast<std::uint16_t>(off[i] + shift), fp[i]};
   }
+}
+
+void reserve_anchor_lists(CachedPacket& pkt, std::size_t payload_bytes) {
+  if (payload_bytes == 0 || payload_bytes > SliceArena::kMaxSlice) return;
+  const std::size_t anchors =
+      SliceArena::class_size(SliceArena::class_of(payload_bytes)) /
+      kBytesPerAnchor;
+  pkt.fps.reserve(anchors);
+  pkt.offsets.reserve(anchors);
 }
 
 void audit_anchor_list(const CachedPacket& pkt) {
@@ -57,8 +74,10 @@ void PacketStore::release_slot(std::uint32_t slot) {
 PacketStore::Slot& PacketStore::occupy(std::uint64_t id,
                                        util::BytesView payload,
                                        const PacketMeta& meta, bool mru) {
+  const bool fresh = free_.empty();
   const std::uint32_t slot = acquire_slot(slots_, free_);
   Slot& s = slots_[slot];
+  if (fresh) reserve_anchor_lists(s.pkt, payload.size());
   s.pkt.id = id;
   s.slice = arena_.alloc(payload.size());
   if (!payload.empty()) {
@@ -80,6 +99,8 @@ PacketStore::Slot& PacketStore::occupy(std::uint64_t id,
 std::uint64_t PacketStore::insert(util::BytesView payload,
                                   const PacketMeta& meta,
                                   const std::vector<rabin::Anchor>& anchors) {
+  BC_CHECK(next_id_ < kPacketIdLimit)
+      << "packet id " << next_id_ << " overflows the 48-bit id field";
   Slot& s = occupy(next_id_++, payload, meta, /*mru=*/true);
   s.pkt.fps.resize(anchors.size());
   s.pkt.offsets.resize(anchors.size());

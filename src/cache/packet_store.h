@@ -34,6 +34,22 @@
 
 namespace bytecache::cache {
 
+/// Ids a store assigns stay below 2^48: the fingerprint index packs an
+/// id and a 16-bit offset into one word (cache/fingerprint_table.h).
+/// At 200k packets a second that is 44 years of one codec's traffic.
+inline constexpr std::uint64_t kPacketIdLimit = std::uint64_t{1} << 48;
+
+/// An id a store may hold: nonzero (0 is the "absent" sentinel) and
+/// below kPacketIdLimit.  Snapshot restores reject any other.
+[[nodiscard]] constexpr bool valid_packet_id(std::uint64_t id) {
+  return id != 0 && id < kPacketIdLimit;
+}
+
+/// One selected fingerprint per 2^select_bits = 16 payload bytes at the
+/// paper's parameters: the density the index and the anchor lists are
+/// sized for.
+inline constexpr std::size_t kBytesPerAnchor = 16;
+
 /// Read-only view of a cached payload.  The bytes live in the store's
 /// slice arena (or, transiently, a slot's heap fallback) and are valid
 /// exactly as long as the owning CachedPacket is live — the same
@@ -123,6 +139,11 @@ struct CachedPacket {
                     std::vector<rabin::Anchor>& out) const;
 };
 
+/// Reserves a fresh slot's anchor lists for a payload of `payload_bytes`
+/// (its arena class, at kBytesPerAnchor), so later occupants of that
+/// size fill them without touching the heap.
+void reserve_anchor_lists(CachedPacket& pkt, std::size_t payload_bytes);
+
 /// Deep check of one packet's anchor list (BC_AUDIT): fps and offsets
 /// are parallel, and a complete list is strictly ascending and inside
 /// the payload.
@@ -161,7 +182,8 @@ class PacketStore {
     listener_ = listener;
   }
 
-  /// Stores a payload copy; returns its id.  May evict LRU entries (each
+  /// Stores a payload copy under the next id (BC_CHECKed below
+  /// kPacketIdLimit); returns the id.  May evict LRU entries (each
   /// reported to the eviction listener).  `anchors` is the payload's
   /// selected anchor set, retained (fingerprints and offsets, marked
   /// complete) for the eviction purge and anchor reuse.

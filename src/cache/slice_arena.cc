@@ -12,7 +12,7 @@ SliceArena::TestHooks SliceArena::test_hooks;
 
 SliceArena::~SliceArena() {
   for (const Area& a : areas_) {
-    util::huge_free(a.base);
+    util::huge_free(a.base, kAreaBytes);
     ++test_hooks.areas_freed;
   }
 }

@@ -2,9 +2,12 @@
 //
 // A selected fingerprint that hits the cache only *suggests* a repeat —
 // different strings can share a Rabin fingerprint (paper Section III-A),
-// so the w bytes are compared first; the match is then grown byte-by-byte
-// in both directions to the maximal repeated region ("DETERMINE boundaries
-// and length len of repeated area surrounding w", Fig. 2 line B.7).
+// so the w bytes are compared first; the match is then grown in both
+// directions to the maximal repeated region ("DETERMINE boundaries and
+// length len of repeated area surrounding w", Fig. 2 line B.7).  Growth
+// compares 8 bytes per step (XOR of two unaligned loads; a zero-bit
+// count finds the first differing byte) and finishes the last < 8 bytes
+// one at a time, so the result is exactly the byte-by-byte one.
 #pragma once
 
 #include <cstdint>

@@ -14,10 +14,20 @@
 // of 2 MiB or more sit on huge pages (util/huge_pages.h): the
 // fingerprint index is probed at random across megabytes, and on 4 KiB
 // pages nearly every probe also missed the TLB.
+//
+// Slot form is the one compile-time choice (EmptySlot): by default a
+// slot carries a `used` byte next to its value; a map whose values are
+// never zero (the fingerprint index's packed {id, offset} word) marks an
+// empty slot with a zero value instead, so a slot is exactly key plus
+// value — 16 B rather than 24 or 32.  Home slot, probe order, erase
+// shifting and growth are the same code for both forms, so the same
+// operations leave the same slot layout and for_each order.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/huge_pages.h"
@@ -35,7 +45,43 @@ namespace bytecache::util {
   return x;
 }
 
+/// How a FlatMap64 slot says it is empty.
+enum class EmptySlot : std::uint8_t {
+  kUsedByte,   // a flag byte beside the value (any value may be stored)
+  kZeroValue,  // an all-zero value: the map never stores one
+};
+
+/// The slot of a FlatMap64<V, E>: key, value and the emptiness rule.
+template <typename V, EmptySlot E>
+struct FlatSlot {
+  std::uint64_t key = 0;
+  V value{};
+  std::uint8_t used = 0;
+
+  [[nodiscard]] bool occupied() const { return used != 0; }
+  void occupy() { used = 1; }
+  void vacate() { used = 0; }
+};
+
 template <typename V>
+struct FlatSlot<V, EmptySlot::kZeroValue> {
+  static_assert(sizeof(V) == sizeof(std::uint64_t) &&
+                    std::is_trivially_copyable_v<V>,
+                "a zero-value slot holds one 64-bit word");
+
+  std::uint64_t key = 0;
+  V value{};
+
+  [[nodiscard]] bool occupied() const {
+    return std::bit_cast<std::uint64_t>(value) != 0;
+  }
+  void occupy() {}  // the caller's nonzero value marks it
+  void vacate() { value = V{}; }
+};
+
+/// Under EmptySlot::kZeroValue every stored value must be nonzero, and
+/// the slot upsert() inserts must be given one before the next call.
+template <typename V, EmptySlot E = EmptySlot::kUsedByte>
 class FlatMap64 {
  public:
   FlatMap64() { rehash(kMinCapacity); }
@@ -60,7 +106,7 @@ class FlatMap64 {
   V& upsert(std::uint64_t key, bool& inserted) {
     if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
     std::size_t i = mix64(key) & mask_;
-    while (slots_[i].used) {
+    while (slots_[i].occupied()) {
       if (slots_[i].key == key) {
         inserted = false;
         return slots_[i].value;
@@ -69,7 +115,7 @@ class FlatMap64 {
     }
     slots_[i].key = key;
     slots_[i].value = V{};
-    slots_[i].used = 1;
+    slots_[i].occupy();
     ++size_;
     inserted = true;
     return slots_[i].value;
@@ -85,7 +131,7 @@ class FlatMap64 {
   /// until the next put/erase.
   [[nodiscard]] const V* find(std::uint64_t key) const {
     std::size_t i = mix64(key) & mask_;
-    while (slots_[i].used) {
+    while (slots_[i].occupied()) {
       if (slots_[i].key == key) return &slots_[i].value;
       i = (i + 1) & mask_;
     }
@@ -117,7 +163,7 @@ class FlatMap64 {
   bool erase_if(std::uint64_t key, Pred&& pred) {
     std::size_t i = mix64(key) & mask_;
     while (true) {
-      if (!slots_[i].used) return false;
+      if (!slots_[i].occupied()) return false;
       if (slots_[i].key == key) break;
       i = (i + 1) & mask_;
     }
@@ -127,10 +173,10 @@ class FlatMap64 {
     // inside (i, j], repeating until a gap terminates the chain.
     std::size_t j = i;
     while (true) {
-      slots_[i].used = 0;
+      slots_[i].vacate();
       while (true) {
         j = (j + 1) & mask_;
-        if (!slots_[j].used) {
+        if (!slots_[j].occupied()) {
           --size_;
           return true;
         }
@@ -145,7 +191,7 @@ class FlatMap64 {
   }
 
   void clear() {
-    for (Slot& s : slots_) s.used = 0;
+    for (Slot& s : slots_) s.vacate();
     size_ = 0;
   }
 
@@ -156,19 +202,14 @@ class FlatMap64 {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& s : slots_) {
-      if (s.used) fn(s.key, s.value);
+      if (s.occupied()) fn(s.key, s.value);
     }
   }
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
 
-  struct Slot {
-    std::uint64_t key = 0;
-    V value{};
-    std::uint8_t used = 0;
-  };
-
+  using Slot = FlatSlot<V, E>;
   using Slots = std::vector<Slot, HugePageAllocator<Slot>>;
 
   void rehash(std::size_t new_capacity) {
@@ -177,7 +218,7 @@ class FlatMap64 {
     mask_ = new_capacity - 1;
     size_ = 0;
     for (const Slot& s : old) {
-      if (s.used) put(s.key, s.value);
+      if (s.occupied()) put(s.key, s.value);
     }
   }
 

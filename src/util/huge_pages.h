@@ -1,14 +1,17 @@
 // Huge-page backed memory for the data plane's large arrays: the
 // SliceArena's 2 MiB payload areas and the FlatMap64 slot arrays of the
-// fingerprint index (8 MiB per codec at the default cache size).
+// fingerprint index (4 MiB per codec at the default cache size: 262,144
+// slots of 16 bytes).
 //
-// Blocks of kHugePageBytes or more are allocated 2 MiB-aligned and
-// hinted MADV_HUGEPAGE on Linux, so with transparent huge pages in
-// `madvise` mode (or `always`) each 2 MiB of a table costs one TLB entry
-// instead of 512.  On a random-probe table far larger than the TLB's
-// 4 KiB reach, that removes a page walk from nearly every probe.  The
-// hint is advisory: a kernel without THP backs the block with ordinary
-// pages.
+// Blocks of kHugePageBytes or more are mapped 2 MiB-aligned straight
+// from the kernel and hinted MADV_HUGEPAGE on Linux, so with transparent
+// huge pages in `madvise` mode (or `always`) each 2 MiB of a table costs
+// one TLB entry instead of 512.  On a random-probe table far larger than
+// the TLB's 4 KiB reach, that removes a page walk from nearly every
+// probe.  The hint is advisory: a kernel without THP backs the block
+// with ordinary pages.  Freeing unmaps the block.  (Aligned blocks from
+// the malloc heap were not given back: each rebuilt codec grew the heap
+// by tens of MiB around the small allocations pinned between them.)
 #pragma once
 
 #include <cstddef>
@@ -20,9 +23,9 @@ inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
 /// A block of `bytes` rounded up to whole huge pages, 2 MiB-aligned and
 /// hinted for huge pages.  Throws std::bad_alloc; release with
-/// huge_free.
+/// huge_free, passing the same `bytes`.
 [[nodiscard]] void* huge_alloc(std::size_t bytes);
-void huge_free(void* p) noexcept;
+void huge_free(void* p, std::size_t bytes) noexcept;
 
 /// std::allocator drop-in: arrays of kHugePageBytes or more come from
 /// huge_alloc, smaller ones from operator new.  deallocate() sees the
@@ -43,7 +46,7 @@ struct HugePageAllocator {
 
   void deallocate(T* p, std::size_t n) noexcept {
     if (n * sizeof(T) >= kHugePageBytes) {
-      huge_free(p);
+      huge_free(p, n * sizeof(T));
     } else {
       ::operator delete(p);
     }

@@ -96,6 +96,33 @@ TEST(PacketStore, PeekDoesNotTouchRecency) {
 
 // -------------------------------------------------- FingerprintTable --
 
+// A slot the slab grows by sizes its anchor lists from its payload's
+// arena class, so the list a later occupant of that size fills needs no
+// heap allocation; a recycled slot keeps that capacity.
+TEST(PacketStore, FreshSlotsReserveAnchorListsForTheirClass) {
+  CacheConfig cc;
+  cc.l1_bytes = 1460;
+  PacketStore store(cc);
+  const std::size_t want = 2048 / kBytesPerAnchor;  // 1,460 B: class 2 KiB
+  const auto first = store.insert(payload_of('a', 1460), {});
+  const CachedPacket* p = store.peek(first);
+  ASSERT_NE(p, nullptr);
+  EXPECT_GE(p->fps.capacity(), want);
+  EXPECT_GE(p->offsets.capacity(), want);
+  const rabin::Fingerprint* fps = p->fps.data();
+  const std::uint16_t* offsets = p->offsets.data();
+  // The second insert grows the slab once more and evicts the first; the
+  // third takes the first's slot and fills its lists in place.
+  (void)store.insert(payload_of('b', 1460), {});
+  const std::vector<rabin::Anchor> anchors(want, rabin::Anchor{0, 0x10});
+  const auto third = store.insert(payload_of('c', 1460), {}, anchors);
+  p = store.peek(third);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->fps.size(), want);
+  EXPECT_EQ(p->fps.data(), fps);
+  EXPECT_EQ(p->offsets.data(), offsets);
+}
+
 TEST(FingerprintTable, PutGetErase) {
   FingerprintTable t;
   t.put(0xAB, FpEntry{7, 13});

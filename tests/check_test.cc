@@ -226,6 +226,35 @@ TEST(ByteCacheAudit, StaleEntriesAreLegal) {
   EXPECT_EQ(cache.table().audit(cache.store()), 0u);
 }
 
+// ----------------------------------------------------- 48-bit id field --
+
+TEST(PacketIdBound, StoreChecksTheIdsItAssigns) {
+  PacketStore store;
+  store.restore(cache::kPacketIdLimit - 2, util::Bytes(8, 1), PacketMeta{});
+  FailureRecorder rec;
+  EXPECT_EQ(store.insert(util::Bytes(8, 2), PacketMeta{}),
+            cache::kPacketIdLimit - 1);
+  EXPECT_FALSE(rec.tripped());
+  EXPECT_EQ(store.next_id(), cache::kPacketIdLimit);
+  (void)store.insert(util::Bytes(8, 3), PacketMeta{});
+  ASSERT_TRUE(rec.tripped());
+  EXPECT_NE(rec.messages()[0].find("48-bit"), std::string::npos);
+}
+
+TEST(PacketIdBound, IndexChecksEntryIds) {
+  cache::FingerprintTable table;
+  FailureRecorder rec;
+  table.put(0xAB, cache::FpEntry{cache::kPacketIdLimit - 1, 1459});
+  EXPECT_FALSE(rec.tripped());
+  const auto e = table.get(0xAB);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->packet_id, cache::kPacketIdLimit - 1);
+  EXPECT_EQ(e->offset, 1459u);
+  table.put(0xCD, cache::FpEntry{cache::kPacketIdLimit, 0});
+  ASSERT_TRUE(rec.tripped());
+  EXPECT_NE(rec.messages()[0].find("48-bit"), std::string::npos);
+}
+
 // -------------------------------------------------------- codec audits --
 
 TEST(CodecAudit, EncoderAndDecoderStayCleanOverAStream) {

@@ -7,7 +7,9 @@
 // performance win:
 //   - template scan vs the type-erased scan vs full recomputation,
 //   - RollingWindow vs RabinTables::of at every offset,
-//   - FlatMap64 / FingerprintTable vs std::unordered_map,
+//   - FlatMap64 / FingerprintTable vs std::unordered_map, and the
+//     packed-slot form vs the used-byte form and a textbook layout,
+//   - word-wide match expansion vs a byte-at-a-time oracle,
 //   - each selection scheme vs a naive reference across a parameter
 //     sweep (maxp_p including powers of two, select_bits, SAMPLEBYTE
 //     period/skip) — parameter-dependent paths like the MAXP ring sizing
@@ -18,6 +20,8 @@
 //     entries under heavy churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "core/anchors.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
+#include "core/matcher.h"
 #include "core/policies.h"
 #include "tests/testutil.h"
 #include "util/rng.h"
@@ -198,6 +203,292 @@ TEST(FlatMapEquiv, EraseIfKeepsTheFindThenEraseLayout) {
   };
   EXPECT_EQ(visit(one_probe), visit(two_probe));
   EXPECT_EQ(one_probe.size(), two_probe.size());
+}
+
+/// Linear probing from util::mix64's home slot with backward-shift
+/// deletion over a fixed slot array, written out independently: the
+/// layout FlatMap64 promises in either slot form.
+class ReferenceLayout {
+ public:
+  explicit ReferenceLayout(std::size_t capacity)
+      : slots_(capacity), mask_(capacity - 1) {}
+
+  void put(std::uint64_t key, std::uint64_t value) {
+    const std::size_t i = locate(key);
+    if (!slots_[i].used) ++size_;
+    slots_[i] = Slot{key, value, true};
+  }
+
+  template <typename Pred>
+  bool erase_if(std::uint64_t key, Pred&& pred) {
+    const std::size_t i = locate(key);
+    if (!slots_[i].used || !pred(slots_[i].value)) return false;
+    // An entry at j may fill the hole unless its home lies cyclically in
+    // (hole, j], i.e. unless it is nearer its home than the hole is.
+    std::size_t hole = i;
+    for (std::size_t j = (i + 1) & mask_; slots_[j].used;
+         j = (j + 1) & mask_) {
+      const std::size_t from_home = (j - home(slots_[j].key)) & mask_;
+      const std::size_t from_hole = (j - hole) & mask_;
+      if (from_home >= from_hole) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].used = false;
+    --size_;
+    return true;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.used) fn(s.key, s.value);
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t value = 0;
+    bool used = false;
+  };
+
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    return util::mix64(key) & mask_;
+  }
+  /// The slot holding `key`, or the empty slot ending its probe chain.
+  [[nodiscard]] std::size_t locate(std::uint64_t key) const {
+    std::size_t i = home(key);
+    while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_;
+  std::size_t size_ = 0;
+};
+
+// The fingerprint index's 16-byte slot marks emptiness with a zero
+// packed {id, offset} word instead of a used byte.  Driven through the
+// same puts and owner-predicate erases as the purge does them, it must
+// leave the same slots filled in the same order as the used-byte form
+// and as the textbook layout, at the index's real size (4 MiB of slots,
+// on the huge-page path) and occupancy.
+TEST(FlatMapEquiv, PackedSlotKeepsLayout) {
+  util::FlatMap64<std::uint64_t, util::EmptySlot::kZeroValue> packed;
+  util::FlatMap64<std::uint64_t> used;
+  packed.reserve(140000);
+  used.reserve(140000);
+  ASSERT_EQ(packed.capacity(), used.capacity());
+  ASSERT_GE(packed.capacity() * 2 * sizeof(std::uint64_t),
+            util::kHugePageBytes);
+  ReferenceLayout reference(packed.capacity());
+  Rng rng(testutil::test_seed(113));
+  // 160k distinct keys stay under the 3/4 load bound, so no map grows.
+  for (int op = 0; op < 400000; ++op) {
+    const std::uint64_t key = rng.uniform(0, 160000) << 4;
+    const std::uint64_t id = rng.uniform(1, 64);
+    if (rng.uniform(0, 2) != 0) {
+      const std::uint64_t word = id << 16 | rng.uniform(0, 1459);
+      packed.put(key, word);
+      used.put(key, word);
+      reference.put(key, word);
+    } else {
+      const auto owned_by = [id](std::uint64_t word) {
+        return word >> 16 == id;
+      };
+      const bool erased = packed.erase_if(key, owned_by);
+      ASSERT_EQ(used.erase_if(key, owned_by), erased) << "op " << op;
+      ASSERT_EQ(reference.erase_if(key, owned_by), erased) << "op " << op;
+    }
+    ASSERT_EQ(packed.size(), used.size());
+    ASSERT_EQ(packed.size(), reference.size());
+  }
+  EXPECT_GT(packed.size(), 100000u);
+  EXPECT_EQ(packed.capacity(), used.capacity());
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const auto visit = [](const auto& map) {
+    Pairs out;
+    map.for_each(
+        [&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); });
+    return out;
+  };
+  const Pairs order = visit(packed);
+  EXPECT_EQ(order, visit(used));
+  EXPECT_EQ(order, visit(reference));
+  packed.clear();
+  EXPECT_EQ(packed.size(), 0u);
+  EXPECT_TRUE(visit(packed).empty());
+}
+
+// ------------------------------------------------------ match expansion --
+
+/// The byte-at-a-time expansion the word-wide expand_match replaced.
+std::optional<core::Match> expand_match_bytewise(
+    util::BytesView pnew, std::size_t new_off, util::BytesView stored,
+    std::size_t stored_off, std::size_t window, std::size_t min_new_begin) {
+  if (new_off + window > pnew.size() || stored_off + window > stored.size()) {
+    return std::nullopt;
+  }
+  for (std::size_t i = 0; i < window; ++i) {
+    if (pnew[new_off + i] != stored[stored_off + i]) return std::nullopt;
+  }
+  std::size_t nb = new_off;
+  std::size_t sb = stored_off;
+  while (nb > min_new_begin && sb > 0 && pnew[nb - 1] == stored[sb - 1]) {
+    --nb;
+    --sb;
+  }
+  std::size_t ne = new_off + window;
+  std::size_t se = stored_off + window;
+  while (ne < pnew.size() && se < stored.size() && pnew[ne] == stored[se]) {
+    ++ne;
+    ++se;
+  }
+  return core::Match{nb, sb, ne - nb};
+}
+
+/// expand_match and the oracle agree; returns the match (if any).
+std::optional<core::Match> expect_same_match(
+    util::BytesView pnew, std::size_t new_off, util::BytesView stored,
+    std::size_t stored_off, std::size_t window, std::size_t min_new_begin) {
+  const auto got = core::expand_match(pnew, new_off, stored, stored_off,
+                                      window, min_new_begin);
+  const auto want = expand_match_bytewise(pnew, new_off, stored, stored_off,
+                                          window, min_new_begin);
+  EXPECT_EQ(got.has_value(), want.has_value());
+  if (got && want) {
+    EXPECT_EQ(got->new_begin, want->new_begin);
+    EXPECT_EQ(got->stored_begin, want->stored_begin);
+    EXPECT_EQ(got->length, want->length);
+  }
+  return got;
+}
+
+constexpr std::size_t kMatchWindow = 16;
+
+// A stored copy of the new payload's bytes around the window with one
+// byte changed `left` bytes before the window and one `right` bytes
+// after it: expansion must stop exactly there, whatever the two
+// windows' alignment.
+TEST(MatchEquiv, MismatchAtEveryDistance) {
+  Rng rng(testutil::test_seed(114));
+  constexpr std::size_t kMargin = 24;
+  for (std::size_t new_shift = 0; new_shift < 8; ++new_shift) {
+    for (std::size_t stored_shift = 0; stored_shift < 8; stored_shift += 3) {
+      const std::size_t new_off = kMargin + new_shift;
+      const std::size_t stored_off = kMargin + stored_shift;
+      const Bytes pnew = random_bytes(rng, new_off + kMatchWindow + kMargin);
+      for (std::size_t left = 0; left <= 16; ++left) {
+        for (std::size_t right = 0; right <= 16; ++right) {
+          SCOPED_TRACE(testing::Message()
+                       << "new_shift " << new_shift << " stored_shift "
+                       << stored_shift << " left " << left << " right "
+                       << right);
+          Bytes stored(stored_off + kMatchWindow + kMargin);
+          std::copy(pnew.begin() + static_cast<std::ptrdiff_t>(
+                                       new_off - kMargin),
+                    pnew.end(),
+                    stored.begin() + static_cast<std::ptrdiff_t>(
+                                         stored_off - kMargin));
+          stored[stored_off - 1 - left] ^= 0x5A;
+          stored[stored_off + kMatchWindow + right] ^= 0xA5;
+          const auto m = expect_same_match(pnew, new_off, stored, stored_off,
+                                           kMatchWindow, 0);
+          ASSERT_TRUE(m.has_value());
+          EXPECT_EQ(m->new_begin, new_off - left);
+          EXPECT_EQ(m->stored_begin, stored_off - left);
+          EXPECT_EQ(m->length, left + kMatchWindow + right);
+        }
+      }
+    }
+  }
+}
+
+// The left bound stops expansion that would otherwise run to the
+// stored start, at every distance from the window (and past it).
+TEST(MatchEquiv, MinNewBeginAtEveryDistance) {
+  Rng rng(testutil::test_seed(115));
+  const Bytes stored = random_bytes(rng, 61);
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    // pnew[i] == stored[i - 3]: unbounded, expansion would reach the
+    // stored start, 9 + shift bytes left of the window.
+    Bytes pnew = random_bytes(rng, 3);
+    pnew.insert(pnew.end(), stored.begin(), stored.end());
+    const std::size_t new_off = 12 + shift;
+    const std::size_t stored_off = new_off - 3;
+    for (std::size_t d = 0; d <= 9; ++d) {
+      SCOPED_TRACE(testing::Message() << "shift " << shift << " d " << d);
+      const auto m = expect_same_match(pnew, new_off, stored, stored_off,
+                                       kMatchWindow, new_off - d);
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->new_begin, new_off - d);
+    }
+    (void)expect_same_match(pnew, new_off, stored, stored_off, kMatchWindow,
+                            new_off + 1);
+  }
+}
+
+// Equal payloads of every length pair up to 40 bytes: expansion runs to
+// whichever end comes first, through tails of every length mod 8, with
+// the stored payload shorter, equal or longer.
+TEST(MatchEquiv, EndsOfEveryLength) {
+  Rng rng(testutil::test_seed(116));
+  const Bytes bytes = random_bytes(rng, 48);
+  for (std::size_t new_len = kMatchWindow; new_len <= 40; ++new_len) {
+    for (std::size_t stored_len = kMatchWindow; stored_len <= 40;
+         ++stored_len) {
+      const util::BytesView pnew(bytes.data(), new_len);
+      const util::BytesView stored(bytes.data(), stored_len);
+      for (std::size_t off = 0;
+           off + kMatchWindow <= std::min(new_len, stored_len); off += 3) {
+        SCOPED_TRACE(testing::Message() << "new_len " << new_len
+                                        << " stored_len " << stored_len
+                                        << " off " << off);
+        const auto m =
+            expect_same_match(pnew, off, stored, off, kMatchWindow, 0);
+        ASSERT_TRUE(m.has_value());
+        EXPECT_EQ(m->length, std::min(new_len, stored_len));
+      }
+    }
+  }
+}
+
+// Random payloads sharing a region at random places, with random
+// bounds and windows (collisions and out-of-range windows included).
+TEST(MatchEquiv, RandomRegionsMatchOracle) {
+  Rng rng(testutil::test_seed(117));
+  for (int iter = 0; iter < 20000; ++iter) {
+    Bytes pnew = random_bytes(rng, rng.uniform(16, 200));
+    Bytes stored = random_bytes(rng, rng.uniform(16, 200));
+    const std::size_t len =
+        rng.uniform(0, std::min(pnew.size(), stored.size()));
+    const std::size_t at_new = rng.uniform(0, pnew.size() - len);
+    const std::size_t at_stored = rng.uniform(0, stored.size() - len);
+    std::copy_n(pnew.begin() + static_cast<std::ptrdiff_t>(at_new), len,
+                stored.begin() + static_cast<std::ptrdiff_t>(at_stored));
+    // Low-entropy bytes make runs of accidental equality beyond the
+    // shared region common.
+    if (iter % 4 == 0) {
+      for (auto& b : pnew) b &= 1;
+      for (auto& b : stored) b &= 1;
+    }
+    const std::size_t window = rng.uniform(1, 16);
+    // Mostly inside the shared region, sometimes just before it.
+    const std::size_t back =
+        std::min<std::size_t>({rng.uniform(0, 2), at_new, at_stored});
+    const std::size_t into = rng.uniform(0, len);
+    const std::size_t new_off = at_new + into - back;
+    const std::size_t stored_off = at_stored + into - back;
+    const std::size_t min_new_begin = rng.uniform(0, pnew.size());
+    SCOPED_TRACE(testing::Message() << "iter " << iter);
+    (void)expect_same_match(pnew, new_off, stored, stored_off, window,
+                            min_new_begin);
+    if (testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(FingerprintTableEquiv, RandomOpsMatchReferenceModel) {

@@ -2,6 +2,8 @@
 // through the versioned save/load surface (cache/snapshot.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cache/cache_tier.h"
 #include "cache/snapshot.h"
 #include "core/decoder.h"
@@ -239,33 +241,36 @@ TEST(Persist, RejectsFingerprintOffsetBeyondPayload) {
   expect_rejected_clean(snap);
 }
 
+/// A "BCC1" image holding one 4-byte packet per id and no fingerprints,
+/// crafted byte by byte.
+Bytes flat_image(const std::vector<std::uint64_t>& ids) {
+  Bytes snap;
+  util::put_u32(snap, 0x42434331);  // magic "BCC1"
+  util::put_u32(snap, static_cast<std::uint32_t>(ids.size()));
+  for (std::uint64_t id : ids) {
+    util::put_u64(snap, id);
+    util::put_u64(snap, 0);  // flow_key
+    util::put_u64(snap, 0);  // src_uid
+    util::put_u64(snap, 0);  // stream_index
+    util::put_u32(snap, 0);  // tcp_seq
+    util::put_u32(snap, 0);  // tcp_end_seq
+    util::put_u32(snap, 0);  // epoch
+    util::put_u8(snap, 0);   // has_tcp_seq
+    util::put_u32(snap, 4);  // payload length
+    util::append(snap, Bytes{'a', 'b', 'c', 'd'});
+  }
+  util::put_u32(snap, 0);  // fingerprint count
+  return snap;
+}
+
 TEST(Persist, RejectsZeroAndDuplicatePacketIds) {
   // PacketStore::restore trusts its input, so the loader must screen
   // ids: 0 is the "absent" sentinel and duplicates would corrupt the id
-  // index.  Craft the snapshots byte by byte.
-  auto make_snapshot = [](const std::vector<std::uint64_t>& ids) {
-    Bytes snap;
-    util::put_u32(snap, 0x42434331);  // magic "BCC1"
-    util::put_u32(snap, static_cast<std::uint32_t>(ids.size()));
-    for (std::uint64_t id : ids) {
-      util::put_u64(snap, id);
-      util::put_u64(snap, 0);  // flow_key
-      util::put_u64(snap, 0);  // src_uid
-      util::put_u64(snap, 0);  // stream_index
-      util::put_u32(snap, 0);  // tcp_seq
-      util::put_u32(snap, 0);  // tcp_end_seq
-      util::put_u32(snap, 0);  // epoch
-      util::put_u8(snap, 0);   // has_tcp_seq
-      util::put_u32(snap, 4);  // payload length
-      util::append(snap, Bytes{'a', 'b', 'c', 'd'});
-    }
-    util::put_u32(snap, 0);  // fingerprint count
-    return snap;
-  };
+  // index.
   cache::CacheTier ok;
-  EXPECT_TRUE(load_bytes(make_snapshot({5, 9}), ok));
-  expect_rejected_clean(make_snapshot({0}));
-  expect_rejected_clean(make_snapshot({5, 5}));
+  EXPECT_TRUE(load_bytes(flat_image({5, 9}), ok));
+  expect_rejected_clean(flat_image({0}));
+  expect_rejected_clean(flat_image({5, 5}));
 }
 
 TEST(Persist, CorruptedSnapshotNeverRestoresInvalidState) {
@@ -336,6 +341,114 @@ void tier_update(cache::CacheTier& tier, util::BytesView payload,
   cache::PacketMeta meta;
   meta.stream_index = index;
   tier.update(payload, anchors, meta);
+}
+
+// ------------------------------------------------- the 48-bit id field --
+//
+// The fingerprint index packs a packet id into 48 bits, so every restore
+// path must reject a larger id rather than let the index truncate it
+// onto another packet.
+
+/// Adds `delta` to the big-endian u64 at `at`.
+void add_to_u64(Bytes& image, std::size_t at, std::uint64_t delta) {
+  std::size_t off = at;
+  const std::uint64_t v = util::get_u64(image, off);
+  Bytes word;
+  util::put_u64(word, v + delta);
+  std::copy(word.begin(), word.end(),
+            image.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+TEST(PersistIdBound, FlatImageRejectsIdPastTheField) {
+  expect_rejected_clean(flat_image({cache::kPacketIdLimit}));
+  expect_rejected_clean(flat_image({5, cache::kPacketIdLimit + 5}));
+  // The largest id that fits still restores, and then no id is left to
+  // assign.
+  cache::CacheTier edge;
+  ASSERT_TRUE(load_bytes(flat_image({cache::kPacketIdLimit - 1}), edge));
+  EXPECT_EQ(edge.store().next_id(), cache::kPacketIdLimit);
+}
+
+TEST(PersistIdBound, HostPatchRejectsIdPastTheField) {
+  cache::CacheTier live(incr_config());
+  cache::PacketMeta meta;
+  meta.host_key = 0x77;
+  live.update(Bytes(64, 'h'), {{0, 0xAB}}, meta);
+  Bytes image = save_bytes(live);
+  ASSERT_EQ(cache::SnapshotReader(image).peek_u32(), cache::kSnapMagicTier);
+  {
+    cache::CacheTier intact(incr_config());
+    ASSERT_TRUE(load_bytes(image, intact));
+    EXPECT_EQ(intact.store().entries().front().meta.host_key, 0x77u);
+  }
+  // Tail: patched id (u64), host key (u64), has_l2 (u8).  The id plus
+  // 2^48 would truncate to the patched packet's own id.
+  add_to_u64(image, image.size() - 17, cache::kPacketIdLimit);
+  cache::CacheTier restored(incr_config());
+  EXPECT_FALSE(load_bytes(image, restored));
+  EXPECT_EQ(restored.store().size(), 0u);
+  EXPECT_EQ(restored.fingerprint_count(), 0u);
+}
+
+TEST(PersistIdBound, L2BlockRejectsIdPastTheField) {
+  cache::CacheConfig cc;
+  cc.l1_bytes = 256;
+  cc.l2_bytes = 4096;
+  cache::L2Store l2(cc, 1);
+  cache::CacheTier live(cc, &l2);
+  live.update(Bytes(200, 'a'), {{0, 0xA1}}, {});
+  live.update(Bytes(200, 'b'), {{0, 0xB2}}, {});  // demotes the first
+  ASSERT_EQ(live.stripe()->size(), 1u);
+  Bytes image = save_bytes(live);
+  // The stripe block: magic "BCL2", packet count (u32), first id (u64).
+  const Bytes magic = {'B', 'C', 'L', '2'};
+  const auto at = std::search(image.begin(), image.end(), magic.begin(),
+                              magic.end());
+  ASSERT_NE(at, image.end());
+  const auto id_at = static_cast<std::size_t>(at - image.begin()) + 8;
+  {
+    cache::L2Store l2_intact(cc, 1);
+    cache::CacheTier intact(cc, &l2_intact);
+    ASSERT_TRUE(load_bytes(image, intact));
+    EXPECT_EQ(intact.stripe()->size(), 1u);
+  }
+  add_to_u64(image, id_at, cache::kPacketIdLimit);
+  cache::L2Store l2_restored(cc, 1);
+  cache::CacheTier restored(cc, &l2_restored);
+  EXPECT_FALSE(load_bytes(image, restored));
+  EXPECT_EQ(restored.store().size(), 0u);
+  EXPECT_EQ(restored.stripe()->size(), 0u);
+  EXPECT_EQ(restored.fingerprint_count(), 0u);
+}
+
+TEST(PersistIdBound, DeltaReplayRejectsWhenNoIdIsLeft) {
+  // A replica whose last restored id is the largest that fits has no id
+  // for a replayed update: the delta is rejected, not applied with an
+  // id the index would truncate.
+  cache::CacheTier live(incr_config());
+  cache::SnapshotWriter boundary;
+  live.save(boundary);  // state version 1
+  live.update(Bytes(64, 'd'), {{0, 0xD1}}, {});
+  cache::SnapshotWriter delta;
+  live.save_incremental(delta);
+
+  cache::CacheTier replica(incr_config());
+  replica.restore_packet(cache::kPacketIdLimit - 1, Bytes(64, 'r'), {});
+  cache::SnapshotWriter replica_boundary;
+  replica.save(replica_boundary);  // also state version 1
+  ASSERT_EQ(replica.snapshot_seq(), live.snapshot_seq() - 1);
+  cache::SnapshotReader r(delta.buffer());
+  EXPECT_FALSE(replica.load(r));
+  EXPECT_EQ(replica.store().size(), 0u);
+  EXPECT_EQ(replica.fingerprint_count(), 0u);
+
+  // The same delta replays onto a replica with ids to spare.
+  cache::CacheTier fresh(incr_config());
+  cache::SnapshotWriter fresh_boundary;
+  fresh.save(fresh_boundary);
+  cache::SnapshotReader again(delta.buffer());
+  EXPECT_TRUE(fresh.load(again));
+  EXPECT_EQ(fresh.store().size(), 1u);
 }
 
 TEST(PersistIncremental, DeltaChainRoundTrips) {
