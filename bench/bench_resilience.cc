@@ -4,8 +4,10 @@
 // (perceived-loss estimator + degradation ladder + epoch resync) against
 // the fixed rungs it moves between — CacheFlush (always safe), plain
 // naive caching (maximal savings, stalls under loss), and pass-through —
-// reporting download time, wire bytes, the encoder-side loss estimate,
-// and the worst ladder rung the controller reached.
+// reporting download time, wire bytes, the encoder-side loss estimate
+// (any codec keeping a loss table: resilient or coded), the worst ladder
+// rung the controller reached, and the coded row's mean repairs per
+// generation (loss-sized, DESIGN.md §13.3).
 #include <algorithm>
 #include <cstdio>
 
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
   };
   harness::Table table({"actual loss %", "policy", "completion %",
                         "duration s", "wire MB", "est. loss %", "worst rung",
-                        "resyncs", "reconstr."});
+                        "resyncs", "reconstr.", "repairs/gen"});
   for (double loss : {0.01, 0.02, 0.05, 0.08, 0.10}) {
     for (const Row& row : rows) {
       auto cfg = bench::default_config(row.kind, loss, trials);
@@ -59,11 +61,13 @@ int main(int argc, char** argv) {
       cfg.dre.coded_repair = row.coded;
       auto agg = harness::run_experiment(cfg, file);
       double est_loss = 0.0, resyncs = 0.0, reconstructed = 0.0;
+      double repairs_per_gen = 0.0;
       const char* rung = "-";
       for (const harness::TrialResult& t : agg.trials) {
         est_loss = std::max(est_loss, t.estimated_loss);
         resyncs += static_cast<double>(t.resyncs_honored);
         reconstructed += static_cast<double>(t.packets_reconstructed);
+        repairs_per_gen += t.repairs_per_generation;
         if (t.degradation_level[0] != '-') rung = t.degradation_level;
       }
       table.add_row({harness::Table::num(loss * 100, 0), row.name,
@@ -72,7 +76,9 @@ int main(int argc, char** argv) {
                      harness::Table::num(agg.wire_bytes.mean() / 1e6, 2),
                      harness::Table::pct(est_loss * 100, 1), rung,
                      harness::Table::num(resyncs / trials, 1),
-                     harness::Table::num(reconstructed / trials, 1)});
+                     harness::Table::num(reconstructed / trials, 1),
+                     row.coded ? harness::Table::num(repairs_per_gen / trials, 2)
+                               : "-"});
     }
   }
   table.print();

@@ -64,10 +64,10 @@ Pipeline::Pipeline(sim::Simulator& sim, const PipelineConfig& config,
       reverse_link_->send(std::move(p));
     });
   }
-  if (cfg.dre.epoch_resync) {
-    // Channel drops on the constrained segment feed the encoder-side
-    // perceived-loss estimator (the simulation's stand-in for the
-    // transport-level loss signals a real gateway would observe).
+  if (cfg.dre.epoch_resync || cfg.dre.coded_repair) {
+    // Channel drops on the constrained segment feed the encoder's loss
+    // table (the simulation's stand-in for the transport-level loss
+    // signals a real gateway would observe).
     forward_link_->set_drop_observer([this](const packet::Packet& p) {
       encoder_gw_->on_channel_drop(p);
     });

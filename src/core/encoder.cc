@@ -40,6 +40,17 @@ std::optional<TcpInfo> data_tcp_info(const packet::Packet& pkt) {
   return info;
 }
 
+/// The per-host-pair loss table of an encoder built with `params`.
+std::unique_ptr<resilience::PerceivedLossEstimator> make_loss_table(
+    const DreParams& params) {
+  resilience::DegradationConfig ladder = params.degradation;
+  // A coded rung only exists when the wire can carry repairs a decoder
+  // will use; otherwise the ladder is the historical four-level one.
+  ladder.coded_rung &= params.coded_repair;
+  return std::make_unique<resilience::PerceivedLossEstimator>(
+      params.loss_estimator, ladder);
+}
+
 }  // namespace
 
 Encoder::Encoder(const DreParams& params,
@@ -49,11 +60,33 @@ Encoder::Encoder(const DreParams& params,
       tables_(params.window, params.poly),
       policy_(std::move(policy)),
       cache_(cache, l2),
-      repair_enc_(params.repair) {}
+      repair_enc_(params.repair) {
+  if (params_.coded_repair ||
+      (policy_ != nullptr && policy_->reads_loss_table())) {
+    loss_ = make_loss_table(params_);
+  }
+}
+
+void Encoder::sync_loss_clock() {
+  if (loss_ != nullptr) loss_->set_clock(repair_enc_.stats().generations);
+}
+
+void Encoder::on_channel_drop(std::uint64_t host_key) {
+  if (loss_ == nullptr) return;
+  loss_->on_channel_drop(host_key);
+  repair_enc_.note_loss();
+}
+
+void Encoder::on_loss_report(std::uint64_t host_key, std::uint32_t count) {
+  if (loss_ == nullptr) return;
+  loss_->on_undecodable(host_key, count);
+  repair_enc_.note_loss();
+}
 
 std::span<const util::Bytes> Encoder::close_repair_generation() {
   repair_enc_.begin_packet();
   repair_enc_.close_generation();
+  sync_loss_clock();
   return repair_enc_.emitted();
 }
 
@@ -76,6 +109,10 @@ void Encoder::set_policy(std::unique_ptr<EncodingPolicy> policy) {
   flush();
   ++stats_.flushes;
   policy_ = std::move(policy);
+  if (loss_ == nullptr && policy_->reads_loss_table()) {
+    loss_ = make_loss_table(params_);
+    sync_loss_clock();
+  }
 }
 
 void Encoder::audit() const {
@@ -99,6 +136,7 @@ void Encoder::audit() const {
       << "encoding inflated the stream: " << stats_.bytes_out
       << " bytes out > " << stats_.bytes_in << " bytes in";
   repair_enc_.audit();
+  if (loss_ != nullptr) loss_->audit();
   BC_AUDIT(stats_.encoded_packets <= stats_.dependency_links)
       << "every encoded packet references at least one cached packet, but "
       << stats_.encoded_packets << " encoded > "
@@ -315,11 +353,16 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   ctx.host_key = host_key_of(pkt.ip.src, pkt.ip.dst);
   ctx.stream_index = stream_index_++;
   ctx.payload_size = pkt.payload.size();
+  if (loss_ != nullptr) ctx.host_pair = &loss_->on_offered(ctx.host_key);
 
   const PolicyDecision decision = policy_->before_encode(ctx);
   if (decision.is_retransmission) {
     info.retransmission = true;
     ++stats_.retransmissions;
+    if (ctx.host_pair != nullptr) {
+      loss_->on_retransmission(*ctx.host_pair);
+      repair_enc_.note_loss();
+    }
   }
   if (decision.flush_cache) {
     flush();
@@ -342,6 +385,7 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
     if ((fec_active && decision.is_retransmission) ||
         (!fec_active && fec_was_active_)) {
       repair_enc_.close_generation();
+      sync_loss_clock();
     }
     fec_was_active_ = fec_active;
   }
@@ -412,10 +456,15 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
       stats_.regions += regions.size();
       stats_.dependency_links += info.deps.size();
     }
-    // Record the finished wire image as this generation's tagged member;
+    // Record the finished wire image as this generation's tagged member,
+    // with its path's loss record (coded repair always keeps the table);
     // reaching G members closes the generation and emits its repairs.
     packet::to_wire_into(pkt, fec_wire_);
-    repair_enc_.add_member(fec_wire_);
+    const resilience::FlowLossState& path = ctx.host_pair->loss;
+    repair_enc_.add_member(fec_wire_,
+                           fec::MemberLoss{path.recent_loss(),
+                                           loss_->since_loss(path)});
+    sync_loss_clock();
   } else if (!regions.empty()) {
     // Pure-compression path: substitute only if it shrinks the packet.
     EncodedPayload& enc = enc_;

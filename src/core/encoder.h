@@ -131,6 +131,18 @@ class Encoder {
   [[nodiscard]] const fec::RepairEncoderStats& repair_stats() const {
     return repair_enc_.stats();
   }
+  /// R of every closed coded-repair generation.
+  [[nodiscard]] const obs::Histogram& repairs_per_generation() const {
+    return repair_enc_.repairs_per_generation();
+  }
+  /// The per-host-pair loss table (DESIGN.md §13.3), or null: it is kept
+  /// only under coded repair or a policy that reads_loss_table().
+  [[nodiscard]] const resilience::PerceivedLossEstimator* loss_table() const {
+    return loss_.get();
+  }
+  [[nodiscard]] resilience::PerceivedLossEstimator* loss_table() {
+    return loss_.get();
+  }
   [[nodiscard]] const EncodingPolicy& policy() const { return *policy_; }
   [[nodiscard]] EncodingPolicy& policy() { return *policy_; }
   [[nodiscard]] const cache::CacheTier& cache() const { return cache_; }
@@ -154,8 +166,10 @@ class Encoder {
   /// freshly-constructed state — the conservative post-restart behavior
   /// of load_state() — and the cache is flushed first so the decoder
   /// never sees references admitted under rules the operator just
-  /// revoked.  The flow records are the encoder's and carry over.
-  /// `policy` must be non-null (kNone cannot be switched to).
+  /// revoked.  The flow records and the loss table are the encoder's and
+  /// carry over; a policy that reads_loss_table() gets one built if the
+  /// encoder kept none.  `policy` must be non-null (kNone cannot be
+  /// switched to).
   void set_policy(std::unique_ptr<EncodingPolicy> policy);
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
@@ -188,6 +202,15 @@ class Encoder {
   /// of the connection (core/flow.h).
   void on_reverse_ack(std::uint64_t flow_key, std::uint32_t ack);
 
+  /// The link dropped a packet of `host_key`: a failure sample for the
+  /// loss table (no-op without one).  A generation still open is sized
+  /// as lossy — the dropped packet may be one of its members.
+  void on_channel_drop(std::uint64_t host_key);
+
+  /// The decoder reported `count` undecodable packets of `host_key`
+  /// (ControlMessage kLossReport): failure samples, as on_channel_drop.
+  void on_loss_report(std::uint64_t host_key, std::uint32_t count);
+
   /// Closes the open coded-repair generation (params.coded_repair) so
   /// its tail members get repair protection without waiting for G more
   /// packets — teardown, idle timers.  The returned payloads obey the
@@ -212,6 +235,10 @@ class Encoder {
   void identify_regions(util::BytesView payload, const PacketContext& ctx,
                         bool allow_encode, EncodeInfo& info);
 
+  /// Loss signals read the repair encoder's closed-generation count as
+  /// their clock; called after every call that may close a generation.
+  void sync_loss_clock();
+
   DreParams params_;
   rabin::RabinTables tables_;
   std::unique_ptr<EncodingPolicy> policy_;
@@ -222,6 +249,11 @@ class Encoder {
   bool epoch_bumped_ = false;  // next encoded packet carries the flag
   fec::RepairEncoder repair_enc_;  // idle unless params.coded_repair
   bool fec_was_active_ = false;    // rung turn-off closes the generation
+  // The one record per host pair (resilience/perceived_loss.h): the
+  // perceived-loss estimate, loss clock and ladder the resilient policy
+  // and the repair count read.  Null unless coded repair or the policy
+  // needs it, so other codecs do no estimator work per packet.
+  std::unique_ptr<resilience::PerceivedLossEstimator> loss_;
   // The one record per TCP flow (core/flow.h): the previous outgoing
   // seq that classifies retransmissions for every policy, and the highest
   // reverse ACK for ack-gated admission.  A flat map: process() and

@@ -75,18 +75,21 @@ struct DreParams {
   bool epoch_resync = false;
   resilience::EpochSyncConfig epoch_sync;
 
-  /// Resilient policy (PolicyKind::kResilient): perceived-loss EWMA and
-  /// degradation-ladder thresholds.
+  /// The encoder's per-host-pair loss table (kept under coded repair or
+  /// PolicyKind::kResilient): perceived-loss EWMA and the resilient
+  /// policy's degradation-ladder thresholds.
   resilience::LossEstimatorConfig loss_estimator;
   resilience::DegradationConfig degradation;
 
   /// Coded repair (DESIGN.md §13): encoded packets use the v3 shim
   /// carrying a generation tag, the encoder emits GF(256) repair
   /// payloads per generation of wire packets, and the decoder gateway
-  /// re-sequences reordered arrivals and reconstructs up to
-  /// repair.repair_packets lost packets per generation without a resync
-  /// round-trip.  Off by default: v1/v2 wire bytes stay bit-identical.
-  /// Both gateways must agree.
+  /// re-sequences reordered arrivals and reconstructs up to R lost
+  /// packets per generation without a resync round-trip.  R follows the
+  /// loss the members' host pairs show (§13.3): repair.repair_packets or
+  /// more while loss is seen and at start-up, none on a path clean for
+  /// fec::kLossMemoryGenerations generations.  Off by default: v1/v2
+  /// wire bytes stay bit-identical.  Both gateways must agree.
   bool coded_repair = false;
   fec::RepairConfig repair;
 

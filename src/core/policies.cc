@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "resilience/perceived_loss.h"
+#include "util/check.h"
 #include "util/seqcmp.h"
 
 namespace bytecache::core {
@@ -124,24 +126,13 @@ bool AdaptivePolicy::admit(const PacketContext& ctx,
 
 // ------------------------------------------------------------ Resilient --
 
-namespace {
-
-resilience::DegradationConfig ladder_config(const DreParams& params) {
-  resilience::DegradationConfig config = params.degradation;
-  // A coded rung only exists when the wire can carry repairs a decoder
-  // will use; otherwise the ladder is the historical four-level one.
-  config.coded_rung &= params.coded_repair;
-  return config;
-}
-
-}  // namespace
-
 ResilientPolicy::ResilientPolicy(const DreParams& params)
-    : estimator_(params.loss_estimator, ladder_config(params)),
-      k_distance_(params.k_distance) {}
+    : k_distance_(params.k_distance) {}
 
 PolicyDecision ResilientPolicy::before_encode(const PacketContext& ctx) {
-  resilience::HostPairState& pair = estimator_.on_offered(ctx.host_key);
+  BC_CHECK(ctx.host_pair != nullptr)
+      << "the resilient policy needs the encoder's loss table";
+  resilience::HostPairState& pair = *ctx.host_pair;
   current_ = pair.ladder.on_sample(pair.loss.ewma);
   switch (current_) {
     case resilience::DegradationLevel::kKDistance: {
@@ -192,31 +183,6 @@ bool ResilientPolicy::admit(const PacketContext& ctx,
       break;
   }
   return false;  // pass-through never encodes
-}
-
-resilience::DegradationLevel ResilientPolicy::level_of(
-    std::uint64_t host_key) const {
-  const resilience::HostPairState* p = estimator_.pairs().find(host_key);
-  return p == nullptr ? resilience::DegradationLevel::kKDistance
-                      : p->ladder.level();
-}
-
-resilience::DegradationLevel ResilientPolicy::worst_level() const {
-  auto worst = resilience::DegradationLevel::kKDistance;
-  estimator_.pairs().for_each(
-      [&](std::uint64_t, const resilience::HostPairState& p) {
-        if (p.ladder.level() > worst) worst = p.ladder.level();
-      });
-  return worst;
-}
-
-std::uint64_t ResilientPolicy::transitions() const {
-  std::uint64_t total = 0;
-  estimator_.pairs().for_each(
-      [&](std::uint64_t, const resilience::HostPairState& p) {
-        total += p.ladder.transitions();
-      });
-  return total;
 }
 
 }  // namespace bytecache::core

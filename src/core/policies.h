@@ -4,7 +4,6 @@
 #include "core/params.h"
 #include "core/policy.h"
 #include "resilience/degradation.h"
-#include "resilience/perceived_loss.h"
 
 namespace bytecache::core {
 
@@ -107,10 +106,11 @@ class AdaptivePolicy final : public EncodingPolicy {
 };
 
 /// Adaptive resilience (DESIGN.md §9): the paper's Section VII argument
-/// as a runtime control loop.  A per-host-pair DegradationController
-/// consumes the perceived-loss EWMA — fed by the encoder gateway from
-/// link drop reports and decoder loss reports (ControlMessage
-/// kLossReport) — and walks the pair along the ladder
+/// as a runtime control loop.  The per-host-pair DegradationController in
+/// the encoder's loss table (PacketContext::host_pair) consumes the
+/// perceived-loss EWMA — fed by the encoder gateway from link drop
+/// reports and decoder loss reports (ControlMessage kLossReport) — and
+/// walks the pair along the ladder
 ///
 ///     k-distance -> TCP-seq -> coded repair -> Cache Flush -> pass-through
 ///
@@ -127,29 +127,9 @@ class ResilientPolicy final : public EncodingPolicy {
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
-
-  /// The estimator the gateway feeds drop reports into.
-  [[nodiscard]] resilience::PerceivedLossEstimator& estimator() {
-    return estimator_;
-  }
-  [[nodiscard]] const resilience::PerceivedLossEstimator& estimator() const {
-    return estimator_;
-  }
-
-  /// Current ladder rung of one host pair (kKDistance if never seen).
-  [[nodiscard]] resilience::DegradationLevel level_of(
-      std::uint64_t host_key) const;
-
-  /// Most-degraded rung across all host pairs.
-  [[nodiscard]] resilience::DegradationLevel worst_level() const;
-
-  /// Ladder transitions across all host pairs.
-  [[nodiscard]] std::uint64_t transitions() const;
+  [[nodiscard]] bool reads_loss_table() const override { return true; }
 
  private:
-  // The one host-pair table: each record holds the pair's perceived-loss
-  // state and its DegradationController (resilience::HostPairState).
-  resilience::PerceivedLossEstimator estimator_;
   // The rung picked in before_encode(), read by admit() for the same
   // packet (the encoder always calls them in that order).
   resilience::DegradationLevel current_ =

@@ -13,8 +13,9 @@
 //      requires stored.seq < new.seq; k-distance requires the stored
 //      packet to be at or after the latest reference.)
 //
-// Policies keep no per-flow state: the encoder classifies retransmissions
-// once per segment (core/flow.h) and hands in the verdict.
+// Policies keep no per-flow or per-host-pair state: the encoder
+// classifies retransmissions once per segment (core/flow.h) and hands in
+// the verdict, and hands in the host pair's loss record.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,10 @@
 #include <string_view>
 
 #include "cache/packet_store.h"
+
+namespace bytecache::resilience {
+struct HostPairState;
+}  // namespace bytecache::resilience
 
 namespace bytecache::core {
 
@@ -53,6 +58,11 @@ struct PacketContext {
   /// granularity the sharded gateways partition on, so feedback always
   /// reaches the shard owning the state.
   std::uint64_t host_key = 0;
+
+  /// The encoder's loss-table record for host_key, this packet already
+  /// counted as offered; null when the codec keeps no table (neither
+  /// coded repair nor a policy that reads_loss_table()).
+  resilience::HostPairState* host_pair = nullptr;
 };
 
 /// Decision made once per outgoing packet, before matching.
@@ -90,6 +100,10 @@ class EncodingPolicy {
   /// using `stored`?
   [[nodiscard]] virtual bool admit(const PacketContext& ctx,
                                    const cache::PacketMeta& stored) const = 0;
+
+  /// True: before_encode() reads PacketContext::host_pair, so the
+  /// encoder must keep its per-host-pair loss table.
+  [[nodiscard]] virtual bool reads_loss_table() const { return false; }
 };
 
 }  // namespace bytecache::core

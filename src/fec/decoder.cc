@@ -11,6 +11,10 @@ namespace bytecache::fec {
 
 RepairDecoder::RepairDecoder(const RepairConfig& cfg) : cfg_(cfg) {
   BC_CHECK(cfg_.gen_window >= 1) << "gen_window must be at least 1";
+  BC_CHECK(cfg_.generation_packets >= 1 &&
+           cfg_.generation_packets <= kMaxGenerationPackets)
+      << "generation_packets " << int{cfg_.generation_packets}
+      << " outside [1, " << kMaxGenerationPackets << "]";
   gens_.resize(cfg_.gen_window);
 }
 
@@ -44,8 +48,7 @@ void RepairDecoder::on_data(std::uint16_t gen_id, std::uint8_t gen_seq,
   const std::size_t out_before = out.size();
   const std::uint16_t cursor_before = cursor_;
   Generation& g = claim(gen_id, out);
-  if (gen_seq >= kMaxGenerationPackets ||  // NOLINT(bc-rawseq): member index
-      (g.size != 0 && gen_seq >= g.size)) {  // NOLINT(bc-rawseq): member index
+  if (gen_seq >= members(g)) {  // NOLINT(bc-rawseq): member index
     // A tag no generation can contain: corrupt shim or encoder bug.
     // Let the packet through — the core decoder's shim CRC decides.
     ++stats_.tag_rejects;
@@ -313,7 +316,7 @@ void RepairDecoder::release_ready(std::vector<Released>& out) {
       out.push_back(Released{std::move(g.held[s]), rebuilt});
       --held_count_;
     }
-    if (g.size != 0 && g.next_seq >= g.size) {  // NOLINT(bc-rawseq): member index
+    if (g.next_seq >= members(g)) {  // NOLINT(bc-rawseq): member index
       retire(g, /*completed=*/true);
       ++cursor_;
       blocked_ = 0;

@@ -14,6 +14,10 @@
 //     members the system is solved and the lost packets reconstructed
 //     byte-exactly, without a resync round-trip.
 //
+// A generation no repair describes is taken to hold exactly G members:
+// the encoder announces every short generation with at least one repair,
+// so a repair-free generation on a clean path retires on its last member.
+//
 // Liveness is bounded, never assumed: a generation proven unrecoverable
 // (every repair seen, still short of rows) is force-released at once,
 // and any cursor generation is force-released after
@@ -145,6 +149,13 @@ class RepairDecoder {
   }
   [[nodiscard]] const Generation& slot(std::uint16_t id) const {
     return gens_[id % gens_.size()];
+  }
+
+  /// Members of `g`: as its repairs announce, else exactly G — an
+  /// encoder sends at least one repair for every generation it closes
+  /// short, so a repair-free one retires on its last member.
+  [[nodiscard]] std::uint8_t members(const Generation& g) const {
+    return g.size != 0 ? g.size : cfg_.generation_packets;
   }
 
   /// Missing-member mask of a size-known generation.

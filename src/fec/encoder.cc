@@ -1,10 +1,36 @@
 #include "fec/encoder.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "fec/gf256.h"
 #include "util/check.h"
 #include "util/crc32.h"
 
 namespace bytecache::fec {
+
+std::uint8_t loss_sized_repairs(std::size_t members, double mean_loss) {
+  // Kim, Médard and Barros size network-coded TCP's redundancy at
+  // 1/(1-p): n/(1-p) coded packets deliver n on average.  A generation
+  // gets no second chance at its mean, so R is sized for the tail: the
+  // smallest R with P[Binomial(members + R, p) > R] <= kRepairTailTarget.
+  if (mean_loss <= 0.0) return 0;
+  if (mean_loss >= 1.0) return kMaxRepairPackets;
+  const double odds = mean_loss / (1.0 - mean_loss);
+  for (std::size_t r = 0; r < kMaxRepairPackets; ++r) {
+    const std::size_t n = members + r;
+    double term = std::pow(1.0 - mean_loss, static_cast<double>(n));
+    double at_most_r = term;
+    for (std::size_t k = 1; k <= r; ++k) {
+      term *= static_cast<double>(n - k + 1) / static_cast<double>(k) * odds;
+      at_most_r += term;
+    }
+    if (1.0 - at_most_r <= kRepairTailTarget) {
+      return static_cast<std::uint8_t>(r);
+    }
+  }
+  return kMaxRepairPackets;
+}
 
 RepairEncoder::RepairEncoder(const RepairConfig& cfg) : cfg_(cfg) {
   BC_CHECK(cfg_.generation_packets >= 1 &&
@@ -15,7 +41,7 @@ RepairEncoder::RepairEncoder(const RepairConfig& cfg) : cfg_(cfg) {
            cfg_.repair_packets <= kMaxRepairPackets)
       << "repair_packets " << int{cfg_.repair_packets} << " outside [1, "
       << kMaxRepairPackets << "]";
-  emitted_.resize(2u * cfg_.repair_packets);
+  emitted_.resize(2u * kMaxRepairPackets);
 }
 
 void RepairEncoder::begin_packet() { emitted_count_ = 0; }
@@ -26,7 +52,8 @@ RepairEncoder::Tag RepairEncoder::next_tag() {
   return Tag{gen_id_, member_count_};
 }
 
-void RepairEncoder::add_member(util::BytesView wire_image) {
+void RepairEncoder::add_member(util::BytesView wire_image,
+                               const MemberLoss& loss) {
   BC_CHECK(tag_pending_) << "add_member() without a preceding next_tag()";
   tag_pending_ = false;
   offsets_[member_count_] = static_cast<std::uint32_t>(arena_.size());
@@ -35,6 +62,8 @@ void RepairEncoder::add_member(util::BytesView wire_image) {
   if (wire_image.size() > max_len_) {
     max_len_ = static_cast<std::uint16_t>(wire_image.size());
   }
+  loss_sum_ += loss.estimate;
+  lossy_ |= loss.clean_generations < kLossMemoryGenerations;
   ++member_count_;
   ++stats_.members;
   if (member_count_ >= cfg_.generation_packets) close_generation();
@@ -42,23 +71,41 @@ void RepairEncoder::add_member(util::BytesView wire_image) {
 
 void RepairEncoder::close_generation() {
   if (member_count_ == 0) return;
-  emit_repairs();
+  const std::uint8_t count = repair_count();
+  emit_repairs(count);
+  repairs_hist_.record(count);
   ++stats_.generations;
   if (member_count_ < cfg_.generation_packets) ++stats_.early_closes;
   ++gen_id_;
   member_count_ = 0;
   max_len_ = 0;
+  loss_sum_ = 0.0;
+  lossy_ = false;
   arena_.clear();
 }
 
-void RepairEncoder::emit_repairs() {
+std::uint8_t RepairEncoder::repair_count() const {
+  std::uint8_t count = 0;
+  if (lossy_ || stats_.generations < kLossMemoryGenerations) {
+    count = std::max(cfg_.repair_packets,
+                     loss_sized_repairs(member_count_,
+                                        loss_sum_ / member_count_));
+  }
+  // The decoder takes a generation no repair describes to be G members
+  // long; a short one must announce its size.
+  if (count == 0 && member_count_ < cfg_.generation_packets) count = 1;
+  return count;
+}
+
+void RepairEncoder::emit_repairs(std::uint8_t count) {
+  if (count == 0) return;
   const std::uint16_t symbol_len = static_cast<std::uint16_t>(max_len_ + 2);
   scratch_.gen_id = gen_id_;
   scratch_.gen_size = member_count_;
-  scratch_.repair_total = cfg_.repair_packets;
+  scratch_.repair_total = count;
   scratch_.symbol_len = symbol_len;
   scratch_.coeffs.resize(member_count_);
-  for (std::uint8_t r = 0; r < cfg_.repair_packets; ++r) {
+  for (std::uint8_t r = 0; r < count; ++r) {
     BC_CHECK(emitted_count_ < emitted_.size())
         << "more than two generation closes within one packet";
     scratch_.repair_index = r;
@@ -96,10 +143,19 @@ void RepairEncoder::audit() const {
       << "open generation holds " << int{member_count_}
       << " members, at or past the close point "
       << int{cfg_.generation_packets};
-  BC_AUDIT(stats_.repair_payloads ==
-           stats_.generations * cfg_.repair_packets)
+  BC_AUDIT(repairs_hist_.sum() == stats_.repair_payloads &&
+           repairs_hist_.count() == stats_.generations)
       << stats_.repair_payloads << " repair payloads from "
-      << stats_.generations << " generations of " << int{cfg_.repair_packets};
+      << stats_.generations << " generations, but their R values sum to "
+      << repairs_hist_.sum() << " over " << repairs_hist_.count();
+  BC_AUDIT(stats_.repair_payloads >=
+           std::min(stats_.generations, kLossMemoryGenerations) *
+               cfg_.repair_packets)
+      << stats_.repair_payloads << " repair payloads do not cover the "
+      << "start-up generations at " << int{cfg_.repair_packets} << " each";
+  BC_AUDIT(stats_.repair_payloads >= stats_.early_closes)
+      << stats_.early_closes << " short generations but only "
+      << stats_.repair_payloads << " repairs to announce their sizes";
   BC_AUDIT(stats_.early_closes <= stats_.generations)
       << stats_.early_closes << " early closes of " << stats_.generations
       << " generations";

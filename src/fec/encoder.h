@@ -4,9 +4,11 @@
 // of up to G members.  When a generation closes — full, or early on a
 // TCP retransmission / rung change / teardown — R coded repair payloads
 // are emitted: GF(256) linear combinations of the member symbols under
-// the Cauchy coefficients of fec/gf256.h.  Every buffer is reused
-// scratch (one contiguous member arena, fixed emission slots), so the
-// steady state allocates nothing (bc-hotpath-alloc).
+// the Cauchy coefficients of fec/gf256.h.  R is derived per generation
+// from the loss its members' paths have shown (DESIGN.md §13.3): zero on
+// a clean path, repair_packets or more on a lossy one.  Every buffer is
+// reused scratch (one contiguous member arena, fixed emission slots), so
+// the steady state allocates nothing (bc-hotpath-alloc).
 #pragma once
 
 #include <array>
@@ -17,6 +19,7 @@
 #include "fec/params.h"
 #include "fec/wire.h"
 #include "obs/fields.h"
+#include "obs/metrics.h"
 #include "util/bytes.h"
 
 namespace bytecache::fec {
@@ -44,6 +47,21 @@ struct RepairEncoderStats {
 using obs::merge_into;
 using obs::reset;
 
+/// What the codec knows about a member's path when the member joins a
+/// generation.  The default describes a path that has just shown loss:
+/// the conservative choice for a caller without a loss table, whose
+/// generations then all carry repair_packets repairs.
+struct MemberLoss {
+  double estimate = 0.0;                // the host pair's recent loss rate
+  std::uint64_t clean_generations = 0;  // since the pair last showed loss
+};
+
+/// Repairs a generation of `members` packets needs so that, with every
+/// member and repair lost independently at `mean_loss`, more losses than
+/// repairs is rarer than kRepairTailTarget; capped at kMaxRepairPackets.
+[[nodiscard]] std::uint8_t loss_sized_repairs(std::size_t members,
+                                              double mean_loss);
+
 class RepairEncoder {
  public:
   explicit RepairEncoder(const RepairConfig& cfg);
@@ -62,13 +80,20 @@ class RepairEncoder {
   [[nodiscard]] Tag next_tag();
 
   /// Records the finished wire image (IP header + encoded payload) of
-  /// the packet tagged by the preceding next_tag() call; closes the
-  /// generation — emitting its repairs — when it reaches G members.
-  void add_member(util::BytesView wire_image);
+  /// the packet tagged by the preceding next_tag() call, with what is
+  /// known of its path's loss; closes the generation — emitting its
+  /// repairs — when it reaches G members.
+  void add_member(util::BytesView wire_image, const MemberLoss& loss = {});
 
   /// Closes the open generation early (TCP retransmission, rung change,
   /// teardown); no-op when no generation is open.
   void close_generation();
+
+  /// Loss was seen while a generation is open: it is sized as lossy,
+  /// since the lost packet may be one of its members.
+  void note_loss() {
+    if (member_count_ > 0) lossy_ = true;
+  }
 
   /// Repair payloads emitted since begin_packet(), oldest first.  The
   /// spanned buffers stay valid until the next begin_packet().
@@ -79,19 +104,28 @@ class RepairEncoder {
   [[nodiscard]] bool generation_open() const { return member_count_ > 0; }
   [[nodiscard]] const RepairEncoderStats& stats() const { return stats_; }
 
+  /// R of every closed generation.
+  [[nodiscard]] const obs::Histogram& repairs_per_generation() const {
+    return repairs_hist_;
+  }
+
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
   /// audits).
   void audit() const;
 
  private:
-  void emit_repairs();
+  [[nodiscard]] std::uint8_t repair_count() const;
+  void emit_repairs(std::uint8_t count);
 
   RepairConfig cfg_;
   RepairEncoderStats stats_;
+  obs::Histogram repairs_hist_;
   std::uint16_t gen_id_ = 0;       // id of the open (or next) generation
   std::uint8_t member_count_ = 0;  // members recorded in the open one
   bool tag_pending_ = false;       // next_tag() issued, add_member() due
   std::uint16_t max_len_ = 0;      // longest member wire image so far
+  double loss_sum_ = 0.0;          // members' summed loss rates
+  bool lossy_ = false;             // a member's path showed loss lately
 
   // Member wire images live concatenated in one arena; member i spans
   // [offsets_[i], offsets_[i+1]).

@@ -12,14 +12,33 @@ namespace bytecache::fec {
 inline constexpr std::size_t kMaxGenerationPackets = 64;
 inline constexpr std::size_t kMaxRepairPackets = 16;
 
+/// Loss-sized repair (DESIGN.md §13.3).  A generation carries repairs
+/// while one of its members' host pairs has shown loss within the last
+/// kLossMemoryGenerations generations, and none once every member's path
+/// has been clean that long.  A codec's start counts as a loss: its first
+/// kLossMemoryGenerations generations carry repairs whatever the path
+/// shows, since no path is known to be clean before it has been watched.
+inline constexpr std::uint64_t kLossMemoryGenerations = 64;
+
+/// A lossy generation's repair count is raised past repair_packets until
+/// more losses than repairs among its members plus repairs is rarer than
+/// this (binomial tail at the members' mean recent loss rate).
+inline constexpr double kRepairTailTarget = 0.01;
+
 struct RepairConfig {
   /// Data packets per generation (G).  Smaller generations recover
   /// faster (repairs arrive sooner after a loss) but spend more repair
   /// overhead per data byte.
   std::uint8_t generation_packets = 16;
 
-  /// Coded repair packets emitted per closed generation (R): any <= R
-  /// lost members are reconstructed without a resync round-trip.
+  /// Coded repair packets per closed generation (R) while loss is seen
+  /// and during a codec's start-up: any <= R lost members are
+  /// reconstructed without a resync round-trip.  The encoder derives
+  /// each generation's actual R from the loss its members' host pairs
+  /// show — more when the estimates call for it (up to
+  /// kMaxRepairPackets), none on a path clean for
+  /// kLossMemoryGenerations, and at least one for a generation closed
+  /// short, whose size only a repair can announce.
   std::uint8_t repair_packets = 2;
 
   /// Decoder: generations tracked concurrently (a ring; claiming a
@@ -30,7 +49,10 @@ struct RepairConfig {
   /// Decoder: arrivals from generations *newer* than the cursor that
   /// fail to advance it before the cursor generation is force-released
   /// with gaps (its own members and repairs never charge — they are
-  /// still converging on a solve).  Bounds both the re-sequencing depth
+  /// still converging on a solve).  A generation no repair describes is
+  /// taken to hold exactly generation_packets members, so a repair-free
+  /// one retires on its last member and never charges this budget.
+  /// Bounds both the re-sequencing depth
   /// and the latency an unrecoverable generation can add; the gaps then
   /// fall through to TCP recovery.  Must stay well under what a
   /// backing-off TCP sender can deliver before it declares the

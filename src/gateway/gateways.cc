@@ -1,7 +1,6 @@
 #include "gateway/gateways.h"
 
 #include "core/flow.h"
-#include "core/policies.h"
 #include "core/wire.h"
 #include "fec/wire.h"
 #include "packet/tcp.h"
@@ -59,9 +58,6 @@ EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
                   : nullptr),
       encoder_(core::make_encoder(
           cfg, shared_l2 != nullptr ? shared_l2 : own_l2_.get())) {
-  if (encoder_ != nullptr) {
-    resilient_ = dynamic_cast<core::ResilientPolicy*>(&encoder_->policy());
-  }
   // Registry assembly is the cold path: linked counters read the stats
   // structs only at snapshot time, so the per-packet increments below
   // stay plain field adds.
@@ -96,10 +92,17 @@ EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
     metrics_.probe_gauge(
         "encoder.epoch", [&enc] { return static_cast<double>(enc.epoch()); },
         obs::MergeOp::kMax);
+    if (cfg.params.coded_repair) {
+      metrics_.link_histogram("fec.encoder.repairs_per_generation",
+                              &enc.repairs_per_generation());
+    }
   }
-  if (resilient_ != nullptr) {
-    const core::ResilientPolicy& pol = *resilient_;
-    const resilience::PerceivedLossEstimator& est = pol.estimator();
+  // The loss table's probes bind to the table the encoder was built
+  // with (registration is construction-only, like everything in the obs
+  // layer); the ladder's only when the policy walking it is the
+  // construction-time one.
+  if (encoder_ != nullptr && encoder_->loss_table() != nullptr) {
+    const resilience::PerceivedLossEstimator& est = *encoder_->loss_table();
     metrics_.probe_counter("resilience.loss.offered",
                            [&est] { return est.total_offered(); });
     metrics_.probe_counter("resilience.loss.channel_drops",
@@ -115,12 +118,14 @@ EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
     metrics_.probe_gauge(
         "resilience.loss.perceived_max",
         [&est] { return est.max_loss(); }, obs::MergeOp::kMax);
-    metrics_.probe_gauge(
-        "resilience.degradation.worst_level",
-        [&pol] { return static_cast<double>(pol.worst_level()); },
-        obs::MergeOp::kMax);
-    metrics_.probe_counter("resilience.degradation.transitions",
-                           [&pol] { return pol.transitions(); });
+    if (encoder_->policy().reads_loss_table()) {
+      metrics_.probe_gauge(
+          "resilience.degradation.worst_level",
+          [&est] { return static_cast<double>(est.worst_level()); },
+          obs::MergeOp::kMax);
+      metrics_.probe_counter("resilience.degradation.transitions",
+                             [&est] { return est.transitions(); });
+    }
   }
   if (cfg.metrics != nullptr) {
     cfg.metrics->add_provider([this] { return snapshot(); });
@@ -188,11 +193,6 @@ bool EncoderGateway::switch_policy(core::PolicyKind kind) {
   auto policy = core::make_policy(kind, encoder_->params());
   if (policy == nullptr) return false;  // kNone: cannot un-build a codec
   encoder_->set_policy(std::move(policy));
-  // The cached resilient view follows the active policy; the registry's
-  // resilience.* probes were bound to the *construction-time* policy, so
-  // they are only re-pointed, never re-registered (registration is
-  // construction-only, like everything in the obs layer).
-  resilient_ = dynamic_cast<core::ResilientPolicy*>(&encoder_->policy());
   return true;
 }
 
@@ -211,18 +211,15 @@ void EncoderGateway::receive_control(const packet::Packet& pkt) {
       break;
     case core::ControlMessage::Type::kLossReport:
       ++stats_.loss_reports;
-      if (resilient_ != nullptr) {
-        resilient_->estimator().on_undecodable(msg->host_key, msg->count);
-      }
+      encoder_->on_loss_report(msg->host_key, msg->count);
       break;
   }
 }
 
 void EncoderGateway::on_channel_drop(const packet::Packet& pkt) {
   ++stats_.channel_drops_seen;
-  if (resilient_ != nullptr) {
-    resilient_->estimator().on_channel_drop(
-        core::host_key_of(pkt.ip.src, pkt.ip.dst));
+  if (encoder_ != nullptr) {
+    encoder_->on_channel_drop(core::host_key_of(pkt.ip.src, pkt.ip.dst));
   }
 }
 

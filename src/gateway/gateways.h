@@ -29,10 +29,6 @@
 #include "obs/span.h"
 #include "packet/packet.h"
 
-namespace bytecache::core {
-class ResilientPolicy;
-}  // namespace bytecache::core
-
 namespace bytecache::gateway {
 
 using PacketSink = std::function<void(packet::PacketPtr)>;
@@ -109,8 +105,8 @@ class EncoderGateway {
 
   /// The simulated link dropped `pkt` (loss or queue overflow).  A real
   /// deployment learns this from transport-level signals; the simulation
-  /// reports it directly.  Feeds the resilient policy's perceived-loss
-  /// estimator as a *channel* loss sample.
+  /// reports it directly.  Feeds the encoder's loss table (kept under
+  /// coded repair or the resilient policy) as a *channel* loss sample.
   void on_channel_drop(const packet::Packet& pkt);
 
   /// Runtime policy switch (the control channel's kSwitchPolicy,
@@ -118,8 +114,7 @@ class EncoderGateway {
   /// the params this gateway was constructed with, flushing the cache
   /// first (Encoder::set_policy).  False — and no change — for kNone,
   /// for a disabled gateway, and for policies the running DreParams
-  /// cannot support.  Refreshes the resilient-policy view, so the
-  /// loss-feedback paths follow the switch.
+  /// cannot support.
   bool switch_policy(core::PolicyKind kind);
 
   [[nodiscard]] bool enabled() const { return encoder_ != nullptr; }
@@ -128,15 +123,11 @@ class EncoderGateway {
   [[nodiscard]] const EncoderGatewayStats& stats() const { return stats_; }
 
   /// Everything this gateway knows, as one value set: gateway.encoder.*,
-  /// encoder.*, encoder.cache.*, and (resilient policy) resilience.*.
+  /// encoder.*, encoder.cache.*, (coded repair) encoder.fec.* and
+  /// fec.encoder.*, and (loss table) resilience.*.
   [[nodiscard]] obs::Snapshot snapshot() const { return metrics_.snapshot(); }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
-  }
-
-  /// The policy as a ResilientPolicy, or null for every other kind.
-  [[nodiscard]] const core::ResilientPolicy* resilient() const {
-    return resilient_;
   }
 
  private:
@@ -151,9 +142,6 @@ class EncoderGateway {
   EncoderGatewayStats stats_;
   obs::MetricsRegistry metrics_;
   obs::SpanSampler encode_span_;  // -> "gateway.encoder.encode_ns"
-  // Borrowed view of encoder_'s policy when it is the resilient one —
-  // the loss-feedback paths are meaningless for every other policy.
-  core::ResilientPolicy* resilient_ = nullptr;
   // Addressing for injected repair packets: the host pair of the last
   // forwarded data packet (repairs follow the stream they protect).
   std::uint32_t repair_src_ = 0;

@@ -81,9 +81,9 @@ TrialResult run_trial(const ExperimentConfig& config, util::BytesView file,
   r.epoch_adoptions = snap.counter("decoder.epoch_adoptions");
   r.stale_drops = snap.counter("decoder.drops_stale_epoch") +
                   snap.counter("decoder.drops_stale_ref");
+  r.estimated_loss = snap.gauge("resilience.loss.perceived_max");
   if (const obs::MetricValue* lvl =
           snap.find("resilience.degradation.worst_level")) {
-    r.estimated_loss = snap.gauge("resilience.loss.perceived_max");
     r.degradation_level = resilience::to_string(
         static_cast<resilience::DegradationLevel>(lvl->gauge));
     r.degradation_transitions =
@@ -91,6 +91,12 @@ TrialResult run_trial(const ExperimentConfig& config, util::BytesView file,
   }
 
   r.repair_packets_sent = snap.counter("gateway.encoder.repair_packets_out");
+  if (const obs::HistogramValue* h =
+          snap.histogram("fec.encoder.repairs_per_generation");
+      h != nullptr && h->count > 0) {
+    r.repairs_per_generation =
+        static_cast<double>(h->sum) / static_cast<double>(h->count);
+  }
   r.packets_reconstructed = snap.counter("decoder.fec.reconstructed");
   r.packets_resequenced = snap.counter("decoder.fec.resequenced");
   r.fec_forced_releases = snap.counter("decoder.fec.forced_releases");

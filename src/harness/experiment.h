@@ -82,12 +82,14 @@ struct TrialResult {
   std::uint64_t resyncs_honored = 0;   // ... that flushed the cache
   std::uint64_t epoch_adoptions = 0;   // decoder epoch changes
   std::uint64_t stale_drops = 0;       // stale-epoch + stale-reference
-  double estimated_loss = 0.0;         // encoder-side EWMA (max over pairs)
+  double estimated_loss = 0.0;         // encoder-side EWMA (max over pairs;
+                                       // any codec keeping a loss table)
   const char* degradation_level = "-"; // worst ladder rung reached
   std::uint64_t degradation_transitions = 0;
 
   // Coded-repair layer (zero unless dre.coded_repair; DESIGN.md §13).
   std::uint64_t repair_packets_sent = 0;    // injected by the encoder gateway
+  double repairs_per_generation = 0.0;      // mean R over closed generations
   std::uint64_t packets_reconstructed = 0;  // rebuilt from repair rows
   std::uint64_t packets_resequenced = 0;    // re-ordered via the buffer
   std::uint64_t fec_forced_releases = 0;    // reorder-cache gave up waiting

@@ -156,6 +156,15 @@ void MetricsRegistry::link_gauge(std::string_view name, const double* src,
   entries_.push_back(std::move(e));
 }
 
+void MetricsRegistry::link_histogram(std::string_view name,
+                                     const Histogram* src) {
+  Entry e;
+  e.name = std::string(name);
+  e.kind = MetricKind::kHistogram;
+  e.linked_hist = src;
+  entries_.push_back(std::move(e));
+}
+
 void MetricsRegistry::probe_counter(std::string_view name,
                                     std::function<std::uint64_t()> fn) {
   Entry e;
@@ -206,7 +215,8 @@ Snapshot MetricsRegistry::snapshot() const {
         }
         break;
       case MetricKind::kHistogram: {
-        const Histogram& h = *e.owned_hist;
+        const Histogram& h =
+            e.owned_hist != nullptr ? *e.owned_hist : *e.linked_hist;
         v.hist.buckets = h.buckets();
         v.hist.count = h.count();
         v.hist.sum = h.sum();

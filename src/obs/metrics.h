@@ -217,6 +217,7 @@ class MetricsRegistry {
   void link_counter(std::string_view name, const std::uint64_t* src);
   void link_gauge(std::string_view name, const double* src,
                   MergeOp merge = MergeOp::kLast);
+  void link_histogram(std::string_view name, const Histogram* src);
 
   /// Derived values computed at snapshot time.
   void probe_counter(std::string_view name,
@@ -246,6 +247,7 @@ class MetricsRegistry {
     Histogram* owned_hist = nullptr;
     const std::uint64_t* linked_counter = nullptr;
     const double* linked_gauge = nullptr;
+    const Histogram* linked_hist = nullptr;
     std::function<std::uint64_t()> probe_counter;
     std::function<double()> probe_gauge;
   };

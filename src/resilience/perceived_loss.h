@@ -20,8 +20,10 @@
 // inside the threshold granularity of the DegradationController that
 // consumes it.
 //
-// The estimator's table is the resilience layer's one record per host
-// pair: the loss state plus the pair's DegradationController.
+// Retransmissions only stamp the pair's loss clock: their drop is
+// already a sample.  The table is the encoder's one record per host pair
+// (loss state plus DegradationController), read by the resilient ladder
+// and the coded repair count (DESIGN.md §13.3).
 #pragma once
 
 #include <cstdint>
@@ -37,12 +39,37 @@ struct LossEstimatorConfig {
   double alpha = 0.05;
 };
 
+/// Packets the recent-loss window spans: it halves its counts whenever
+/// it reaches this many offered packets, so it covers the last half to
+/// whole of them.
+inline constexpr std::uint64_t kLossWindowPackets = 1024;
+
 /// Per-host-pair estimator state.
 struct FlowLossState {
   double ewma = 0.0;
   std::uint64_t offered = 0;
   std::uint64_t channel_drops = 0;
   std::uint64_t undecodable = 0;
+  std::uint64_t retransmissions = 0;
+  /// Offered packets and failure samples in the recent-loss window.
+  std::uint64_t window_offered = 0;
+  std::uint64_t window_failures = 0;
+  /// The estimator's clock at the pair's latest loss signal (channel
+  /// drop, undecodable report or retransmission); meaningless until
+  /// lossy.
+  std::uint64_t last_loss_clock = 0;
+  bool lossy = false;
+
+  /// Failure fraction over the recent-loss window.  Repair sizing reads
+  /// this rather than the EWMA: at 2% loss the EWMA's standard
+  /// deviation is about 2 points, and each upward swing would buy
+  /// repairs the path does not need.  Can exceed 1 when failures
+  /// outrun offered packets (drops of repair packets, a dead path).
+  [[nodiscard]] double recent_loss() const {
+    return window_offered == 0 ? 0.0
+                               : static_cast<double>(window_failures) /
+                                     static_cast<double>(window_offered);
+  }
 };
 
 /// Everything the resilience layer keeps per host pair.
@@ -69,6 +96,17 @@ class PerceivedLossEstimator {
   /// (failure samples).
   void on_undecodable(std::uint64_t host_key, std::uint32_t count = 1);
 
+  /// The encoding policy acted on a retransmission of `pair`'s: loss
+  /// evidence that stamps the loss clock but is no EWMA sample.
+  void on_retransmission(HostPairState& pair);
+
+  /// Sets the clock loss signals are stamped with.  The owner advances
+  /// it (core::Encoder: one tick per closed repair generation).
+  void set_clock(std::uint64_t now) { clock_ = now; }
+
+  /// Clock ticks since `s` last showed loss; UINT64_MAX if it never has.
+  [[nodiscard]] std::uint64_t since_loss(const FlowLossState& s) const;
+
   /// Current perceived-loss estimate for `host_key`; 0 if never sampled.
   [[nodiscard]] double loss(std::uint64_t host_key) const;
 
@@ -77,6 +115,15 @@ class PerceivedLossEstimator {
 
   /// Full state for `host_key`, or nullptr if never sampled.
   [[nodiscard]] const FlowLossState* flow(std::uint64_t host_key) const;
+
+  /// Current ladder rung of one host pair (kKDistance if never seen).
+  [[nodiscard]] DegradationLevel level_of(std::uint64_t host_key) const;
+
+  /// Most-degraded rung across all host pairs.
+  [[nodiscard]] DegradationLevel worst_level() const;
+
+  /// Ladder transitions across all host pairs.
+  [[nodiscard]] std::uint64_t transitions() const;
 
   /// Every host pair's record, keyed by host key.
   [[nodiscard]] const util::FlatMap64<HostPairState>& pairs() const {
@@ -91,6 +138,9 @@ class PerceivedLossEstimator {
   [[nodiscard]] std::uint64_t total_undecodable() const {
     return total_undecodable_;
   }
+  [[nodiscard]] std::uint64_t total_retransmissions() const {
+    return total_retransmissions_;
+  }
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
   /// audits): every EWMA is a probability, every ladder passes its own
@@ -100,6 +150,9 @@ class PerceivedLossEstimator {
  private:
   HostPairState& pair_for(std::uint64_t host_key);
   void sample(FlowLossState& s, double outcome) const;
+  /// Records `failures` loss samples' evidence: the window count and the
+  /// loss clock stamp.
+  void stamp(FlowLossState& s, std::uint64_t failures) const;
 
   LossEstimatorConfig config_;
   DegradationConfig ladder_;
@@ -107,6 +160,8 @@ class PerceivedLossEstimator {
   std::uint64_t total_offered_ = 0;
   std::uint64_t total_channel_drops_ = 0;
   std::uint64_t total_undecodable_ = 0;
+  std::uint64_t total_retransmissions_ = 0;
+  std::uint64_t clock_ = 0;
 };
 
 }  // namespace bytecache::resilience

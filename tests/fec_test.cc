@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "fec/decoder.h"
@@ -293,6 +294,111 @@ TEST(RepairCode, EarlyClosedShortGenerationStillRecovers) {
   expect_full_recovery(m, out, dropped);
 }
 
+// ------------------------------------------------------ loss-sized repair --
+
+/// P[Binomial(n, p) > r], summed term by term.
+double binomial_tail(std::size_t n, double p, std::size_t r) {
+  double at_most_r = 0.0;
+  double choose = 1.0;  // C(n, k)
+  for (std::size_t k = 0; k <= r && k <= n; ++k) {
+    if (k > 0) {
+      choose *= static_cast<double>(n - k + 1) / static_cast<double>(k);
+    }
+    at_most_r += choose * std::pow(p, static_cast<double>(k)) *
+                 std::pow(1.0 - p, static_cast<double>(n - k));
+  }
+  return 1.0 - at_most_r;
+}
+
+TEST(RepairCode, LossSizedRepairsIsTheSmallestCountMeetingTheTailTarget) {
+  EXPECT_EQ(fec::loss_sized_repairs(16, 0.0), 0);
+  EXPECT_EQ(fec::loss_sized_repairs(16, 1.0), fec::kMaxRepairPackets);
+  std::uint8_t prev = 0;
+  for (const double p : {0.001, 0.01, 0.02, 0.05, 0.0909, 0.15, 0.3}) {
+    const std::uint8_t r = fec::loss_sized_repairs(16, p);
+    EXPECT_GE(r, prev) << "p=" << p;  // never fewer for a worse path
+    prev = r;
+    if (r == fec::kMaxRepairPackets) continue;
+    EXPECT_LE(binomial_tail(16 + r, p, r), fec::kRepairTailTarget)
+        << "p=" << p << " r=" << int{r};
+    if (r > 0) {
+      EXPECT_GT(binomial_tail(16 + r - 1, p, r - 1), fec::kRepairTailTarget)
+          << "p=" << p << " r=" << int{r} << " is not the smallest";
+    }
+  }
+  // A 10% path (estimate p/(1+p)) needs more than the configured two.
+  EXPECT_GT(fec::loss_sized_repairs(16, 0.1 / 1.1), RepairConfig{}.repair_packets);
+}
+
+/// Closes one generation of `n` members, each described by `loss`, and
+/// returns its R (the repairs it emitted).
+std::size_t close_generation_of(RepairEncoder& enc, const MemberSet& m,
+                                std::size_t n, const fec::MemberLoss& loss) {
+  std::size_t repairs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    enc.begin_packet();
+    (void)enc.next_tag();
+    enc.add_member(m.wires[i % m.wires.size()], loss);
+    repairs += enc.emitted().size();
+  }
+  if (enc.generation_open()) {
+    enc.begin_packet();
+    enc.close_generation();
+    repairs += enc.emitted().size();
+  }
+  return repairs;
+}
+
+constexpr fec::MemberLoss kCleanPath{0.0, ~std::uint64_t{0}};
+
+TEST(RepairCode, RepairCountFollowsObservedLoss) {
+  util::Rng rng(testutil::test_seed(0xFEC0E));
+  RepairConfig cfg;  // G = 16, R = 2
+  const MemberSet m = make_members(rng, 16);
+  RepairEncoder enc(cfg);
+  const std::size_t g = cfg.generation_packets;
+  // Start-up: nothing is known about the path yet.
+  for (std::uint64_t i = 0; i < fec::kLossMemoryGenerations; ++i) {
+    ASSERT_EQ(close_generation_of(enc, m, g, kCleanPath), cfg.repair_packets)
+        << "start-up generation " << i;
+  }
+  // A path clean for the whole memory pays nothing ...
+  EXPECT_EQ(close_generation_of(enc, m, g, kCleanPath), 0u);
+  EXPECT_EQ(close_generation_of(
+                enc, m, g, {0.0, fec::kLossMemoryGenerations}),
+            0u);
+  // ... but one member whose path lost a packet within the memory brings
+  // R back, and so does loss seen while the generation is open.
+  {
+    std::size_t repairs = 0;
+    for (std::size_t i = 0; i < g; ++i) {
+      enc.begin_packet();
+      (void)enc.next_tag();
+      enc.add_member(m.wires[i], i == 7 ? fec::MemberLoss{
+                                              0.0,
+                                              fec::kLossMemoryGenerations - 1}
+                                        : kCleanPath);
+      repairs += enc.emitted().size();
+    }
+    EXPECT_EQ(repairs, cfg.repair_packets);
+  }
+  enc.begin_packet();
+  (void)enc.next_tag();
+  enc.add_member(m.wires[0], kCleanPath);
+  enc.note_loss();
+  EXPECT_EQ(close_generation_of(enc, m, g - 1, kCleanPath),
+            cfg.repair_packets);
+  // Loss in excess of what R masks raises R to the loss-sized count.
+  const double ten_percent = 0.1 / 1.1;
+  EXPECT_EQ(close_generation_of(enc, m, g, {ten_percent, 0}),
+            fec::loss_sized_repairs(g, ten_percent));
+  // A clean generation closed short still announces its size.
+  EXPECT_EQ(close_generation_of(enc, m, 5, kCleanPath), 1u);
+  EXPECT_EQ(enc.repairs_per_generation().count(), enc.stats().generations);
+  EXPECT_EQ(enc.repairs_per_generation().sum(), enc.stats().repair_payloads);
+  enc.audit();
+}
+
 // ----------------------------------------------------------- repair wire --
 
 TEST(RepairWire, EmittedRepairsParseBackAndPinTheirCoefficients) {
@@ -361,6 +467,104 @@ TEST(RepairDecoder, ReorderedArrivalsAreReleasedInOrder) {
   EXPECT_EQ(dec.stats().forced_releases, 0u);
   EXPECT_EQ(dec.stats().reconstructed, 0u);
   EXPECT_GT(dec.stats().resequenced, 0u);
+}
+
+/// Encodes `packets` members on a clean path and feeds each, then any
+/// repairs its generation closed with, into `dec` in order.  With
+/// `expect_direct`, checks that every member is released on arrival.
+void feed_clean_stream(RepairEncoder& enc, RepairDecoder& dec,
+                              const MemberSet& m, std::size_t packets,
+                              std::vector<RepairDecoder::Released>& out,
+                              bool expect_direct) {
+  for (std::size_t i = 0; i < packets; ++i) {
+    const packet::Packet& p = *m.pkts[i % m.pkts.size()];
+    enc.begin_packet();
+    const RepairEncoder::Tag tag = enc.next_tag();
+    enc.add_member(packet::to_wire(p), kCleanPath);
+    const std::size_t before = out.size();
+    dec.on_data(tag.gen_id, tag.gen_seq, packet::clone_packet(p), out);
+    if (expect_direct) {
+      // Released on arrival: exactly this packet, nothing held back.
+      EXPECT_EQ(out.size(), before + 1) << "packet " << i;
+      EXPECT_EQ(dec.buffered(), 0u) << "packet " << i;
+    }
+    for (const util::Bytes& r : enc.emitted()) dec.on_repair(r, out);
+  }
+}
+
+TEST(RepairDecoder, RepairFreeGenerationsReleaseWithoutStalling) {
+  // A lossless in-order stream whose generations carry no repairs past
+  // start-up: each retires on its last member, so every packet flows
+  // straight through and the cursor never waits on a size announcement.
+  util::Rng rng(testutil::test_seed(0xFEC0F));
+  RepairConfig cfg;  // G = 16
+  const MemberSet m = make_members(rng, 16);
+  RepairEncoder enc(cfg);
+  RepairDecoder dec(cfg);
+  std::vector<RepairDecoder::Released> out;
+  constexpr std::size_t kRepairFree = 200;
+  const std::size_t gens = fec::kLossMemoryGenerations + kRepairFree;
+  const std::size_t fed = gens * cfg.generation_packets;
+  feed_clean_stream(enc, dec, m, fed, out, /*expect_direct=*/true);
+  dec.audit();
+  enc.audit();
+  // The last kRepairFree generations emitted nothing.
+  EXPECT_EQ(enc.stats().generations, gens);
+  EXPECT_EQ(enc.stats().repair_payloads,
+            fec::kLossMemoryGenerations * cfg.repair_packets);
+  ASSERT_EQ(out.size(), fed);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i].pkt->uid, m.pkts[i % m.pkts.size()]->uid) << i;
+  }
+  EXPECT_EQ(dec.stats().released, fed);
+  EXPECT_EQ(dec.stats().resequenced, 0u);
+  EXPECT_EQ(dec.stats().forced_releases, 0u);
+  EXPECT_EQ(dec.stats().generations_abandoned, 0u);
+  EXPECT_EQ(dec.stats().generations_completed, gens);
+  EXPECT_EQ(dec.buffered(), 0u);
+}
+
+TEST(RepairDecoder, ShortGenerationWaitsForItsSizeAnnouncement) {
+  // Past start-up a clean generation closed short (a retransmission or
+  // teardown) carries one repair: only it says the generation ended, so
+  // the cursor holds newer traffic until it arrives.
+  util::Rng rng(testutil::test_seed(0xFEC10));
+  RepairConfig cfg;  // G = 16
+  const MemberSet m = make_members(rng, 16);
+  RepairEncoder enc(cfg);
+  RepairDecoder dec(cfg);
+  std::vector<RepairDecoder::Released> out;
+  feed_clean_stream(enc, dec, m,
+                    fec::kLossMemoryGenerations * cfg.generation_packets, out,
+                    /*expect_direct=*/true);
+  const std::uint64_t completed = dec.stats().generations_completed;
+
+  constexpr std::size_t kShort = 5;
+  feed_clean_stream(enc, dec, m, kShort, out, /*expect_direct=*/true);
+  enc.begin_packet();
+  enc.close_generation();
+  ASSERT_EQ(enc.emitted().size(), 1u);
+  const util::Bytes repair = enc.emitted()[0];
+  fec::RepairPacket parsed;
+  ASSERT_TRUE(fec::RepairPacket::parse_repair_into(repair, parsed));
+  EXPECT_EQ(parsed.gen_size, kShort);
+  EXPECT_EQ(parsed.repair_total, 1);
+  // Its members flowed through, but the generation is still open ...
+  EXPECT_EQ(dec.stats().generations_completed, completed);
+  // ... so the next generation's first member waits behind it.
+  const std::size_t before = out.size();
+  feed_clean_stream(enc, dec, m, 1, out, /*expect_direct=*/false);
+  EXPECT_EQ(out.size(), before);
+  EXPECT_EQ(dec.buffered(), 1u);
+  // The repair announces the size: the generation retires and the held
+  // member follows.
+  dec.on_repair(repair, out);
+  EXPECT_EQ(out.size(), before + 1);
+  EXPECT_EQ(dec.buffered(), 0u);
+  EXPECT_EQ(dec.stats().generations_completed, completed + 1);
+  EXPECT_EQ(dec.stats().resequenced, 1u);
+  EXPECT_EQ(dec.stats().forced_releases, 0u);
+  dec.audit();
 }
 
 TEST(RepairDecoder, DuplicateArrivalsAreSuppressedNotReplayed) {

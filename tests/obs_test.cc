@@ -387,6 +387,52 @@ TEST(ObsSharded, MultiShardCountersSumToPlainTotals) {
             plain_snap.counter("gateway.encoder.packets"));
 }
 
+// -------------------------------------------------- coded-repair gateway --
+
+TEST(ObsGateway, CodedEncoderExposesItsLossTableAndRepairCounts) {
+  // Coded repair alone (naive policy, no ladder) keeps the per-host-pair
+  // loss table: its probes and the per-generation repair histogram show
+  // why repair bytes are being paid.
+  core::GatewayConfig cfg = quiet_cfg(1);
+  cfg.params.coded_repair = true;
+  gateway::EncoderGateway gw(cfg);
+  gw.set_sink([](packet::PacketPtr) {});
+  util::Rng rng(0x0B5EEE);
+  const std::size_t g = cfg.params.repair.generation_packets;
+  std::uint32_t seq = 1000;
+  for (std::size_t i = 0; i < 2 * g; ++i) {
+    gw.receive(testutil::make_tcp_packet(testutil::random_bytes(rng, 600),
+                                         seq));
+    seq += 600;
+  }
+  auto dropped = testutil::make_tcp_packet(util::Bytes(100, 'x'), seq);
+  gw.on_channel_drop(*dropped);
+
+  const Snapshot snap = gw.snapshot();
+  EXPECT_EQ(snap.counter("resilience.loss.offered"), 2 * g);
+  EXPECT_EQ(snap.counter("resilience.loss.channel_drops"), 1u);
+  EXPECT_EQ(snap.counter("resilience.loss.undecodable"), 0u);
+  EXPECT_GT(snap.gauge("resilience.loss.perceived_max"), 0.0);
+  EXPECT_EQ(snap.gauge("resilience.loss.flows"), 1.0);
+  // No policy walks a ladder, so no ladder state is exported.
+  EXPECT_EQ(snap.find("resilience.degradation.worst_level"), nullptr);
+  const obs::HistogramValue* r =
+      snap.histogram("fec.encoder.repairs_per_generation");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->count, 2u);
+  EXPECT_EQ(r->sum, snap.counter("encoder.fec.repair_payloads"));
+  EXPECT_EQ(r->sum, 2u * cfg.params.repair.repair_packets);  // start-up
+
+  // Without coded repair a naive encoder keeps no table and exports
+  // neither.
+  gateway::EncoderGateway plain(quiet_cfg(1));
+  EXPECT_EQ(plain.encoder()->loss_table(), nullptr);
+  const Snapshot plain_snap = plain.snapshot();
+  EXPECT_EQ(plain_snap.find("resilience.loss.offered"), nullptr);
+  EXPECT_EQ(plain_snap.histogram("fec.encoder.repairs_per_generation"),
+            nullptr);
+}
+
 // ------------------------------------------------- pipeline integration --
 
 TEST(ObsPipeline, SnapshotReachesEveryLayer) {

@@ -9,9 +9,19 @@
 // The sweep prints a harness table (the EXPERIMENTS.md Fig. 13 recipe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <vector>
 
+#include "app/file_transfer.h"
+#include "app/pipeline.h"
+#include "core/wire.h"
+#include "fec/params.h"
+#include "fec/wire.h"
 #include "harness/experiment.h"
+#include "sim/loss_model.h"
 #include "workload/generators.h"
 
 namespace bytecache {
@@ -240,6 +250,115 @@ TEST(ResilienceChaos, ReorderOnlyLinkNeedsNoResync) {
     EXPECT_EQ(r.resync_requests, 0u) << seed;
     EXPECT_EQ(r.stale_drops, 0u) << seed;
   }
+}
+
+TEST(ResilienceChaos, CodedRepairReturnsWhenLossFollowsACleanPhase) {
+  // Loss-sized repair (DESIGN.md §13.3) over one long transfer whose
+  // link turns lossy: a clean phase long enough to take R to 0, then 5%
+  // uniform loss, then Gilbert-Elliott bursts at the same average.  The
+  // phases switch on the encoder's closed-generation count.
+  constexpr std::uint64_t kCleanGens = fec::kLossMemoryGenerations + 24;
+  constexpr std::uint64_t kUniformGens = 48;
+  constexpr std::uint64_t kClimbBound = 8;  // generations from loss onset
+  sim::Simulator sim;
+  app::PipelineConfig pc;
+  pc.policy = core::PolicyKind::kTcpSeq;
+  pc.dre.epoch_resync = true;
+  pc.dre.coded_repair = true;
+  pc.seed = 0xC1EA;
+  app::Pipeline pipeline(sim, pc);
+  const core::Encoder& enc = *pipeline.encoder_gw().encoder();
+  const std::size_t repair_packets = pc.dre.repair.repair_packets;
+
+  // Per generation (its id is its close index): R, and the members and
+  // repairs the link dropped.
+  std::vector<std::size_t> r_of;
+  std::map<std::uint16_t, std::size_t> lost_members;
+  std::map<std::uint16_t, std::size_t> lost_repairs;
+  fec::RepairPacket parsed;
+  std::uint64_t onset = 0;
+  std::uint64_t burst_onset = 0;
+  pipeline.encoder_gw().add_observer([&](const core::EncodeInfo& info) {
+    const std::uint64_t gens = enc.repair_stats().generations;
+    r_of.resize(gens, 0);
+    for (const Bytes& rep : info.repairs) {
+      ASSERT_TRUE(fec::RepairPacket::parse_repair_into(rep, parsed));
+      ++r_of[parsed.gen_id];
+    }
+    if (onset == 0 && gens >= kCleanGens) {
+      onset = gens;
+      pipeline.forward_link().set_loss(
+          std::make_unique<sim::BernoulliLoss>(0.05));
+    } else if (onset != 0 && burst_onset == 0 &&
+               gens >= onset + kUniformGens) {
+      burst_onset = gens;
+      pipeline.forward_link().set_loss(
+          sim::GilbertElliottLoss::with_average_loss(0.05));
+    }
+  });
+  pipeline.forward_link().set_drop_observer([&](const packet::Packet& p) {
+    std::uint16_t gen_id = 0;
+    std::uint8_t gen_seq = 0;
+    if (fec::is_repair_payload(p.payload)) {
+      ASSERT_TRUE(fec::RepairPacket::parse_repair_into(p.payload, parsed));
+      ++lost_repairs[parsed.gen_id];
+    } else if (core::peek_gen_tag(p.payload, gen_id, gen_seq)) {
+      ++lost_members[gen_id];
+    }
+    pipeline.encoder_gw().on_channel_drop(p);
+  });
+
+  Rng rng(0xC1EA);
+  app::FileTransfer transfer(sim, pipeline,
+                             workload::make_file1(rng, 3'600'000));
+  transfer.run_to_completion();
+  const app::TransferResult& t = transfer.result();
+  EXPECT_TRUE(t.completed);
+  EXPECT_TRUE(t.verified);
+  EXPECT_FALSE(t.stalled);
+  ASSERT_NE(burst_onset, 0u) << "the transfer ended before the burst phase";
+  ASSERT_GT(r_of.size(), burst_onset + 16);
+
+  // Clean phase: start-up generations carry repair_packets, and R is 0
+  // from the moment the path has been watched long enough.
+  for (std::uint64_t g = 0; g < onset; ++g) {
+    EXPECT_EQ(r_of[g], g < fec::kLossMemoryGenerations ? repair_packets : 0)
+        << "clean generation " << g;
+  }
+  // Loss onset: R climbs back within a bounded number of generations and
+  // stays up while loss keeps being seen, through the bursts.
+  std::uint64_t first_lossy = onset;
+  while (first_lossy < r_of.size() && r_of[first_lossy] < repair_packets) {
+    ++first_lossy;
+  }
+  EXPECT_LT(first_lossy, onset + kClimbBound);
+  for (std::uint64_t g = first_lossy; g < r_of.size(); ++g) {
+    EXPECT_GE(r_of[g], repair_packets) << "lossy-phase generation " << g;
+  }
+  // Every generation that lost no more than its repairs could cover was
+  // rebuilt by the decoder, not left to a resync.
+  std::uint64_t repairable = 0;
+  std::uint64_t unrepairable = 0;
+  for (const auto& [gen, members] : lost_members) {
+    if (gen >= r_of.size()) continue;  // the tail generation never closed
+    const std::size_t repairs_left =
+        r_of[gen] - std::min(r_of[gen], lost_repairs[gen]);
+    (members <= repairs_left ? repairable : unrepairable) += members;
+  }
+  const obs::Snapshot snap = pipeline.snapshot();
+  std::printf("  clean->loss: onset at generation %llu, R back at %llu; "
+              "%llu repairable and %llu unrepairable member losses, "
+              "%llu rebuilt, %llu resyncs\n",
+              static_cast<unsigned long long>(onset),
+              static_cast<unsigned long long>(first_lossy),
+              static_cast<unsigned long long>(repairable),
+              static_cast<unsigned long long>(unrepairable),
+              static_cast<unsigned long long>(
+                  snap.counter("decoder.fec.reconstructed")),
+              static_cast<unsigned long long>(
+                  snap.counter("encoder.resync_requests")));
+  EXPECT_GT(repairable, 0u);
+  EXPECT_EQ(snap.counter("decoder.fec.reconstructed"), repairable);
 }
 
 TEST(ResilienceChaos, ControllerSweepWithCodedRungEnabled) {

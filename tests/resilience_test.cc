@@ -11,6 +11,7 @@
 #include "core/factory.h"
 #include "core/flow.h"
 #include "core/policies.h"
+#include "fec/params.h"
 #include "gateway/gateways.h"
 #include "gateway/sharded_gateways.h"
 #include "resilience/degradation.h"
@@ -99,6 +100,41 @@ TEST(PerceivedLoss, CountsAndFlowState) {
   EXPECT_EQ(f->offered, 1u);
   EXPECT_EQ(f->channel_drops, 1u);
   EXPECT_EQ(f->undecodable, 3u);
+  est.audit();
+}
+
+TEST(PerceivedLoss, RecentLossTracksTheRateAndForgetsAnOldOne) {
+  PerceivedLossEstimator est;
+  for (int i = 0; i < 5000; ++i) {
+    est.on_offered(3);
+    if (i % 10 == 0) est.on_channel_drop(3);
+  }
+  const resilience::FlowLossState& s = *est.flow(3);
+  EXPECT_NEAR(s.recent_loss(), 0.1, 0.01);  // the rate, not p/(1+p)
+  EXPECT_LT(s.window_offered, resilience::kLossWindowPackets);
+  // Two windows of clean packets later the old rate is all but gone,
+  // while the lifetime counters still remember it.
+  for (std::uint64_t i = 0; i < 2 * resilience::kLossWindowPackets; ++i) {
+    est.on_offered(3);
+  }
+  EXPECT_LT(est.flow(3)->recent_loss(), 0.02);
+  EXPECT_EQ(est.flow(3)->channel_drops, 500u);
+  est.audit();
+}
+
+TEST(PerceivedLoss, RetransmissionsStampTheLossClockWithoutSampling) {
+  PerceivedLossEstimator est;
+  resilience::HostPairState& pair = est.on_offered(7);
+  EXPECT_EQ(est.since_loss(pair.loss), ~std::uint64_t{0});  // never lost
+  est.set_clock(5);
+  est.on_retransmission(pair);
+  EXPECT_EQ(pair.loss.ewma, 0.0);  // evidence, not a sample
+  EXPECT_EQ(est.total_retransmissions(), 1u);
+  EXPECT_EQ(est.since_loss(pair.loss), 0u);
+  est.set_clock(9);
+  EXPECT_EQ(est.since_loss(pair.loss), 4u);
+  est.on_channel_drop(7);  // every failure sample stamps too
+  EXPECT_EQ(est.since_loss(*est.flow(7)), 0u);
   est.audit();
 }
 
@@ -579,13 +615,22 @@ TEST(ResilientPolicy, FactoryAndName) {
   EXPECT_EQ(policy->name(), "resilient");
 }
 
+/// The loss table an encoder built from `params` keeps: the resilient
+/// policy walks its ladders (PacketContext::host_pair).
+PerceivedLossEstimator loss_table_for(const core::DreParams& params) {
+  DegradationConfig ladder = params.degradation;
+  ladder.coded_rung &= params.coded_repair;
+  return PerceivedLossEstimator(params.loss_estimator, ladder);
+}
+
 TEST(ResilientPolicy, DegradesToPassthroughUnderReportedLoss) {
   core::DreParams params;
   params.degradation.dwell_packets = 8;
   core::ResilientPolicy policy(params);
+  PerceivedLossEstimator table = loss_table_for(params);
   const std::uint64_t host = core::host_key_of(1, 2);
 
-  EXPECT_EQ(policy.worst_level(), DegradationLevel::kKDistance);
+  EXPECT_EQ(table.worst_level(), DegradationLevel::kKDistance);
 
   core::PacketContext ctx;
   ctx.host_key = host;
@@ -594,16 +639,17 @@ TEST(ResilientPolicy, DegradesToPassthroughUnderReportedLoss) {
   // bottom rung the policy refuses to encode at all.
   core::PolicyDecision last;
   for (int i = 0; i < 400; ++i) {
-    policy.estimator().on_undecodable(host);
+    table.on_undecodable(host);
     ctx.stream_index = static_cast<std::uint64_t>(i);
+    ctx.host_pair = &table.on_offered(host);
     last = policy.before_encode(ctx);
   }
-  EXPECT_EQ(policy.level_of(host), DegradationLevel::kPassthrough);
-  EXPECT_EQ(policy.worst_level(), DegradationLevel::kPassthrough);
+  EXPECT_EQ(table.level_of(host), DegradationLevel::kPassthrough);
+  EXPECT_EQ(table.worst_level(), DegradationLevel::kPassthrough);
   EXPECT_FALSE(last.allow_encode);
-  EXPECT_GE(policy.transitions(), 3u);
+  EXPECT_GE(table.transitions(), 3u);
   // An unrelated healthy pair still starts at the top.
-  EXPECT_EQ(policy.level_of(core::host_key_of(3, 4)),
+  EXPECT_EQ(table.level_of(core::host_key_of(3, 4)),
             DegradationLevel::kKDistance);
 }
 
@@ -611,6 +657,7 @@ TEST(ResilientPolicy, HealthyFlowBehavesLikeKDistance) {
   core::DreParams params;
   params.k_distance = 4;
   core::ResilientPolicy policy(params);
+  PerceivedLossEstimator table = loss_table_for(params);
   core::KDistancePolicy plain(params.k_distance);
   core::PacketContext ctx;
   ctx.host_key = core::host_key_of(1, 2);
@@ -619,6 +666,7 @@ TEST(ResilientPolicy, HealthyFlowBehavesLikeKDistance) {
   // k-distance packet for packet (same reference cadence).
   for (int i = 0; i < 40; ++i) {
     ctx.stream_index = static_cast<std::uint64_t>(i);
+    ctx.host_pair = &table.on_offered(ctx.host_key);
     const core::PolicyDecision a = policy.before_encode(ctx);
     const core::PolicyDecision b = plain.before_encode(ctx);
     EXPECT_EQ(a.allow_encode, b.allow_encode) << "packet " << i;
@@ -635,7 +683,7 @@ TEST(ResilientPolicy, FirstRetransmissionOnCacheFlushRungFlushes) {
   params.degradation.dwell_packets = 8;
   core::Encoder enc(params,
                     core::make_policy(core::PolicyKind::kResilient, params));
-  auto& policy = dynamic_cast<core::ResilientPolicy&>(enc.policy());
+  PerceivedLossEstimator& table = *enc.loss_table();
   const std::uint64_t host =
       core::host_key_of(testutil::kSrcIp, testutil::kDstIp);
   util::Rng rng(17);
@@ -649,7 +697,7 @@ TEST(ResilientPolicy, FirstRetransmissionOnCacheFlushRungFlushes) {
 
   // In order on the k-distance rung.
   for (int i = 0; i < 20; ++i) (void)send_next();
-  ASSERT_EQ(policy.level_of(host), DegradationLevel::kKDistance);
+  ASSERT_EQ(table.level_of(host), DegradationLevel::kKDistance);
 
   // Reported loss walks the pair to TCP-seq; the packet after its
   // dwell_packets-th there moves it on to Cache Flush.  Every segment up
@@ -657,18 +705,18 @@ TEST(ResilientPolicy, FirstRetransmissionOnCacheFlushRungFlushes) {
   std::uint64_t rung_packets = 0;
   for (int i = 0; i < 100 && rung_packets < params.degradation.dwell_packets;
        ++i) {
-    policy.estimator().on_undecodable(host, 4);
+    table.on_undecodable(host, 4);
     (void)send_next();
-    if (policy.level_of(host) == DegradationLevel::kTcpSeq) ++rung_packets;
+    if (table.level_of(host) == DegradationLevel::kTcpSeq) ++rung_packets;
   }
   ASSERT_EQ(rung_packets, params.degradation.dwell_packets);
-  policy.estimator().on_undecodable(host, 4);
+  table.on_undecodable(host, 4);
 
   // The next packet lands on Cache Flush and repeats the last segment.
   auto retx = testutil::make_tcp_packet(testutil::random_bytes(rng, 1000),
                                         seq - 1000);
   const core::EncodeInfo info = enc.process(*retx);
-  ASSERT_EQ(policy.level_of(host), DegradationLevel::kCacheFlush);
+  ASSERT_EQ(table.level_of(host), DegradationLevel::kCacheFlush);
   // EncodeInfo mirrors the policy's decision: `flushed` is flush_cache,
   // `retransmission` is is_retransmission.
   EXPECT_TRUE(info.flushed);
@@ -690,7 +738,7 @@ TEST(GatewayResilience, EncoderGatewayDispatchesControlMessages) {
   cfg.params = resync_params();
   cfg.policy = core::PolicyKind::kResilient;
   gateway::EncoderGateway gw(cfg);
-  ASSERT_NE(gw.resilient(), nullptr);
+  ASSERT_NE(gw.encoder()->loss_table(), nullptr);
 
   auto report = packet::make_packet(
       testutil::kDstIp, testutil::kSrcIp,
@@ -698,7 +746,7 @@ TEST(GatewayResilience, EncoderGatewayDispatchesControlMessages) {
       make_loss_report(testutil::kSrcIp, testutil::kDstIp).serialize());
   gw.receive_control(*report);
   EXPECT_EQ(gw.stats().loss_reports, 1u);
-  EXPECT_EQ(gw.resilient()->estimator().total_undecodable(), 1u);
+  EXPECT_EQ(gw.encoder()->loss_table()->total_undecodable(), 1u);
 
   core::ControlMessage resync;
   resync.type = core::ControlMessage::Type::kResyncRequest;
@@ -720,10 +768,67 @@ TEST(GatewayResilience, ChannelDropsFeedTheEstimator) {
   gw.on_channel_drop(*pkt);
   gw.on_channel_drop(*pkt);
   EXPECT_EQ(gw.stats().channel_drops_seen, 2u);
-  EXPECT_EQ(gw.resilient()->estimator().total_channel_drops(), 2u);
-  EXPECT_GT(gw.resilient()->estimator().loss(
+  EXPECT_EQ(gw.encoder()->loss_table()->total_channel_drops(), 2u);
+  EXPECT_GT(gw.encoder()->loss_table()->loss(
                 core::host_key_of(pkt->ip.src, pkt->ip.dst)),
             0.0);
+}
+
+TEST(GatewayResilience, CodedGatewayFeedsItsLossTableWithoutTheController) {
+  // Coded repair sizes its repairs from the same table, so a coded codec
+  // counts loss reports and channel drops whatever its policy.
+  core::GatewayConfig cfg;
+  cfg.params = resync_params();
+  cfg.params.coded_repair = true;
+  cfg.policy = core::PolicyKind::kTcpSeq;
+  gateway::EncoderGateway gw(cfg);
+  ASSERT_NE(gw.encoder()->loss_table(), nullptr);
+  auto report = packet::make_packet(
+      testutil::kDstIp, testutil::kSrcIp,
+      static_cast<packet::IpProto>(core::kControlProto),
+      make_loss_report(testutil::kSrcIp, testutil::kDstIp).serialize());
+  gw.receive_control(*report);
+  auto pkt = testutil::make_tcp_packet(util::Bytes(100, 'x'), 1000);
+  gw.on_channel_drop(*pkt);
+  const PerceivedLossEstimator& table = *gw.encoder()->loss_table();
+  EXPECT_EQ(table.total_undecodable(), 1u);
+  EXPECT_EQ(table.total_channel_drops(), 1u);
+  EXPECT_GT(table.loss(core::host_key_of(pkt->ip.src, pkt->ip.dst)), 0.0);
+
+  // A plain TCP-seq codec keeps no table: the reports are counted by the
+  // gateway and go no further.
+  cfg.params.coded_repair = false;
+  gateway::EncoderGateway plain(cfg);
+  EXPECT_EQ(plain.encoder()->loss_table(), nullptr);
+  plain.receive_control(*report);
+  plain.on_channel_drop(*pkt);
+  EXPECT_EQ(plain.stats().loss_reports, 1u);
+  EXPECT_EQ(plain.stats().channel_drops_seen, 1u);
+}
+
+TEST(GatewayResilience, RetransmissionsMarkTheCodedPathLossy) {
+  // TCP-seq acts on retransmissions; under coded repair each one is loss
+  // evidence for its host pair, without moving the EWMA.
+  core::DreParams params;
+  params.coded_repair = true;
+  core::Encoder enc(params,
+                    core::make_policy(core::PolicyKind::kTcpSeq, params));
+  util::Rng rng(23);
+  auto first = testutil::make_tcp_packet(testutil::random_bytes(rng, 800),
+                                         5000);
+  auto again = testutil::make_tcp_packet(testutil::random_bytes(rng, 800),
+                                         5000);
+  (void)enc.process(*first);
+  EXPECT_TRUE(enc.process(*again).retransmission);
+  const PerceivedLossEstimator& table = *enc.loss_table();
+  EXPECT_EQ(table.total_retransmissions(), 1u);
+  const resilience::FlowLossState* path =
+      table.flow(core::host_key_of(testutil::kSrcIp, testutil::kDstIp));
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->retransmissions, 1u);
+  EXPECT_EQ(path->ewma, 0.0);
+  EXPECT_LT(table.since_loss(*path), fec::kLossMemoryGenerations);
+  enc.audit();
 }
 
 TEST(GatewayResilience, DecoderGatewayEmitsLossReportsAndResyncRequests) {
@@ -783,9 +888,9 @@ TEST(GatewayResilience, LossReportsRouteToTheOwningShard) {
   gw.submit_control(std::move(report));
 
   for (std::size_t i = 0; i < cfg.shards; ++i) {
-    const core::ResilientPolicy* rp = gw.shard(i).resilient();
-    ASSERT_NE(rp, nullptr);
-    EXPECT_EQ(rp->estimator().total_undecodable(), i == owner ? 1u : 0u)
+    const PerceivedLossEstimator* table = gw.shard(i).encoder()->loss_table();
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table->total_undecodable(), i == owner ? 1u : 0u)
         << "shard " << i;
   }
   // The shard key is the host key: control feedback and the data path

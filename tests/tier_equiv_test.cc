@@ -528,7 +528,9 @@ void expect_digest(const TierDigest& d, const TierDigest& golden) {
 
 TEST(TierEquiv, TieredWireIsPinnedUnderLru) {
   const TierDigest golden{
-      .wire = 0xE729D8D344D8BB53ull,
+      // Loss-sized repair: 128 repairs over 68 clean generations (the
+      // 64 start-up ones), where a fixed R = 2 sent 136.
+      .wire = 0x63F140FF0CBF83B3ull,
       .enc_image = 0x6D840D57C4CBA266ull,
       .dec_image = 0x8D6FF77DBB6A6FF0ull,
       .enc_delta = 0,
@@ -543,7 +545,8 @@ TEST(TierEquiv, TieredWireIsPinnedUnderLru) {
 
 TEST(TierEquiv, TieredWireIsPinnedUnderZipfAware) {
   const TierDigest golden{
-      .wire = 0x3A117A54323E2B20ull,
+      // 128 repairs over 75 generations; a fixed R = 2 sent 150.
+      .wire = 0x858D175BD47F37A1ull,
       .enc_image = 0x6D840D57C4CBA266ull,
       .dec_image = 0x8D6FF77DBB6A6FF0ull,
       .enc_delta = 0x07BE74538A8AC109ull,
