@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/crc32.h"
 
 namespace bytecache::cache {
 
@@ -64,7 +63,6 @@ std::uint64_t CacheTier::update(util::BytesView payload,
   // demotion fallout lands before the fresh insert, keeping the insert's
   // own eviction decisions identical on both sides of the link.
   if (stripe_ != nullptr && !promote_queue_.empty()) apply_promotions();
-  journal_update(payload, anchors, meta);
   std::uint64_t id = 0;
   if (!anchors.empty()) {
     id = store_.insert(payload, meta, anchors);
@@ -130,14 +128,12 @@ void CacheTier::clear_l1() {
 }
 
 void CacheTier::flush() {
-  journal_op(kOpFlush, 0);
   clear_l1();
   if (stripe_ != nullptr) stripe_->clear();
   promote_queue_.clear();
 }
 
 bool CacheTier::invalidate(rabin::Fingerprint fp) {
-  journal_op(kOpInvalidate, fp);
   const auto entry = table_.get(fp);
   if (!entry) return false;
   if (stripe_ != nullptr && stripe_->invalidate(entry->packet_id)) {
@@ -280,59 +276,37 @@ bool CacheTier::load_l1(SnapshotReader& r) {
 }
 
 void CacheTier::save(SnapshotWriter& w) {
-  if (stripe_ == nullptr && config_.snapshot_mode == SnapshotMode::kFull) {
+  if (stripe_ == nullptr) {
     // Byte-identical to the pre-tier persist format for the default
     // configuration — old snapshots and their goldens stay valid.
     save_l1(w);
-  } else {
-    ++seq_;
-    w.u32(kSnapMagicTier);
-    w.u64(seq_);
-    save_l1(w);
-    // Host attribution rides out of band so the embedded flat block
-    // stays byte-identical to the legacy format.
-    std::uint32_t patched = 0;
-    for (const CachedPacket& p : store_.entries()) {
-      if (p.meta.host_key != 0) ++patched;
-    }
-    w.u32(patched);
-    for (const CachedPacket& p : store_.entries()) {
-      if (p.meta.host_key != 0) {
-        w.u64(p.id);
-        w.u64(p.meta.host_key);
-      }
-    }
-    w.u8(stripe_ != nullptr ? 1 : 0);
-    if (stripe_ != nullptr) stripe_->save(w);
-  }
-  journal_reset();
-  journal_overflow_ = config_.snapshot_mode != SnapshotMode::kIncremental;
-}
-
-void CacheTier::save_incremental(SnapshotWriter& w) {
-  if (config_.snapshot_mode != SnapshotMode::kIncremental ||
-      journal_overflow_) {
-    // No usable journal window (kFull mode, overflow, or no boundary
-    // yet): emit a full image; load() sniffs the magic either way.
-    save(w);
     return;
   }
-  w.u32(kSnapMagicIncr);
-  w.u64(seq_);  // the state version this delta chains on
-  w.u32(journal_ops_);
-  w.u32(static_cast<std::uint32_t>(journal_.size()));
-  w.bytes(journal_.buffer());
-  w.u32(util::crc32(journal_.buffer()));
   ++seq_;
-  journal_reset();
+  w.u32(kSnapMagicTier);
+  w.u64(seq_);
+  save_l1(w);
+  // Host attribution rides out of band so the embedded flat block
+  // stays byte-identical to the legacy format.
+  std::uint32_t patched = 0;
+  for (const CachedPacket& p : store_.entries()) {
+    if (p.meta.host_key != 0) ++patched;
+  }
+  w.u32(patched);
+  for (const CachedPacket& p : store_.entries()) {
+    if (p.meta.host_key != 0) {
+      w.u64(p.id);
+      w.u64(p.meta.host_key);
+    }
+  }
+  w.u8(1);  // an L2 block follows
+  stripe_->save(w);
 }
 
 bool CacheTier::reject(SnapshotReader& r) {
   clear_l1();
   if (stripe_ != nullptr) stripe_->clear();
   promote_queue_.clear();
-  journal_reset();
-  journal_overflow_ = true;
   seq_ = 0;
   r.fail();
   return false;
@@ -341,8 +315,14 @@ bool CacheTier::reject(SnapshotReader& r) {
 void CacheTier::loaded(std::uint64_t seq) {
   promote_queue_.clear();
   seq_ = seq;
-  journal_reset();
-  journal_overflow_ = config_.snapshot_mode != SnapshotMode::kIncremental;
+  // An image from a larger configuration may exceed this L1 budget: trim
+  // the LRU end as an insert would.  The victims are dropped, not
+  // demoted (the stripe was just restored to its own image), and purging
+  // their entries first leaves the eviction hook nothing to count.
+  while (const CachedPacket* victim = store_.over_budget_victim()) {
+    (void)table_.purge(victim->id, victim->fps);
+    store_.erase(victim->id);
+  }
 }
 
 bool CacheTier::load(SnapshotReader& r) {
@@ -351,8 +331,6 @@ bool CacheTier::load(SnapshotReader& r) {
       return load_flat(r);
     case kSnapMagicTier:
       return load_tier(r);
-    case kSnapMagicIncr:
-      return load_incremental(r);
     default:
       return reject(r);
   }
@@ -400,108 +378,6 @@ bool CacheTier::load_tier(SnapshotReader& r) {
   }
   loaded(seq);
   return true;
-}
-
-bool CacheTier::load_incremental(SnapshotReader& r) {
-  (void)r.u32();  // magic, already sniffed
-  const std::uint64_t base = r.u64();
-  const std::uint32_t ops = r.u32();
-  const std::uint32_t len = r.u32();
-  const util::BytesView body = r.bytes(len);
-  const std::uint32_t crc = r.u32();
-  if (!r.ok()) return reject(r);
-  // A delta only applies on the exact state it was journaled against —
-  // replaying it anywhere else silently diverges the caches.
-  if (base != seq_) return reject(r);
-  if (util::crc32(body) != crc) return reject(r);
-  replaying_ = true;
-  SnapshotReader br(body);
-  std::vector<rabin::Anchor> anchors;
-  for (std::uint32_t i = 0; i < ops; ++i) {
-    const std::uint8_t tag = br.u8();
-    switch (tag) {
-      case kOpUpdate: {
-        const PacketMeta meta = read_meta(br, MetaFields::kWithHostKey);
-        const std::uint32_t plen = br.u32();
-        const util::BytesView payload = br.bytes(plen);
-        const std::uint32_t nanchors = br.u32();
-        if (!br.ok()) break;
-        anchors.clear();
-        anchors.reserve(nanchors);
-        bool bad = false;
-        for (std::uint32_t a = 0; a < nanchors; ++a) {
-          rabin::Anchor anch;
-          anch.fp = br.u64();
-          anch.offset = br.u16();
-          if (anch.offset >= plen) bad = true;
-          anchors.push_back(anch);
-        }
-        // The update takes the store's next id, which must still fit
-        // the 48-bit id field.
-        if (bad || !valid_packet_id(store_.next_id())) br.fail();
-        if (!br.ok()) break;
-        // Replays through the normal update path, so the replayed state
-        // obeys every tier invariant the live one did.
-        update(payload, anchors, meta);
-        break;
-      }
-      case kOpInvalidate:
-        invalidate(br.u64());
-        break;
-      case kOpFlush:
-        flush();
-        break;
-      default:
-        br.fail();
-        break;
-    }
-    if (!br.ok()) {
-      replaying_ = false;
-      return reject(r);
-    }
-  }
-  replaying_ = false;
-  if (!br.at_end()) return reject(r);
-  loaded(base + 1);
-  return true;
-}
-
-// -------------------------------------------------------------- journal
-
-void CacheTier::journal_reset() {
-  journal_ = SnapshotWriter{};
-  journal_ops_ = 0;
-}
-
-void CacheTier::journal_update(util::BytesView payload,
-                               const std::vector<rabin::Anchor>& anchors,
-                               const PacketMeta& meta) {
-  if (!journaling() || journal_overflow_) return;
-  // An anchor-less update is a no-op in the cache; don't journal it.
-  if (anchors.empty()) return;
-  journal_.u8(kOpUpdate);
-  write_meta(journal_, meta, MetaFields::kWithHostKey);
-  journal_.u32(static_cast<std::uint32_t>(payload.size()));
-  journal_.bytes(payload);
-  journal_.u32(static_cast<std::uint32_t>(anchors.size()));
-  for (const rabin::Anchor& a : anchors) {
-    journal_.u64(a.fp);
-    journal_.u16(a.offset);
-  }
-  ++journal_ops_;
-  if (journal_.size() > kJournalCapBytes) {
-    // Too much history for a useful delta: the next save_incremental()
-    // falls back to a full image.  Drop the buffer now.
-    journal_overflow_ = true;
-    journal_reset();
-  }
-}
-
-void CacheTier::journal_op(std::uint8_t tag, rabin::Fingerprint fp) {
-  if (!journaling() || journal_overflow_) return;
-  journal_.u8(tag);
-  if (tag == kOpInvalidate) journal_.u64(fp);
-  ++journal_ops_;
 }
 
 }  // namespace bytecache::cache

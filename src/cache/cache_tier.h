@@ -20,10 +20,8 @@
 // each moving payload, metadata and anchor list — never index entries.
 // Entries are erased only when a packet leaves the cache for good.
 //
-// Snapshots: "BCC1" with no L2 in kFull mode (the pre-tier persist
-// format), "BCT1" otherwise; load() sniffs the magic.  In kIncremental
-// mode update/invalidate/flush are journaled and save_incremental()
-// emits a CRC-guarded "BCI1" delta replayed on load.
+// Snapshots are full images: "BCC1" with no L2 (the pre-tier persist
+// format), "BCT1" with one; load() sniffs the magic.
 #pragma once
 
 #include <cstdint>
@@ -178,27 +176,23 @@ class CacheTier final : private EvictionListener {
 
   // ---- Versioned snapshot/restore (cache/snapshot.h) ----
 
-  /// Full image: the flat "BCC1" block when no L2 is attached and the
-  /// mode is kFull (byte-identical to the pre-tier format), the "BCT1"
-  /// container otherwise.  Starts a new journal epoch.
+  /// Full image: the flat "BCC1" block when no L2 is attached
+  /// (byte-identical to the pre-tier format), the "BCT1" container
+  /// otherwise.
   void save(SnapshotWriter& w);
 
-  /// Incremental delta ("BCI1"): the operations journaled since the last
-  /// save boundary, CRC-guarded.  Falls back to a full image when the
-  /// journal is unavailable (kFull mode, overflow, or no boundary yet).
-  void save_incremental(SnapshotWriter& w);
-
-  /// Restores from any of the three formats (sniffed by magic).  A
-  /// "BCI1" delta only applies on top of the exact state version it was
-  /// taken against (the save boundary sequence number).  Consumes exactly
+  /// Restores from either format (sniffed by magic).  An image larger
+  /// than this cache's L1 budget (saved under a larger configuration) is
+  /// trimmed from its LRU end once loaded, as an insert would trim it,
+  /// dropping the victims and counting no statistics.  Consumes exactly
   /// the image's bytes (callers embedding it in a larger snapshot keep
   /// reading after it; stand-alone callers check r.at_end()).  Returns
   /// false — with the cache flushed and the reader failed — on malformed
-  /// input, a version mismatch, or a format/configuration mismatch (a
-  /// "BCT1" image holding L2 contents needs an attached L2).
+  /// input or a format/configuration mismatch (a "BCT1" image holding L2
+  /// contents needs an attached L2).
   bool load(SnapshotReader& r);
 
-  /// State version, bumped at each save boundary (deltas chain on it).
+  /// State version, bumped by each "BCT1" save and restored by its load.
   [[nodiscard]] std::uint64_t snapshot_seq() const { return seq_; }
 
   /// Snapshot-restore primitives (test seams for the audits); bypass the
@@ -215,12 +209,6 @@ class CacheTier final : private EvictionListener {
   }
 
  private:
-  static constexpr std::size_t kJournalCapBytes = 8 * 1024 * 1024;
-  // Journal op tags (BCI1).
-  static constexpr std::uint8_t kOpUpdate = 0x01;
-  static constexpr std::uint8_t kOpInvalidate = 0x02;
-  static constexpr std::uint8_t kOpFlush = 0x03;
-
   /// A packet leaving the L1 store: budget victims that still own
   /// entries demote into the stripe; everything else has its entries
   /// purged.
@@ -238,16 +226,6 @@ class CacheTier final : private EvictionListener {
   /// Empties the L1 store and the whole index (counted as a flush).
   void clear_l1();
 
-  void journal_update(util::BytesView payload,
-                      const std::vector<rabin::Anchor>& anchors,
-                      const PacketMeta& meta);
-  void journal_op(std::uint8_t tag, rabin::Fingerprint fp);
-  void journal_reset();
-  [[nodiscard]] bool journaling() const {
-    return config_.snapshot_mode == SnapshotMode::kIncremental &&
-           !replaying_;
-  }
-
   /// The "BCC1" block: L1 residents and the entries they own.
   void save_l1(SnapshotWriter& w) const;
   /// Replaces the L1 and the index with one "BCC1" block; false on
@@ -255,8 +233,8 @@ class CacheTier final : private EvictionListener {
   bool load_l1(SnapshotReader& r);
   bool load_flat(SnapshotReader& r);
   bool load_tier(SnapshotReader& r);
-  bool load_incremental(SnapshotReader& r);
-  /// Ends a successful restore at state version `seq`.
+  /// Ends a successful restore at state version `seq`, trimming the L1
+  /// to its budget.
   void loaded(std::uint64_t seq);
   bool reject(SnapshotReader& r);
 
@@ -271,11 +249,6 @@ class CacheTier final : private EvictionListener {
   /// Reused per-promotion scratch.
   L2Store::Stripe::Taken taken_;
 
-  // Incremental-snapshot journal (SnapshotMode::kIncremental only).
-  SnapshotWriter journal_;
-  std::uint32_t journal_ops_ = 0;
-  bool journal_overflow_ = true;  // no boundary yet: nothing to chain on
-  bool replaying_ = false;
   std::uint64_t seq_ = 0;
 };
 

@@ -58,7 +58,6 @@ void L2Store::Stripe::retire_slot(std::uint32_t slot) {
   s.pkt.anchors_complete = false;
   s.pkt.id = 0;
   s.pkt.meta = PacketMeta{};
-  s.hit_count = 0;
   s.promote_pending = false;
   s.live = false;
   free_.push_back(slot);
@@ -97,31 +96,6 @@ std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
   return purged;
 }
 
-std::uint32_t L2Store::Stripe::pick_victim() {
-  if (config_.eviction == EvictionPolicy::kLru) return recency_.tail;
-  // kZipfAware: give recently *hit* packets a second chance — scan a
-  // bounded window from the cold end, evicting the first zero-hit packet
-  // (or the least-hit one in the window), and halve the counts we skip so
-  // a once-hot packet cannot pin its slot forever.  The scan depends only
-  // on cache state, so encoder and decoder pick identical victims.
-  std::uint32_t best = recency_.tail;
-  std::uint32_t best_count = 0xFFFFFFFFu;
-  std::uint32_t scanned = 0;
-  for (std::uint32_t s = recency_.tail; s != kNilSlot && scanned < kZipfScan;
-       ++scanned) {
-    const std::uint32_t prev = slots_[s].prev;
-    const std::uint32_t c = slots_[s].hit_count;
-    if (c == 0) return s;
-    if (c < best_count) {
-      best_count = c;
-      best = s;
-    }
-    slots_[s].hit_count = c >> 1;
-    s = prev;
-  }
-  return best;
-}
-
 const CachedPacket* L2Store::Stripe::find(std::uint64_t id,
                                           bool& enqueue_promotion) {
   enqueue_promotion = false;
@@ -130,7 +104,6 @@ const CachedPacket* L2Store::Stripe::find(std::uint64_t id,
   const std::uint32_t slot = *slotp;
   touch(slot);
   Slot& s = slots_[slot];
-  if (s.hit_count != 0xFFFFFFFFu) ++s.hit_count;
   if (!s.promote_pending) {
     s.promote_pending = true;
     enqueue_promotion = true;
@@ -205,7 +178,7 @@ void L2Store::Stripe::end_packet() {
   // Never evicts the sole resident (admit() already bounds any single
   // packet by the share, so the loop terminates regardless).
   while (bytes_used_ > share_ && recency_.head != recency_.tail) {
-    stats_.l2_fingerprints_purged += evict_slot(pick_victim());
+    stats_.l2_fingerprints_purged += evict_slot(recency_.tail);
     ++stats_.l2_evictions;
   }
   free_limbo();
@@ -246,14 +219,12 @@ std::size_t L2Store::Stripe::host_bytes(std::uint64_t host_key) const {
 }
 
 void L2Store::Stripe::save(SnapshotWriter& w) const {
-  w.u32(kSnapMagicL2);
+  w.u32(kSnapMagicStripe);
   w.u32(static_cast<std::uint32_t>(size()));
   for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
-    const Slot& slot = slots_[s];
-    const CachedPacket& p = slot.pkt;
+    const CachedPacket& p = slots_[s].pkt;
     w.u64(p.id);
     write_meta(w, p.meta, MetaFields::kWithHostKey);
-    w.u32(slot.hit_count);
     w.u32(static_cast<std::uint32_t>(p.payload.size()));
     w.bytes(p.payload);
     // Two passes over the (short) fingerprint list instead of a scratch
@@ -289,12 +260,11 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     r.fail();
     return false;
   };
-  if (r.u32() != kSnapMagicL2 || !r.ok()) return reject();
+  if (r.u32() != kSnapMagicStripe || !r.ok()) return reject();
   const std::uint32_t packets = r.u32();
   for (std::uint32_t i = 0; i < packets; ++i) {
     const std::uint64_t id = r.u64();
     const PacketMeta meta = read_meta(r, MetaFields::kWithHostKey);
-    const std::uint32_t hit_count = r.u32();
     const std::uint32_t len = r.u32();
     const util::BytesView payload = r.bytes(len);
     if (!r.ok() || !valid_packet_id(id) || id_index_.find(id) != nullptr) {
@@ -305,7 +275,6 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     // anchor list starts empty and incomplete: it holds only the entries
     // the packet owns.
     Slot& s = slots_[occupy(id, payload, meta, /*warm=*/false)];
-    s.hit_count = hit_count;
     const std::uint32_t owned = r.u32();
     for (std::uint32_t f = 0; f < owned; ++f) {
       const rabin::Fingerprint fp = r.u64();
@@ -336,7 +305,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     }
   }
   while (bytes_used_ > share_ && recency_.head != recency_.tail) {
-    evict_slot(pick_victim());
+    evict_slot(recency_.tail);
   }
   // No payload view is outstanding during a restore; free limbo now.
   free_limbo();

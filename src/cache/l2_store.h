@@ -24,9 +24,8 @@
 // Admission control: a demoted packet charges its host pair
 // (PacketMeta::host_key); a pair over per_host_pair_bytes evicts its own
 // coldest packets — never its neighbors' — and a packet larger than the
-// pair budget or the stripe share is rejected.  Share eviction picks
-// victims through the policy seam: LRU, or the deterministic
-// frequency-aware kZipfAware scan (cache/cache_config.h).
+// pair budget or the stripe share is rejected.  Share eviction takes
+// the stripe's least-recently-used packet, the same rule as the L1.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +87,10 @@ class L2Store {
     Stripe(const Stripe&) = delete;
     Stripe& operator=(const Stripe&) = delete;
 
-    /// L2 hit on packet `id`: touches its global and per-host recency,
-    /// bumps its hit count, and — the first time in its current L2
-    /// residence — sets `enqueue_promotion`.  nullptr if not resident;
-    /// the packet stays valid until end_packet().
+    /// L2 hit on packet `id`: touches its global and per-host recency
+    /// and — the first time in its current L2 residence — sets
+    /// `enqueue_promotion`.  nullptr if not resident; the packet stays
+    /// valid until end_packet().
     [[nodiscard]] const CachedPacket* find(std::uint64_t id,
                                            bool& enqueue_promotion);
 
@@ -111,13 +110,13 @@ class L2Store {
     bool invalidate(std::uint64_t id);
 
     /// End-of-packet epoch boundary: enforce the stripe share (deferred
-    /// budget eviction through the policy seam) and free limbo slices.
+    /// LRU eviction) and free limbo slices.
     void end_packet();
 
     /// Drops everything (cache flush; the codec clears the index).
     void clear();
 
-    /// Serializes / restores one "BCL2" block (contents + recency +
+    /// Serializes / restores one "BCS1" block (contents + recency +
     /// per-host attribution + owned index entries; not statistics).
     /// load() consumes exactly the block and returns false, with the
     /// stripe cleared and the reader failed, on malformed input.
@@ -150,8 +149,6 @@ class L2Store {
    private:
     friend class L2Store;  // attach() wires in the codec's index
 
-    static constexpr std::uint32_t kZipfScan = 8;
-
     struct Slot {
       CachedPacket pkt;
       SliceArena::Slice slice;
@@ -159,7 +156,6 @@ class L2Store {
       std::uint32_t next = kNilSlot;
       std::uint32_t host_prev = kNilSlot;  // per-host-pair chain
       std::uint32_t host_next = kNilSlot;
-      std::uint32_t hit_count = 0;         // kZipfAware decayed frequency
       bool live = false;
       bool promote_pending = false;
     };
@@ -182,8 +178,6 @@ class L2Store {
     /// Purges the index entries `slot` owns and removes it; returns the
     /// number of index entries purged.
     std::size_t evict_slot(std::uint32_t slot);
-    /// Victim for a stripe-share eviction per the policy seam.
-    [[nodiscard]] std::uint32_t pick_victim();
 
     CacheConfig config_;
     std::size_t share_;

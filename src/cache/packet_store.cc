@@ -242,14 +242,11 @@ void PacketStore::audit() const {
 }
 
 void PacketStore::evict_to_budget() {
-  if (byte_budget_ == 0) return;
-  while (bytes_used_ > byte_budget_ && lru_.head != lru_.tail) {
-    // Never evict the entry just inserted (front).
+  while (const CachedPacket* pkt = over_budget_victim()) {
     const std::uint32_t victim = lru_.tail;
-    const CachedPacket& pkt = slots_[victim].pkt;
-    if (listener_ != nullptr) listener_->on_evict(pkt, EvictReason::kBudget);
-    bytes_used_ -= pkt.payload.size();
-    index_.erase(pkt.id);
+    if (listener_ != nullptr) listener_->on_evict(*pkt, EvictReason::kBudget);
+    bytes_used_ -= pkt->payload.size();
+    index_.erase(pkt->id);
     Lru::unlink(slots_, lru_, victim);
     release_slot(victim);
     ++evictions_;

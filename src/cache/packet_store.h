@@ -284,6 +284,15 @@ class PacketStore {
     next_id_ = std::max(next_id_, id + 1);
   }
 
+  /// The packet the byte budget evicts next: the LRU entry while the
+  /// budget is exceeded and more than one entry is stored (the newest is
+  /// never evicted), else nullptr.
+  [[nodiscard]] const CachedPacket* over_budget_victim() const {
+    const bool over = byte_budget_ != 0 && bytes_used_ > byte_budget_ &&
+                      lru_.head != lru_.tail;
+    return over ? &slots_[lru_.tail].pkt : nullptr;
+  }
+
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }

@@ -13,11 +13,10 @@
 //   "BCC1"  flat L1 image (the original persist format, unchanged —
 //           old snapshots stay readable, and an L2-less CacheTier still
 //           emits exactly it)
-//   "BCL2"  one L2 stripe's contents
+//   "BCS1"  one L2 stripe's contents
 //   "BCT1"  full two-tier image: seq | BCC1 L1 block | host-key patch
-//           table | BCL2 block
-//   "BCI1"  incremental delta: base seq | op journal | CRC32
-// All three packet-carrying formats store a packet's metadata as one
+//           table | BCS1 block
+// Both packet-carrying formats store a packet's metadata as one
 // PacketMeta record (write_meta / read_meta below).
 #pragma once
 
@@ -28,10 +27,9 @@
 
 namespace bytecache::cache {
 
-inline constexpr std::uint32_t kSnapMagicFlat = 0x42434331;  // "BCC1"
-inline constexpr std::uint32_t kSnapMagicL2 = 0x42434C32;    // "BCL2"
-inline constexpr std::uint32_t kSnapMagicTier = 0x42435431;  // "BCT1"
-inline constexpr std::uint32_t kSnapMagicIncr = 0x42434931;  // "BCI1"
+inline constexpr std::uint32_t kSnapMagicFlat = 0x42434331;    // "BCC1"
+inline constexpr std::uint32_t kSnapMagicStripe = 0x42435331;  // "BCS1"
+inline constexpr std::uint32_t kSnapMagicTier = 0x42435431;    // "BCT1"
 
 class SnapshotWriter {
  public:
@@ -106,8 +104,8 @@ class SnapshotReader {
 };
 
 /// Which PacketMeta fields a snapshot record carries.  BCC1 predates
-/// host attribution (BCT1 patches its host keys in out of band); BCL2
-/// and BCI1 records append the host key.
+/// host attribution (BCT1 patches its host keys in out of band); BCS1
+/// records append the host key.
 enum class MetaFields : std::uint8_t { kBase, kWithHostKey };
 
 /// Writes one PacketMeta record: flow_key, src_uid, stream_index,

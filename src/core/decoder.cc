@@ -66,15 +66,6 @@ util::Bytes Decoder::save_state() {
   return out;
 }
 
-util::Bytes Decoder::save_state_incremental() {
-  util::Bytes out;
-  util::put_u64(out, stream_index_);
-  cache::SnapshotWriter w;
-  cache_.save_incremental(w);
-  util::append(out, w.buffer());
-  return out;
-}
-
 bool Decoder::load_state(util::BytesView snapshot) {
   if (snapshot.size() < 8) return false;
   std::size_t off = 0;

@@ -170,8 +170,6 @@ class Decoder {
   /// epoch is not part of the snapshot: after a restore the decoder
   /// re-adopts from the next v2 packet it sees.
   [[nodiscard]] util::Bytes save_state();
-  /// Incremental form (mirrors Encoder::save_state_incremental).
-  [[nodiscard]] util::Bytes save_state_incremental();
   bool load_state(util::BytesView snapshot);
 
  private:

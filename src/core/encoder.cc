@@ -162,16 +162,6 @@ util::Bytes Encoder::save_state() {
   return out;
 }
 
-util::Bytes Encoder::save_state_incremental() {
-  util::Bytes out;
-  util::put_u64(out, stream_index_);
-  util::put_u16(out, epoch_);
-  cache::SnapshotWriter w;
-  cache_.save_incremental(w);
-  util::append(out, w.buffer());
-  return out;
-}
-
 bool Encoder::load_state(util::BytesView snapshot) {
   if (snapshot.size() < 10) return false;
   std::size_t off = 0;

@@ -183,12 +183,6 @@ class Encoder {
   /// (conservative: at worst some compression opportunities are skipped).
   [[nodiscard]] util::Bytes save_state();
 
-  /// Incremental snapshot (CacheConfig::snapshot_mode == kIncremental):
-  /// the same framing, but the cache part is the journaled delta since
-  /// the last save boundary; falls back to a full image when no delta
-  /// can be emitted.  load_state() reads either.
-  [[nodiscard]] util::Bytes save_state_incremental();
-
   /// Restores a save_state() snapshot; false (cache flushed) if invalid.
   bool load_state(util::BytesView snapshot);
 

@@ -38,10 +38,10 @@ struct GatewayConfig {
   PolicyKind policy = PolicyKind::kNaive;
 
   /// Cache geometry (cache/cache_config.h): the L1 byte budget, the
-  /// optional shared L2 tier, per-host-pair admission budgets, the
-  /// eviction policy, and the snapshot mode.  The default — everything
-  /// zero — is the paper's unbounded flat cache.  Both gateway sides of
-  /// a deployment must agree (the codecs run their caches in lockstep).
+  /// optional shared L2 tier, and per-host-pair admission budgets.  The
+  /// default — everything zero — is the paper's unbounded flat cache.
+  /// Both gateway sides of a deployment must agree (the codecs run their
+  /// caches in lockstep).
   cache::CacheConfig cache;
 
   /// Sharded gateways only: shared-nothing shard count (>= 1), SPSC ring

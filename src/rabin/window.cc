@@ -20,11 +20,6 @@ void RollingWindow::reset() {
   // ring contents are irrelevant until refilled
 }
 
-std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
-                        ScanSink sink) {
-  return scan(tables, payload, sink);
-}
-
 // The selection functions below have two code paths with pinned-identical
 // output (tests/simd_kernel_test.cc) — except MAXP, which always runs
 // fused (see the comment in selected_anchors_maxp_into):

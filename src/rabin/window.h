@@ -6,10 +6,6 @@
 // template that inlines its sink into the roll loop (one push-table and
 // one out-table lookup plus XORs per byte — see rabin.h) and reads the
 // outgoing byte straight from the payload instead of maintaining a ring.
-// A thin type-erased overload (`ScanSink`) remains for callers that need
-// a stable non-template entry point; it pays one indirect call per
-// position and exists mostly as the reference the equivalence tests pin
-// the inlined path against.
 //
 // RollingWindow serves the incremental (byte-at-a-time) use case where
 // the payload is not all in memory; its ring is sized to the next power
@@ -17,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "rabin/rabin.h"
@@ -94,33 +88,6 @@ inline std::size_t scan(const RabinTables& tables, util::BytesView payload,
   }
   return n - w + 1;
 }
-
-/// Non-owning type-erased sink (function_ref-style): two words, no
-/// allocation, no virtual dispatch beyond one function-pointer call.
-class ScanSink {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, ScanSink>>>
-  ScanSink(F&& f)  // NOLINT(google-explicit-constructor)
-      : ctx_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        fn_([](void* ctx, std::size_t off, Fingerprint fp) {
-          (*static_cast<std::remove_reference_t<F>*>(ctx))(off, fp);
-        }) {}
-
-  void operator()(std::size_t off, Fingerprint fp) const {
-    fn_(ctx_, off, fp);
-  }
-
- private:
-  void* ctx_;
-  void (*fn_)(void*, std::size_t, Fingerprint);
-};
-
-/// Type-erased scan for callers that cannot (or should not) instantiate
-/// the template; one out-of-line indirect call per window position.
-std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
-                        ScanSink sink);
 
 /// Reusable buffers for the phased anchor-selection paths (kernel fill,
 /// kernel classify, bit walk — see scan_kernel.h).  Encoder and Decoder

@@ -285,45 +285,6 @@ TEST(CacheTier, FlushClearsBothTiers) {
   tier.audit();
 }
 
-// --------------------------------------------- eviction-policy seam --
-
-/// Replays one admit/hit sequence under a given policy and hands the
-/// stripe to `verify`: packet 1 ('a') takes four hits before packets
-/// 2..4 arrive, so by the time the share overflows it is hot by
-/// frequency but sits at the recency tail.
-template <typename Verify>
-void run_policy_scenario(EvictionPolicy policy, Verify&& verify) {
-  CacheConfig cc;
-  cc.l2_bytes = 350;  // three 100-byte payloads
-  cc.eviction = policy;
-  L2Store l2(cc, 1);
-  FingerprintTable index;
-  L2Store::Stripe* s = l2.attach(index);
-  const Bytes bufs[4] = {payload_of('a'), payload_of('b'), payload_of('c'),
-                         payload_of('d')};
-  const rabin::Fingerprint fps[4] = {0xA0, 0xB0, 0xC0, 0xD0};
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    CachedPacket p;
-    p.id = i + 1;
-    p.payload = PayloadView{bufs[i].data(), bufs[i].size()};
-    p.meta.host_key = 0x99;
-    p.fps = {fps[i]};
-    p.offsets = {0};
-    index.put(fps[i], FpEntry{p.id, 0});
-    ASSERT_TRUE(s->admit(p));
-    if (i == 0) {
-      bool enqueue = false;
-      for (int h = 0; h < 4; ++h) ASSERT_NE(s->find(1, enqueue), nullptr);
-    }
-    s->end_packet();
-  }
-  s->audit();
-  CacheTier::audit_index(index, PacketStore{}, s);
-  EXPECT_EQ(s->stats().l2_evictions, 1u);
-  EXPECT_EQ(index.size(), 3u);  // the victim's entry went with it
-  verify(*s);
-}
-
 // ---------------------------------------------- promotion buffers --
 
 TEST(L2Stripe, PromoteDemoteCycleKeepsSlotCapacities) {
@@ -357,19 +318,41 @@ TEST(L2Stripe, PromoteDemoteCycleKeepsSlotCapacities) {
   }
 }
 
-TEST(L2EvictionPolicy, LruEvictsTheRecencyTailRegardlessOfHits) {
-  run_policy_scenario(EvictionPolicy::kLru, [](const L2Store::Stripe& s) {
-    EXPECT_FALSE(s.contains(1));  // 'a' was the tail
-    EXPECT_TRUE(s.contains(2));
-  });
-}
+// ------------------------------------------------- share eviction --
 
-TEST(L2EvictionPolicy, ZipfAwareSparesHotTailAndTakesColdNeighbour) {
-  run_policy_scenario(
-      EvictionPolicy::kZipfAware, [](const L2Store::Stripe& s) {
-        EXPECT_TRUE(s.contains(1));   // hot 'a' gets its second chance
-        EXPECT_FALSE(s.contains(2));  // zero-hit 'b' goes instead
-      });
+TEST(L2Eviction, LruEvictsTheRecencyTailRegardlessOfHits) {
+  // Packet 1 ('a') takes four hits before packets 2..4 arrive, so by the
+  // time the share overflows it is the most-hit packet but sits at the
+  // recency tail: the share eviction takes it all the same.
+  CacheConfig cc;
+  cc.l2_bytes = 350;  // three 100-byte payloads
+  L2Store l2(cc, 1);
+  FingerprintTable index;
+  L2Store::Stripe* s = l2.attach(index);
+  const Bytes bufs[4] = {payload_of('a'), payload_of('b'), payload_of('c'),
+                         payload_of('d')};
+  const rabin::Fingerprint fps[4] = {0xA0, 0xB0, 0xC0, 0xD0};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    CachedPacket p;
+    p.id = i + 1;
+    p.payload = PayloadView{bufs[i].data(), bufs[i].size()};
+    p.meta.host_key = 0x99;
+    p.fps = {fps[i]};
+    p.offsets = {0};
+    index.put(fps[i], FpEntry{p.id, 0});
+    ASSERT_TRUE(s->admit(p));
+    if (i == 0) {
+      bool enqueue = false;
+      for (int h = 0; h < 4; ++h) ASSERT_NE(s->find(1, enqueue), nullptr);
+    }
+    s->end_packet();
+  }
+  s->audit();
+  CacheTier::audit_index(index, PacketStore{}, s);
+  EXPECT_EQ(s->stats().l2_evictions, 1u);
+  EXPECT_EQ(index.size(), 3u);  // the victim's entry went with it
+  EXPECT_FALSE(s->contains(1));  // 'a' was the tail
+  EXPECT_TRUE(s->contains(2));
 }
 
 // ----------------------------------------------------- index audit --

@@ -5,7 +5,7 @@
 // reference implementations; these tests pin each one against its
 // reference on random inputs so a behavioural drift cannot hide behind a
 // performance win:
-//   - template scan vs the type-erased scan vs full recomputation,
+//   - template scan vs full recomputation,
 //   - RollingWindow vs RabinTables::of at every offset,
 //   - FlatMap64 / FingerprintTable vs std::unordered_map, and the
 //     packed-slot form vs the used-byte form and a textbook layout,
@@ -47,8 +47,6 @@ using util::Rng;
 struct OffsetFp {
   std::size_t offset;
   rabin::Fingerprint fp;
-
-  friend bool operator==(const OffsetFp&, const OffsetFp&) = default;
 };
 
 // ----------------------------------------------------------- scanning --
@@ -68,14 +66,7 @@ TEST(ScanEquiv, TemplateVsErasedVsRecompute) {
           inlined.push_back({off, fp});
         });
 
-    std::vector<OffsetFp> erased;
-    const std::size_t count_erased = rabin::scan_erased(
-        tables, payload, [&](std::size_t off, rabin::Fingerprint fp) {
-          erased.push_back({off, fp});
-        });
-
-    EXPECT_EQ(count_inlined, count_erased);
-    EXPECT_EQ(inlined, erased);
+    EXPECT_EQ(inlined.size(), count_inlined);
     EXPECT_EQ(count_inlined, n < 16 ? 0 : n - 16 + 1);
     // Every reported fingerprint equals a from-scratch recomputation of
     // the window it covers.

@@ -114,6 +114,37 @@ TEST(Persist, MalformedSnapshotsRejectedAndFlushed) {
   Bytes trailing = snap;
   trailing.push_back(0);
   EXPECT_FALSE(load_bytes(trailing, victim));
+
+  // A tiered image whose stripe block has the retired "BCL2" layout —
+  // each record carried a 4-byte hit count after its metadata — is
+  // rejected by its magic, not misread.
+  cache::CacheConfig cc;
+  cc.l1_bytes = 256;
+  cc.l2_bytes = 4096;
+  cache::L2Store l2(cc, 1);
+  cache::CacheTier tiered(cc, &l2);
+  tiered.update(Bytes(200, 'a'), {{0, 0xA1}}, {});
+  tiered.update(Bytes(200, 'b'), {{0, 0xB2}}, {});  // demotes the first
+  ASSERT_EQ(tiered.stripe()->size(), 1u);
+  const Bytes image = save_bytes(tiered);
+  const Bytes magic = {'B', 'C', 'S', '1'};
+  const auto at =
+      std::search(image.begin(), image.end(), magic.begin(), magic.end());
+  ASSERT_NE(at, image.end());
+  Bytes old_layout = image;
+  const auto block = at - image.begin();
+  const Bytes old_magic = {'B', 'C', 'L', '2'};
+  std::copy(old_magic.begin(), old_magic.end(), old_layout.begin() + block);
+  // Magic, packet count, id, then the 45-byte host-keyed metadata record.
+  old_layout.insert(old_layout.begin() + block + 4 + 4 + 8 + 45, 4, 0);
+  cache::L2Store l2_victim(cc, 1);
+  cache::CacheTier tiered_victim(cc, &l2_victim);
+  ASSERT_TRUE(load_bytes(image, tiered_victim));
+  EXPECT_EQ(tiered_victim.stripe()->size(), 1u);
+  EXPECT_FALSE(load_bytes(old_layout, tiered_victim));
+  EXPECT_EQ(tiered_victim.store().size(), 0u);
+  EXPECT_EQ(tiered_victim.stripe()->size(), 0u);
+  EXPECT_EQ(tiered_victim.fingerprint_count(), 0u);
 }
 
 TEST(Persist, FuzzDeserializeNeverCrashes) {
@@ -207,6 +238,85 @@ TEST(Persist, ColdVsWarmRestartCompressionGap) {
     return second.stats().bytes_out;
   };
   EXPECT_LT(run_second_half(true), run_second_half(false));
+}
+
+TEST(Persist, ImageOverTheL1BudgetIsTrimmedOnLoad) {
+  // An image saved under a larger L1 keeps its most recent packets that
+  // fit this budget — what a runtime insert would have kept — and the
+  // trim counts no statistics.
+  cache::CacheTier unbounded;
+  for (int i = 0; i < 20; ++i) {
+    unbounded.update(Bytes(1000, static_cast<std::uint8_t>('a' + i)),
+                     {{0, static_cast<rabin::Fingerprint>(0x100 + i)}}, {});
+  }
+  cache::CacheConfig cc;
+  cc.l1_bytes = 4096;
+  cache::CacheTier bounded(cc);
+  ASSERT_TRUE(load_bytes(save_bytes(unbounded), bounded));
+  EXPECT_LE(bounded.store().bytes_used(), cc.l1_bytes);
+  EXPECT_EQ(bounded.store().size(), 4u);
+  EXPECT_EQ(bounded.table().size(), 4u);
+  EXPECT_EQ(bounded.store().evictions(), 0u);
+  EXPECT_EQ(bounded.stats().fingerprints_purged, 0u);
+  bounded.audit();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(bounded.find(static_cast<rabin::Fingerprint>(0x100 + i))
+                  .has_value(),
+              i >= 16)
+        << i;
+  }
+}
+
+TEST(Persist, TrimmedRestoreKeepsGatewaysInLockstep) {
+  // Both sides of an unbounded pair restart with a smaller L1: each trims
+  // its own image to the same packets, and the rest of the stream still
+  // decodes without a drop.
+  core::DreParams params;
+  auto enc = std::make_unique<core::Encoder>(
+      params, core::make_policy(core::PolicyKind::kNaive, params));
+  auto dec = std::make_unique<core::Decoder>(params);
+  Rng rng(2);
+  const Bytes object = workload::make_file1(rng, 200 * 1460);
+  auto packets = testutil::segment_stream(object);
+  const std::size_t half = packets.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    enc->process(*packets[i]);
+    ASSERT_FALSE(core::is_drop(dec->process(*packets[i]).status));
+  }
+  const Bytes enc_snap = enc->save_state();
+  const Bytes dec_snap = dec->save_state();
+  const std::size_t saved = enc->cache().store().size();
+
+  cache::CacheConfig cc;
+  cc.l1_bytes = 64 * 1024;
+  enc = std::make_unique<core::Encoder>(
+      params, core::make_policy(core::PolicyKind::kNaive, params), cc);
+  dec = std::make_unique<core::Decoder>(params, cc);
+  ASSERT_TRUE(enc->load_state(enc_snap));
+  ASSERT_TRUE(dec->load_state(dec_snap));
+  EXPECT_LE(enc->cache().store().bytes_used(), cc.l1_bytes);
+  std::vector<std::uint64_t> enc_ids, dec_ids;
+  for (const cache::CachedPacket& p : enc->cache().store().entries()) {
+    enc_ids.push_back(p.id);
+  }
+  for (const cache::CachedPacket& p : dec->cache().store().entries()) {
+    dec_ids.push_back(p.id);
+  }
+  EXPECT_EQ(enc_ids, dec_ids);
+  EXPECT_LT(enc_ids.size(), saved);
+  enc->audit();
+  dec->audit();
+
+  std::size_t encoded_after = 0;
+  for (std::size_t i = half; i < packets.size(); ++i) {
+    const Bytes original = packets[i]->payload;
+    if (enc->process(*packets[i]).encoded) ++encoded_after;
+    ASSERT_FALSE(core::is_drop(dec->process(*packets[i]).status)) << i;
+    ASSERT_EQ(packets[i]->payload, original) << i;
+  }
+  EXPECT_GT(encoded_after, 0u);
+  enc->audit();
+  dec->audit();
 }
 
 // ----------------------------------------------- snapshot validation --
@@ -328,21 +438,6 @@ TEST(Persist, IntactSnapshotStillRoundTripsAfterValidation) {
   restored.audit();
 }
 
-// --------------------------------------------- incremental snapshots --
-
-cache::CacheConfig incr_config() {
-  cache::CacheConfig cc;
-  cc.snapshot_mode = cache::SnapshotMode::kIncremental;
-  return cc;
-}
-
-void tier_update(cache::CacheTier& tier, util::BytesView payload,
-                 std::vector<rabin::Anchor> anchors, std::uint64_t index) {
-  cache::PacketMeta meta;
-  meta.stream_index = index;
-  tier.update(payload, anchors, meta);
-}
-
 // ------------------------------------------------- the 48-bit id field --
 //
 // The fingerprint index packs a packet id into 48 bits, so every restore
@@ -370,21 +465,29 @@ TEST(PersistIdBound, FlatImageRejectsIdPastTheField) {
 }
 
 TEST(PersistIdBound, HostPatchRejectsIdPastTheField) {
-  cache::CacheTier live(incr_config());
+  // An unbounded L1 in front of the L2: the packet stays in the L1 and
+  // its host key rides the BCT1 patch table.
+  cache::CacheConfig cc;
+  cc.l2_bytes = 4096;
+  cache::L2Store l2(cc, 1);
+  cache::CacheTier live(cc, &l2);
   cache::PacketMeta meta;
   meta.host_key = 0x77;
   live.update(Bytes(64, 'h'), {{0, 0xAB}}, meta);
   Bytes image = save_bytes(live);
   ASSERT_EQ(cache::SnapshotReader(image).peek_u32(), cache::kSnapMagicTier);
   {
-    cache::CacheTier intact(incr_config());
+    cache::L2Store l2_intact(cc, 1);
+    cache::CacheTier intact(cc, &l2_intact);
     ASSERT_TRUE(load_bytes(image, intact));
     EXPECT_EQ(intact.store().entries().front().meta.host_key, 0x77u);
   }
-  // Tail: patched id (u64), host key (u64), has_l2 (u8).  The id plus
-  // 2^48 would truncate to the patched packet's own id.
-  add_to_u64(image, image.size() - 17, cache::kPacketIdLimit);
-  cache::CacheTier restored(incr_config());
+  // Tail: patched id (u64), host key (u64), has_l2 (u8), then the empty
+  // stripe block: magic (u32), packet count (u32).  The id plus 2^48
+  // would truncate to the patched packet's own id.
+  add_to_u64(image, image.size() - 25, cache::kPacketIdLimit);
+  cache::L2Store l2_restored(cc, 1);
+  cache::CacheTier restored(cc, &l2_restored);
   EXPECT_FALSE(load_bytes(image, restored));
   EXPECT_EQ(restored.store().size(), 0u);
   EXPECT_EQ(restored.fingerprint_count(), 0u);
@@ -400,8 +503,8 @@ TEST(PersistIdBound, L2BlockRejectsIdPastTheField) {
   live.update(Bytes(200, 'b'), {{0, 0xB2}}, {});  // demotes the first
   ASSERT_EQ(live.stripe()->size(), 1u);
   Bytes image = save_bytes(live);
-  // The stripe block: magic "BCL2", packet count (u32), first id (u64).
-  const Bytes magic = {'B', 'C', 'L', '2'};
+  // The stripe block: magic "BCS1", packet count (u32), first id (u64).
+  const Bytes magic = {'B', 'C', 'S', '1'};
   const auto at = std::search(image.begin(), image.end(), magic.begin(),
                               magic.end());
   ASSERT_NE(at, image.end());
@@ -419,167 +522,6 @@ TEST(PersistIdBound, L2BlockRejectsIdPastTheField) {
   EXPECT_EQ(restored.store().size(), 0u);
   EXPECT_EQ(restored.stripe()->size(), 0u);
   EXPECT_EQ(restored.fingerprint_count(), 0u);
-}
-
-TEST(PersistIdBound, DeltaReplayRejectsWhenNoIdIsLeft) {
-  // A replica whose last restored id is the largest that fits has no id
-  // for a replayed update: the delta is rejected, not applied with an
-  // id the index would truncate.
-  cache::CacheTier live(incr_config());
-  cache::SnapshotWriter boundary;
-  live.save(boundary);  // state version 1
-  live.update(Bytes(64, 'd'), {{0, 0xD1}}, {});
-  cache::SnapshotWriter delta;
-  live.save_incremental(delta);
-
-  cache::CacheTier replica(incr_config());
-  replica.restore_packet(cache::kPacketIdLimit - 1, Bytes(64, 'r'), {});
-  cache::SnapshotWriter replica_boundary;
-  replica.save(replica_boundary);  // also state version 1
-  ASSERT_EQ(replica.snapshot_seq(), live.snapshot_seq() - 1);
-  cache::SnapshotReader r(delta.buffer());
-  EXPECT_FALSE(replica.load(r));
-  EXPECT_EQ(replica.store().size(), 0u);
-  EXPECT_EQ(replica.fingerprint_count(), 0u);
-
-  // The same delta replays onto a replica with ids to spare.
-  cache::CacheTier fresh(incr_config());
-  cache::SnapshotWriter fresh_boundary;
-  fresh.save(fresh_boundary);
-  cache::SnapshotReader again(delta.buffer());
-  EXPECT_TRUE(fresh.load(again));
-  EXPECT_EQ(fresh.store().size(), 1u);
-}
-
-TEST(PersistIncremental, DeltaChainRoundTrips) {
-  cache::CacheTier live(incr_config());
-  tier_update(live, Bytes(96, 'a'), {{0, 0xA1}}, 0);
-
-  // Full boundary: the replica restores it and both sides agree on seq.
-  cache::SnapshotWriter full;
-  live.save(full);
-  cache::CacheTier replica(incr_config());
-  {
-    cache::SnapshotReader r(full.buffer());
-    ASSERT_TRUE(replica.load(r));
-    EXPECT_TRUE(r.at_end());
-  }
-  EXPECT_EQ(replica.snapshot_seq(), live.snapshot_seq());
-
-  // Two post-boundary operations ride one delta.
-  tier_update(live, Bytes(96, 'b'), {{0, 0xB2}}, 1);
-  tier_update(live, Bytes(96, 'c'), {{0, 0xC3}}, 2);
-  cache::SnapshotWriter delta;
-  live.save_incremental(delta);
-  // A delta is a BCI1 block, not a full image.
-  {
-    cache::SnapshotReader peek(delta.buffer());
-    EXPECT_EQ(peek.peek_u32(), 0x42434931u);
-  }
-  {
-    cache::SnapshotReader r(delta.buffer());
-    ASSERT_TRUE(replica.load(r));
-    EXPECT_TRUE(r.at_end());
-  }
-  EXPECT_EQ(replica.snapshot_seq(), live.snapshot_seq());
-  for (rabin::Fingerprint fp : {0xA1u, 0xB2u, 0xC3u}) {
-    EXPECT_TRUE(replica.find(fp).has_value()) << std::hex << fp;
-  }
-  replica.audit();
-
-  // Replaying the same delta twice must fail: it chains on the seq the
-  // first application already consumed.
-  {
-    cache::SnapshotReader r(delta.buffer());
-    EXPECT_FALSE(replica.load(r));
-  }
-}
-
-TEST(PersistIncremental, CorruptedDeltaRejected) {
-  // Extend the byte-flip fuzz to the incremental format: every one-byte
-  // corruption of a delta must be rejected (the CRC or the structural
-  // validation catches it) or — for flips confined to the payload the
-  // CRC does not cover twice — replay to an audit-clean tier.
-  cache::CacheTier live(incr_config());
-  tier_update(live, Bytes(96, 'a'), {{0, 0xA1}}, 0);
-  cache::SnapshotWriter full;
-  live.save(full);
-
-  tier_update(live, Bytes(96, 'b'), {{0, 0xB2}}, 1);
-  tier_update(live, Bytes(128, 'c'), {{4, 0xC3}, {40, 0xD4}}, 2);
-  cache::SnapshotWriter delta;
-  live.save_incremental(delta);
-
-  const Bytes& delta_bytes = delta.buffer();
-  for (std::size_t pos = 0; pos < delta_bytes.size(); ++pos) {
-    Bytes mutated = delta_bytes;
-    mutated[pos] ^= 0x40;
-    cache::CacheTier replica(incr_config());
-    {
-      cache::SnapshotReader r(full.buffer());
-      ASSERT_TRUE(replica.load(r));
-    }
-    cache::SnapshotReader r(mutated);
-    if (!replica.load(r)) {
-      // Rejected: flushed, nothing half-applied.
-      EXPECT_EQ(replica.store().size(), 0u) << "flip at " << pos;
-    }
-    replica.audit();
-  }
-  for (std::size_t len = 0; len < delta_bytes.size(); len += 7) {
-    cache::CacheTier replica(incr_config());
-    {
-      cache::SnapshotReader r(full.buffer());
-      ASSERT_TRUE(replica.load(r));
-    }
-    cache::SnapshotReader r(util::BytesView(delta_bytes.data(), len));
-    EXPECT_FALSE(replica.load(r)) << "truncation to " << len;
-    replica.audit();
-  }
-}
-
-TEST(PersistIncremental, CodecLevelIncrementalRestartStaysInLockstep) {
-  // The gateway-level form: full snapshot, more traffic, delta snapshot;
-  // a replica restored from full+delta continues decoding the stream.
-  core::DreParams params;
-  cache::CacheConfig cc = incr_config();
-  auto enc = std::make_unique<core::Encoder>(
-      params, core::make_policy(core::PolicyKind::kNaive, params), cc);
-  auto dec = std::make_unique<core::Decoder>(params, cc);
-  Rng rng(21);
-  const Bytes object = workload::make_file1(rng, 120 * 1460);
-  auto packets = testutil::segment_stream(object);
-
-  const std::size_t third = packets.size() / 3;
-  for (std::size_t i = 0; i < third; ++i) {
-    enc->process(*packets[i]);
-    ASSERT_FALSE(core::is_drop(dec->process(*packets[i]).status));
-  }
-  const Bytes enc_full = enc->save_state();
-  const Bytes dec_full = dec->save_state();
-  for (std::size_t i = third; i < 2 * third; ++i) {
-    enc->process(*packets[i]);
-    ASSERT_FALSE(core::is_drop(dec->process(*packets[i]).status));
-  }
-  const Bytes enc_delta = enc->save_state_incremental();
-  const Bytes dec_delta = dec->save_state_incremental();
-
-  auto enc2 = std::make_unique<core::Encoder>(
-      params, core::make_policy(core::PolicyKind::kNaive, params), cc);
-  auto dec2 = std::make_unique<core::Decoder>(params, cc);
-  ASSERT_TRUE(enc2->load_state(enc_full));
-  ASSERT_TRUE(dec2->load_state(dec_full));
-  ASSERT_TRUE(enc2->load_state(enc_delta));
-  ASSERT_TRUE(dec2->load_state(dec_delta));
-
-  for (std::size_t i = 2 * third; i < packets.size(); ++i) {
-    const Bytes original = packets[i]->payload;
-    enc2->process(*packets[i]);
-    ASSERT_FALSE(core::is_drop(dec2->process(*packets[i]).status)) << i;
-    ASSERT_EQ(packets[i]->payload, original) << i;
-  }
-  enc2->audit();
-  dec2->audit();
 }
 
 // ---------------------------------------------------- snapshot goldens --
@@ -695,8 +637,8 @@ TEST(SnapshotGolden, TieredImageIsPinned) {
     cache::SnapshotReader peek(image);
     EXPECT_EQ(peek.peek_u32(), cache::kSnapMagicTier);
   }
-  EXPECT_EQ(image.size(), 9956u);
-  EXPECT_EQ(util::crc32(image), 0x16184C39u);
+  EXPECT_EQ(image.size(), 9844u);
+  EXPECT_EQ(util::crc32(image), 0x23C40D71u);
 
   cache::L2Store l2_restored(cc, 1);
   cache::CacheTier restored(cc, &l2_restored);
@@ -706,39 +648,6 @@ TEST(SnapshotGolden, TieredImageIsPinned) {
   restored.audit();
   expect_same_contents(restored, tier);
   EXPECT_EQ(restored.snapshot_seq(), tier.snapshot_seq());
-}
-
-TEST(SnapshotGolden, IncrementalDeltaIsPinned) {
-  cache::CacheConfig cc = incr_config();
-  cc.l1_bytes = 4096;
-  cache::CacheTier tier(cc);
-  drive_golden(tier, 0xB0C9, 24);
-  cache::SnapshotWriter full;
-  tier.save(full);  // the boundary the delta chains on
-  EXPECT_EQ(full.size(), 5587u);
-  EXPECT_EQ(util::crc32(full.buffer()), 0xF7E847C4u);
-
-  drive_golden(tier, 0xB0CA, 16);
-  tier.flush();
-  drive_golden(tier, 0xB0CB, 6);
-  cache::SnapshotWriter delta;
-  tier.save_incremental(delta);
-  {
-    cache::SnapshotReader peek(delta.buffer());
-    EXPECT_EQ(peek.peek_u32(), cache::kSnapMagicIncr);
-  }
-  EXPECT_EQ(delta.size(), 6552u);
-  EXPECT_EQ(util::crc32(delta.buffer()), 0x4143FB07u);
-
-  cache::CacheTier replica(cc);
-  for (const cache::SnapshotWriter* image : {&full, &delta}) {
-    cache::SnapshotReader r(image->buffer());
-    ASSERT_TRUE(replica.load(r));
-    EXPECT_TRUE(r.at_end());
-  }
-  replica.audit();
-  expect_same_contents(replica, tier);
-  EXPECT_EQ(replica.snapshot_seq(), tier.snapshot_seq());
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// Eviction-policy / tier equivalence suite (DESIGN.md §14).
+// Tier equivalence suite (DESIGN.md §14).
 //
 // The CacheTier facade must be invisible on the wire whenever the L2
 // never comes into play: for every tracked data-plane configuration, a
 // codec pair with an attached-but-idle L2 (unbounded L1, so nothing ever
 // demotes) must emit byte-identical wire traffic to the plain flat-cache
-// codec — the pre-tier behavior, which no-L2 CacheTier *is*.  The same
-// holds for the journaling mode knob and for the eviction-policy seam,
-// both of which are pure L2 concerns.
+// codec — the pre-tier behavior, which no-L2 CacheTier *is*.
 //
 // Where the L2 does engage (a bounded L1 under an eviction-heavy
 // stream), the tier may only help: decode stays lossless and the wire
@@ -166,50 +164,6 @@ TEST(TierEquiv, IdleL2IsByteTransparentForEveryConfig) {
   }
 }
 
-TEST(TierEquiv, JournalingModeNeverTouchesTheWire) {
-  // The incremental-snapshot journal is bookkeeping only: running the
-  // eviction-heavy bounded config with journaling on must reproduce the
-  // kFull run byte for byte.
-  Rng rng(testutil::test_seed(302));
-  const Bytes object = cyclic_object(rng);
-  const E2EConfig& bounded = kConfigs[4];
-
-  cache::CacheConfig cc;
-  cc.l1_bytes = 64 * 1024;  // smaller than the cycle: the tier engages
-  cc.l2_bytes = 1024 * 1024;
-  const std::vector<Bytes> full = wire_bytes_under(bounded, object, cc);
-
-  cache::CacheConfig journaled = cc;
-  journaled.snapshot_mode = cache::SnapshotMode::kIncremental;
-  const std::vector<Bytes> incr = wire_bytes_under(bounded, object, journaled);
-
-  ASSERT_EQ(incr.size(), full.size());
-  for (std::size_t i = 0; i < incr.size(); ++i) {
-    ASSERT_EQ(incr[i], full[i]) << "packet " << i;
-  }
-}
-
-TEST(TierEquiv, EvictionPolicyKnobIsInertWithoutAnL2) {
-  // The policy seam selects L2 victims only: with no L2 attached the
-  // Zipf-aware setting must be bit-identical to LRU.
-  Rng rng(testutil::test_seed(303));
-  const Bytes object = cyclic_object(rng);
-  const E2EConfig& bounded = kConfigs[4];
-
-  cache::CacheConfig lru;
-  lru.l1_bytes = 64 * 1024;  // eviction-heavy, so the knob COULD matter
-  const std::vector<Bytes> a = wire_bytes_under(bounded, object, lru);
-
-  cache::CacheConfig zipf = lru;
-  zipf.eviction = cache::EvictionPolicy::kZipfAware;
-  const std::vector<Bytes> b = wire_bytes_under(bounded, object, zipf);
-
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "packet " << i;
-  }
-}
-
 TEST(TierEquiv, EngagedTierOnlyEverShrinksTheWire) {
   // Under the bounded config the L1 churns; with an L2 behind it the
   // evictees stay reachable, so compression can only improve — and the
@@ -236,9 +190,9 @@ TEST(TierEquiv, EngagedTierOnlyEverShrinksTheWire) {
 }
 
 TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
-  // A tight L2 share forces stripe evictions through the policy seam on
-  // both sides; whatever the victims, decode must stay lossless and the
-  // codecs in lockstep (wire_bytes_under asserts both).
+  // A tight L2 share forces LRU stripe evictions on both sides; decode
+  // must stay lossless and the codecs in lockstep (wire_bytes_under
+  // asserts both).
   Rng rng(testutil::test_seed(305));
   const Bytes object = cyclic_object(rng);
   const E2EConfig& bounded = kConfigs[4];
@@ -249,7 +203,6 @@ TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
   // constantly — but L1 + L2 together outlive one cycle, so recurring
   // chunks still hit.
   cc.l2_bytes = 96 * 1024;
-  cc.eviction = cache::EvictionPolicy::kZipfAware;
   cache::TierStats stats;
   (void)wire_bytes_under(bounded, object, cc, &stats);
   EXPECT_GT(stats.l2_evictions, 0u);
@@ -261,8 +214,8 @@ TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
 // One seeded stream through a paired Encoder -> Decoder with an L2
 // attached, driving every tier path the index serves: demotion, L2 hit
 // and deferred promotion, host-budget eviction, oversize rejection,
-// stripe-share eviction (under both eviction policies), NACK invalidation
-// of an L2-resident packet, and flush.  The digest covers every wire
+// stripe-share eviction, NACK invalidation of an L2-resident packet, and
+// flush.  The digest covers every wire
 // payload and coded repair plus the decode outcomes; together with the
 // final movement counters it pins the tiered wire exactly.  The saved
 // images of both codecs are pinned too, in a canonical form: the flat
@@ -290,9 +243,6 @@ struct TierDigest {
   // encoder records trace uids the decoder never sees).
   std::uint64_t enc_image = 0;
   std::uint64_t dec_image = 0;
-  // BCI1 deltas taken after the checkpoint (kIncremental runs), else 0.
-  std::uint64_t enc_delta = 0;
-  std::uint64_t dec_delta = 0;
   cache::TierStats enc;
   cache::TierStats dec;
 };
@@ -345,12 +295,12 @@ std::uint64_t canonical_image_digest(
   const std::uint32_t patches = r.u32();
   (void)r.bytes(16 * std::size_t{patches});
   EXPECT_EQ(r.u8(), 1u);
-  EXPECT_EQ(r.u32(), cache::kSnapMagicL2);
+  EXPECT_EQ(r.u32(), cache::kSnapMagicStripe);
   const std::uint32_t l2_packets = r.u32();
   for (std::uint32_t i = 0; i < l2_packets; ++i) {
     const std::uint64_t id = r.u64();
     EXPECT_TRUE(tier.stripe()->contains(id)) << "L2 block packet " << id;
-    (void)r.bytes(8 * 4 + 4 * 3 + 1 + 4);
+    (void)r.bytes(8 * 4 + 4 * 3 + 1);
     (void)r.bytes(r.u32());
     const std::uint32_t owned = r.u32();
     for (std::uint32_t f = 0; f < owned; ++f) {
@@ -366,8 +316,7 @@ std::uint64_t canonical_image_digest(
   return fnv1a(kFnvBasis, image);
 }
 
-TierDigest run_tiered_stream(cache::EvictionPolicy policy,
-                             cache::SnapshotMode mode) {
+TierDigest run_tiered_stream() {
   constexpr std::uint32_t kPairs = 24;
   constexpr std::size_t kOversize = 2600;  // over the per-pair budget
   core::DreParams params;
@@ -376,8 +325,6 @@ TierDigest run_tiered_stream(cache::EvictionPolicy policy,
   cc.l1_bytes = 12 * 1024;
   cc.l2_bytes = 20 * 1024;
   cc.per_host_pair_bytes = 2 * 1024;
-  cc.eviction = policy;
-  cc.snapshot_mode = mode;
   cache::L2Store enc_l2(cc, 1);
   cache::L2Store dec_l2(cc, 1);
   core::Encoder enc =
@@ -441,15 +388,6 @@ TierDigest run_tiered_stream(cache::EvictionPolicy policy,
                                      replica.cache()),
               d.enc_image);
   }
-  if (mode == cache::SnapshotMode::kIncremental) {
-    send(100);
-    const Bytes enc_delta = enc_cache(enc.save_state_incremental());
-    const Bytes dec_delta = dec_cache(dec.save_state_incremental());
-    EXPECT_EQ(cache::SnapshotReader(enc_delta).peek_u32(),
-              cache::kSnapMagicIncr);
-    d.enc_delta = fnv1a(kFnvBasis, enc_delta);
-    d.dec_delta = fnv1a(kFnvBasis, dec_delta);
-  }
   enc.audit();
   dec.audit();
 
@@ -486,12 +424,10 @@ TierDigest run_tiered_stream(cache::EvictionPolicy policy,
 
 void expect_digest(const TierDigest& d, const TierDigest& golden) {
   // Printed so a deliberate wire change can re-pin the golden.
-  std::printf("0x%016llX 0x%016llX 0x%016llX 0x%016llX 0x%016llX\n",
+  std::printf("0x%016llX 0x%016llX 0x%016llX\n",
               static_cast<unsigned long long>(d.wire),
               static_cast<unsigned long long>(d.enc_image),
-              static_cast<unsigned long long>(d.dec_image),
-              static_cast<unsigned long long>(d.enc_delta),
-              static_cast<unsigned long long>(d.dec_delta));
+              static_cast<unsigned long long>(d.dec_image));
   for (const cache::TierStats* s : {&d.enc, &d.dec}) {
     std::printf("{%llu, %llu, %llu, %llu, %llu, %llu, %llu}\n",
                 static_cast<unsigned long long>(s->l2_hits),
@@ -512,8 +448,6 @@ void expect_digest(const TierDigest& d, const TierDigest& golden) {
   EXPECT_EQ(d.wire, golden.wire);
   EXPECT_EQ(d.enc_image, golden.enc_image);
   EXPECT_EQ(d.dec_image, golden.dec_image);
-  EXPECT_EQ(d.enc_delta, golden.enc_delta);
-  EXPECT_EQ(d.dec_delta, golden.dec_delta);
   for (const auto& [got, want] : {std::pair{d.enc, golden.enc},
                                   std::pair{d.dec, golden.dec}}) {
     EXPECT_EQ(got.l2_hits, want.l2_hits);
@@ -531,31 +465,12 @@ TEST(TierEquiv, TieredWireIsPinnedUnderLru) {
       // Loss-sized repair: 128 repairs over 68 clean generations (the
       // 64 start-up ones), where a fixed R = 2 sent 136.
       .wire = 0x63F140FF0CBF83B3ull,
-      .enc_image = 0x6D840D57C4CBA266ull,
-      .dec_image = 0x8D6FF77DBB6A6FF0ull,
-      .enc_delta = 0,
-      .dec_delta = 0,
+      .enc_image = 0x7B8C1923C3939DB8ull,
+      .dec_image = 0x84C7E6BB254D9AE2ull,
       // The decoder never saw the NACK: one more share eviction.
       .enc = {138, 138, 980, 69, 277, 448, 45809},
       .dec = {138, 138, 980, 69, 278, 448, 45809}};
-  expect_digest(run_tiered_stream(cache::EvictionPolicy::kLru,
-                                  cache::SnapshotMode::kFull),
-                golden);
-}
-
-TEST(TierEquiv, TieredWireIsPinnedUnderZipfAware) {
-  const TierDigest golden{
-      // 128 repairs over 75 generations; a fixed R = 2 sent 150.
-      .wire = 0x858D175BD47F37A1ull,
-      .enc_image = 0x6D840D57C4CBA266ull,
-      .dec_image = 0x8D6FF77DBB6A6FF0ull,
-      .enc_delta = 0x07BE74538A8AC109ull,
-      .dec_delta = 0x039B04A1CF057842ull,
-      .enc = {155, 155, 1073, 76, 314, 485, 50006},
-      .dec = {155, 155, 1073, 76, 315, 485, 50006}};
-  expect_digest(run_tiered_stream(cache::EvictionPolicy::kZipfAware,
-                                  cache::SnapshotMode::kIncremental),
-                golden);
+  expect_digest(run_tiered_stream(), golden);
 }
 
 }  // namespace
