@@ -248,6 +248,34 @@ void BM_IndexPurge(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexPurge)->UseManualTime();
 
+// A literal packet's probe: one MSS payload's anchors, none of them in
+// the index (churn_mix's common case), each lookup ending at its home
+// bucket or the first one past it with a zero overflow count.
+void BM_IndexProbe(benchmark::State& state) {
+  IndexRig rig;
+  util::Rng rng(11);
+  std::vector<std::vector<rabin::Anchor>> absent(64);
+  for (auto& list : absent) {
+    for (std::size_t i = 0; i < kAnchorsPerPacket; ++i) {
+      list.push_back(rabin::Anchor{
+          static_cast<std::uint16_t>(i * cache::kBytesPerAnchor),
+          rng.next_u64() << 4});
+    }
+  }
+  std::vector<cache::ProbeResult> out(kAnchorsPerPacket);
+  std::size_t found = 0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    rig.table.probe_batch(absent[k++ % absent.size()], out);
+    for (const cache::ProbeResult& r : out) found += r.found ? 1 : 0;
+  }
+  benchmark::DoNotOptimize(found);
+  state.counters["entries"] = static_cast<double>(rig.table.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kAnchorsPerPacket));
+}
+BENCHMARK(BM_IndexProbe);
+
 // The per-byte kernels every literal pays for, dispatched (util/simd.h)
 // and as their scalar references, over one MSS payload.  The label
 // names the tier that ran.

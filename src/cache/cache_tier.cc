@@ -228,14 +228,18 @@ void CacheTier::save_l1(SnapshotWriter& w) const {
     w.bytes(p.payload);
   }
   // With a stripe attached the index also holds its residents' entries;
-  // those travel in the stripe's own block.
-  w.u32(static_cast<std::uint32_t>(fingerprint_count()));
+  // those travel in the stripe's own block.  One pass over the index:
+  // the count goes in once the records are out.
+  const std::size_t count_at = w.u32_placeholder();
+  std::uint32_t written = 0;
   table_.for_each([&](rabin::Fingerprint fp, const FpEntry& entry) {
     if (stripe_ != nullptr && !store_.contains(entry.packet_id)) return;
     w.u64(fp);
     w.u64(entry.packet_id);
     w.u16(entry.offset);
+    ++written;
   });
+  w.patch_u32(count_at, written);
 }
 
 bool CacheTier::load_l1(SnapshotReader& r) {

@@ -1,10 +1,11 @@
 #include "cache/fingerprint_table.h"
 
-#include <algorithm>
 #include <ios>
 
+#include "cache/fingerprint_batch.h"
 #include "cache/packet_store.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace bytecache::cache {
 
@@ -23,62 +24,23 @@ void FingerprintTable::put(rabin::Fingerprint fp, FpEntry entry) {
   ++owners_.upsert(entry.packet_id, fresh);
 }
 
+// The batched operations pick their bucket compare once per call.
+
 void FingerprintTable::put_anchors(std::uint64_t id,
                                    std::span<const rabin::Anchor> anchors) {
   if (id == 0 || anchors.empty()) return;
-  // The anchors' home slots are spread over the whole index and those
-  // taken from a copy's source were never probed: keep kProbeAhead slot
-  // fetches in flight, as probe_batch does.
-  const std::size_t n = anchors.size();
-  for (std::size_t i = 0; i < std::min(n, kProbeAhead); ++i) {
-    map_.prefetch(anchors[i].fp);
-  }
-  // A new packet usually takes over long runs of entries from the one
-  // older copy of the same content: settle each run's count once.
-  std::uint32_t gained = 0;
-  std::uint64_t run_owner = 0;
-  std::uint32_t run_len = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kProbeAhead < n) map_.prefetch(anchors[i + kProbeAhead].fp);
-    const rabin::Anchor& a = anchors[i];
-    bool inserted = false;
-    Packed& slot = map_.upsert(a.fp, inserted);
-    if (inserted) {
-      ++gained;
-    } else if (const std::uint64_t owner = unpack(slot).packet_id;
-               owner != id) {
-      if (owner != run_owner) {
-        if (run_len != 0) disown(run_owner, run_len);
-        run_owner = owner;
-        run_len = 0;
-      }
-      ++run_len;
-      ++gained;
-    }
-    slot = pack(id, a.offset);
-  }
-  if (run_len != 0) disown(run_owner, run_len);
-  if (gained != 0) {
-    bool fresh = false;
-    owners_.upsert(id, fresh) += gained;
-  }
+#if BYTECACHE_X86
+  if (util::simd().avx2) return put_anchors_avx2(id, anchors);
+#endif
+  put_anchors_with<util::ScalarKeyMatch>(id, anchors);
 }
 
 std::size_t FingerprintTable::purge(std::uint64_t packet_id,
                                    std::span<const rabin::Fingerprint> fps) {
-  const std::uint32_t owned_entries = owned(packet_id);
-  if (owned_entries == 0) return 0;
-  // The fingerprints' slots are spread over the whole index, so pull
-  // them all in before walking them.
-  for (rabin::Fingerprint fp : fps) map_.prefetch(fp);
-  std::uint32_t purged = 0;
-  for (rabin::Fingerprint fp : fps) {
-    if (map_.erase_if(fp, OwnedBy{packet_id}) && ++purged == owned_entries) {
-      break;
-    }
-  }
-  disown(packet_id, purged);
-  return purged;
+#if BYTECACHE_X86
+  if (util::simd().avx2) return purge_avx2(packet_id, fps);
+#endif
+  return purge_with<util::ScalarKeyMatch>(packet_id, fps);
 }
 
 void FingerprintTable::probe_batch(std::span<const rabin::Anchor> anchors,
@@ -86,21 +48,10 @@ void FingerprintTable::probe_batch(std::span<const rabin::Anchor> anchors,
   BC_CHECK(out.size() >= anchors.size())
       << "probe_batch result span too small: " << out.size() << " < "
       << anchors.size();
-  const std::size_t n = anchors.size();
-  // Prime the pipeline: the first kProbeAhead home slots start their way
-  // up the cache hierarchy before any probe needs them.
-  const std::size_t warm = n < kProbeAhead ? n : kProbeAhead;
-  for (std::size_t i = 0; i < warm; ++i) map_.prefetch(anchors[i].fp);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kProbeAhead < n) map_.prefetch(anchors[i + kProbeAhead].fp);
-    const Packed* e = map_.find(anchors[i].fp);
-    if (e == nullptr) {
-      out[i].found = false;
-    } else {
-      out[i].entry = unpack(*e);
-      out[i].found = true;
-    }
-  }
+#if BYTECACHE_X86
+  if (util::simd().avx2) return probe_batch_avx2(anchors, out);
+#endif
+  probe_batch_with<util::ScalarKeyMatch>(anchors, out);
 }
 
 std::size_t FingerprintTable::audit(const PacketStore& store) const {

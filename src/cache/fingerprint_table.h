@@ -3,22 +3,22 @@
 // Matches the paper's cache-update procedure (Fig. 2 C / Fig. 7 C): each
 // selected fingerprint maps to the *latest* packet containing it and the
 // offset of the window within that packet; inserting an existing
-// fingerprint overwrites the entry ("the encoder also updates its cache by
-// replacing the entry for r from Pstored to Pnew", Section III-A).
+// fingerprint overwrites the entry (Section III-A).  Entries whose
+// packet left the cache are purged eagerly by CacheTier's eviction hook,
+// so memory is bounded by the live cache; lazy invalidation at lookup
+// time remains as defense in depth.
 //
-// Backed by the open-addressing FlatMap64 (see util/flat_map.h) rather than
-// std::unordered_map: one contiguous probe per lookup and no per-entry
-// allocation on the encoder's per-packet path.  Entries whose packet was
-// evicted are purged eagerly by CacheTier's eviction hook, so the table's
-// memory is bounded by the live cache contents; lazy invalidation at
-// lookup time remains as defense in depth.
-//
-// A slot is 16 bytes: the fingerprint and one packed word holding the
-// packet id (high 48 bits) and the window offset (low 16).  Ids start at
-// 1, so a stored word is never zero and a zero word marks an empty slot
-// (util::EmptySlot::kZeroValue); PacketStore keeps ids below
-// kPacketIdLimit, the 48-bit bound, and every snapshot restore rejects a
-// larger one.
+// Backed by the bucketed FlatMap64 (util/flat_map.h).  A bucket is one
+// 64-byte line: four fingerprints, then four words packing a packet id
+// (high 48 bits) and a window offset (low 16).  Ids start at 1, so a
+// zero word marks an empty slot (util::EmptySlot::kZeroValue);
+// PacketStore keeps ids below kPacketIdLimit and every snapshot restore
+// rejects a larger one.  probe_batch, put_anchors and purge hash each
+// fingerprint once, grow the map at most once per call, and compare a
+// bucket's four keys with the AVX2 kernel (fingerprint_table_avx2.cc)
+// when util::simd() allows; single-key operations and the
+// BYTECACHE_DISABLE_SIMD=1 path use the scalar compare, which picks the
+// same slots.
 //
 // The table also counts, per packet id, the entries naming that packet.
 // A departing packet whose count is zero — every fingerprint it held was
@@ -80,12 +80,12 @@ class FingerprintTable {
     }
   }
 
-  /// Hints the cache to pull `fp`'s home slot (see FlatMap64::prefetch).
+  /// Hints the cache to pull `fp`'s home bucket (see FlatMap64::prefetch).
   void prefetch(rabin::Fingerprint fp) const { map_.prefetch(fp); }
 
   /// Probes every anchor's fingerprint, writing out[i] for anchors[i].
   /// While probing anchor N the table issues a prefetch for anchor
-  /// N+kProbeAhead's home slot, so the encoder's anchor->match loop pays
+  /// N+kProbeAhead's home bucket, so the encoder's anchor->match loop pays
   /// one L1 hit per probe instead of one cache miss each.  Side-effect
   /// free: no stats, no LRU touch — the caller resolves hits through
   /// CacheTier::resolve in its own order.  Requires out.size() >=
@@ -93,10 +93,13 @@ class FingerprintTable {
   void probe_batch(std::span<const rabin::Anchor> anchors,
                    std::span<ProbeResult> out) const;
 
-  /// Probe lookahead distance: far enough to cover an L2 miss across the
-  /// ~6 probes in flight at typical anchor densities, small enough that
-  /// short anchor lists still get full coverage.  Re-measured with 16 B
-  /// slots: 24 won 3 of 8 interleaved churn_mix pairs against 8.
+  /// Probe lookahead distance of the batched operations: far enough to
+  /// cover an L2 miss across the ~6 probes in flight at typical anchor
+  /// densities, small enough that short anchor lists still get full
+  /// coverage.  Measured with 16 B linear-probing slots (24 won 3 of 8
+  /// interleaved churn_mix pairs against 8) and kept for 64 B buckets,
+  /// where each key still costs one line.  A power of two: the hashes in
+  /// flight sit in a ring of this many.
   static constexpr std::size_t kProbeAhead = 8;
 
   /// Removes the entry for `fp` only if it references `packet_id` (the
@@ -112,9 +115,9 @@ class FingerprintTable {
   /// The eviction purge: erases the entries packet `packet_id` still owns
   /// among `fps` (its fingerprint list; newer packets' overwrites
   /// survive) and settles its owner count once.  One probe per
-  /// fingerprint; the walk stops once owned(packet_id) entries are gone,
-  /// and a packet owning nothing skips it.  Returns the number of
-  /// entries erased.
+  /// fingerprint, with nothing shifted after an erase; the walk stops
+  /// once owned(packet_id) entries are gone, and a packet owning nothing
+  /// skips it.  Returns the number of entries erased.
   std::size_t purge(std::uint64_t packet_id,
                     std::span<const rabin::Fingerprint> fps);
 
@@ -167,8 +170,9 @@ class FingerprintTable {
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
-  /// Visits every (fingerprint, entry) pair in unspecified order
-  /// (snapshots and audits).
+  /// Visits every (fingerprint, entry) pair in bucket order (snapshots
+  /// and audits): the same operations give the same order, but no order
+  /// is promised across changes to the map's layout.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     map_.for_each([&](std::uint64_t fp, Packed e) { fn(fp, unpack(e)); });
@@ -192,6 +196,28 @@ class FingerprintTable {
     bool operator()(Packed e) const { return e >> kOffsetBits == id; }
   };
 
+  using Map = util::FlatMap64<Packed, util::EmptySlot::kZeroValue>;
+
+  // The batched operations over a bucket compare (util::ScalarKeyMatch's
+  // contract), defined in fingerprint_batch.h.  The *_avx2 forms
+  // instantiate them with the AVX2 compare, in fingerprint_table_avx2.cc;
+  // they are only called when util::simd().avx2 holds.
+  template <typename Match>
+  void probe_batch_with(std::span<const rabin::Anchor> anchors,
+                        std::span<ProbeResult> out) const;
+  template <typename Match>
+  void put_anchors_with(std::uint64_t id,
+                        std::span<const rabin::Anchor> anchors);
+  template <typename Match>
+  std::size_t purge_with(std::uint64_t packet_id,
+                         std::span<const rabin::Fingerprint> fps);
+  void probe_batch_avx2(std::span<const rabin::Anchor> anchors,
+                        std::span<ProbeResult> out) const;
+  void put_anchors_avx2(std::uint64_t id,
+                        std::span<const rabin::Anchor> anchors);
+  std::size_t purge_avx2(std::uint64_t packet_id,
+                         std::span<const rabin::Fingerprint> fps);
+
   /// Drops `n` entries from `packet_id`'s count, releasing the slot at 0.
   void disown(std::uint64_t packet_id, std::uint32_t n) {
     std::uint32_t* count = owners_.find(packet_id);
@@ -203,7 +229,7 @@ class FingerprintTable {
     }
   }
 
-  util::FlatMap64<Packed, util::EmptySlot::kZeroValue> map_;
+  Map map_;
   util::FlatMap64<std::uint32_t> owners_;  // packet id -> entries naming it
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "util/check.h"
@@ -221,35 +220,30 @@ std::size_t L2Store::Stripe::host_bytes(std::uint64_t host_key) const {
 void L2Store::Stripe::save(SnapshotWriter& w) const {
   w.u32(kSnapMagicStripe);
   w.u32(static_cast<std::uint32_t>(size()));
+  // The fingerprints of the current packet already written: one the
+  // payload holds twice is listed twice but owned once, and only its
+  // first occurrence is written.
+  util::FlatMap64<std::uint8_t> written;
   for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
     const CachedPacket& p = slots_[s].pkt;
     w.u64(p.id);
     write_meta(w, p.meta, MetaFields::kWithHostKey);
     w.u32(static_cast<std::uint32_t>(p.payload.size()));
     w.bytes(p.payload);
-    // Two passes over the (short) fingerprint list instead of a scratch
-    // buffer: count the entries the packet still owns, then emit them.
-    // A fingerprint the payload holds twice is listed twice but owned
-    // once: only its first occurrence counts.
-    const auto owned_offset = [&](auto it) -> std::optional<std::uint16_t> {
-      const auto e = index_->get(*it);
-      if (!e || e->packet_id != p.id ||
-          std::find(p.fps.begin(), it, *it) != it) {
-        return std::nullopt;
-      }
-      return e->offset;
-    };
-    std::uint32_t owned = 0;
-    for (auto it = p.fps.begin(); it != p.fps.end(); ++it) {
-      if (owned_offset(it)) ++owned;
+    // One probe per fingerprint; the count goes in once the entries the
+    // packet still owns are out.
+    const std::size_t count_at = w.u32_placeholder();
+    written.clear();
+    for (const rabin::Fingerprint fp : p.fps) {
+      const auto e = index_->get(fp);
+      if (!e || e->packet_id != p.id) continue;
+      bool first = false;
+      (void)written.upsert(fp, first);
+      if (!first) continue;
+      w.u64(fp);
+      w.u16(e->offset);
     }
-    w.u32(owned);
-    for (auto it = p.fps.begin(); it != p.fps.end(); ++it) {
-      if (const auto offset = owned_offset(it)) {
-        w.u64(*it);
-        w.u16(*offset);
-      }
-    }
+    w.patch_u32(count_at, static_cast<std::uint32_t>(written.size()));
   }
 }
 

@@ -39,6 +39,20 @@ class SnapshotWriter {
   void u64(std::uint64_t v) { util::put_u64(buf_, v); }
   void bytes(util::BytesView b) { util::append(buf_, b); }
 
+  /// Writes a zero u32 and returns its position: a count known only
+  /// after the records it counts are out, set then with patch_u32().
+  [[nodiscard]] std::size_t u32_placeholder() {
+    const std::size_t at = buf_.size();
+    u32(0);
+    return at;
+  }
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      buf_[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (24 - 8 * i));
+    }
+  }
+
   [[nodiscard]] const util::Bytes& buffer() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 

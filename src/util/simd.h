@@ -1,7 +1,8 @@
 // The one dispatch rule for the data plane's SIMD kernels (DESIGN.md
 // §7.1): the Rabin scan tiers (rabin/scan_kernel.h), the CRC-32 fold
-// (util/crc32.h) and the GF(256) row kernels (fec/gf256.h) all ask
-// simd() which instruction sets they may use.
+// (util/crc32.h), the GF(256) row kernels (fec/gf256.h) and the
+// fingerprint index's bucket compare (cache/fingerprint_table.h) all
+// ask simd() which instruction sets they may use.
 //
 // simd() is what CPUID reports, unless the BYTECACHE_DISABLE_SIMD kill
 // switch is set (any non-empty value other than "0"): then every kernel
@@ -29,7 +30,7 @@ namespace bytecache::util {
 /// under the kill switch; the feature bits are then false too.
 struct SimdFeatures {
   bool enabled = false;  // x86 SIMD at all (SSE2 and up)
-  bool avx2 = false;     // 256-bit integer ops (selection, GF rows)
+  bool avx2 = false;     // 256-bit integer ops (selection, GF rows, index)
   bool pclmul = false;   // carry-less multiply (CRC-32 fold)
 };
 

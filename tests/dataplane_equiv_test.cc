@@ -196,38 +196,51 @@ TEST(FlatMapEquiv, EraseIfKeepsTheFindThenEraseLayout) {
   EXPECT_EQ(one_probe.size(), two_probe.size());
 }
 
-/// Linear probing from util::mix64's home slot with backward-shift
-/// deletion over a fixed slot array, written out independently: the
-/// layout FlatMap64 promises in either slot form.
+/// Buckets of four slots with a saturating overflow count each,
+/// written out independently over a flat slot array: the layout
+/// FlatMap64 promises in either slot form.  A key's home bucket is
+/// util::mix64(key) & (buckets - 1).  An insert takes the lowest free
+/// slot of the first bucket from home that has one and counts itself
+/// into every full bucket it passes; a lookup gives up at the first
+/// bucket whose count is zero; an erase empties the slot and uncounts
+/// the buckets the key passed.  A count at 255 never moves again.
 class ReferenceLayout {
  public:
+  static constexpr std::size_t kWays = 4;
+
   explicit ReferenceLayout(std::size_t capacity)
-      : slots_(capacity), mask_(capacity - 1) {}
+      : slots_(capacity),
+        counts_(capacity / kWays),
+        mask_(capacity / kWays - 1) {}
 
   void put(std::uint64_t key, std::uint64_t value) {
-    const std::size_t i = locate(key);
-    if (!slots_[i].used) ++size_;
-    slots_[i] = Slot{key, value, true};
+    if (Slot* s = locate(key)) {
+      s->value = value;
+      return;
+    }
+    for (std::size_t b = home(key);; b = (b + 1) & mask_) {
+      for (std::size_t w = 0; w < kWays; ++w) {
+        Slot& s = slots_[b * kWays + w];
+        if (!s.used) {
+          s = Slot{key, value, true};
+          ++size_;
+          return;
+        }
+      }
+      if (counts_[b] < 255) ++counts_[b];
+    }
   }
 
   template <typename Pred>
   bool erase_if(std::uint64_t key, Pred&& pred) {
-    const std::size_t i = locate(key);
-    if (!slots_[i].used || !pred(slots_[i].value)) return false;
-    // An entry at j may fill the hole unless its home lies cyclically in
-    // (hole, j], i.e. unless it is nearer its home than the hole is.
-    std::size_t hole = i;
-    for (std::size_t j = (i + 1) & mask_; slots_[j].used;
-         j = (j + 1) & mask_) {
-      const std::size_t from_home = (j - home(slots_[j].key)) & mask_;
-      const std::size_t from_hole = (j - hole) & mask_;
-      if (from_home >= from_hole) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-    }
-    slots_[hole].used = false;
+    Slot* s = locate(key);
+    if (s == nullptr || !pred(s->value)) return false;
+    s->used = false;
     --size_;
+    const auto bucket = static_cast<std::size_t>(s - slots_.data()) / kWays;
+    for (std::size_t b = home(key); b != bucket; b = (b + 1) & mask_) {
+      if (counts_[b] < 255) --counts_[b];
+    }
     return true;
   }
 
@@ -250,30 +263,36 @@ class ReferenceLayout {
   [[nodiscard]] std::size_t home(std::uint64_t key) const {
     return util::mix64(key) & mask_;
   }
-  /// The slot holding `key`, or the empty slot ending its probe chain.
-  [[nodiscard]] std::size_t locate(std::uint64_t key) const {
-    std::size_t i = home(key);
-    while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask_;
-    return i;
+  /// The slot holding `key`, or nullptr.
+  [[nodiscard]] Slot* locate(std::uint64_t key) {
+    for (std::size_t b = home(key);; b = (b + 1) & mask_) {
+      for (std::size_t w = 0; w < kWays; ++w) {
+        Slot& s = slots_[b * kWays + w];
+        if (s.used && s.key == key) return &s;
+      }
+      if (counts_[b] == 0) return nullptr;
+    }
   }
 
   std::vector<Slot> slots_;
+  std::vector<int> counts_;
   std::size_t mask_;
   std::size_t size_ = 0;
 };
 
-// The fingerprint index's 16-byte slot marks emptiness with a zero
-// packed {id, offset} word instead of a used byte.  Driven through the
+// The fingerprint index's 64-byte bucket marks emptiness with a zero
+// packed {id, offset} word instead of a used bit.  Driven through the
 // same puts and owner-predicate erases as the purge does them, it must
-// leave the same slots filled in the same order as the used-byte form
-// and as the textbook layout, at the index's real size (4 MiB of slots,
-// on the huge-page path) and occupancy.
+// leave the same slots filled in the same order as the used-bit form
+// and as the textbook layout, at the index's real size (4 MiB of
+// buckets, on the huge-page path) and occupancy.
 TEST(FlatMapEquiv, PackedSlotKeepsLayout) {
   util::FlatMap64<std::uint64_t, util::EmptySlot::kZeroValue> packed;
   util::FlatMap64<std::uint64_t> used;
   packed.reserve(140000);
   used.reserve(140000);
   ASSERT_EQ(packed.capacity(), used.capacity());
+  ASSERT_EQ(ReferenceLayout::kWays, util::kBucketSlots);
   ASSERT_GE(packed.capacity() * 2 * sizeof(std::uint64_t),
             util::kHugePageBytes);
   ReferenceLayout reference(packed.capacity());
@@ -313,6 +332,81 @@ TEST(FlatMapEquiv, PackedSlotKeepsLayout) {
   packed.clear();
   EXPECT_EQ(packed.size(), 0u);
   EXPECT_TRUE(visit(packed).empty());
+}
+
+/// Drives `map` through inserts, overwrites, erases and lookups of a
+/// crowd of more than 255 keys sharing one home bucket, mixed with keys
+/// spread over the table, checking every step against
+/// std::unordered_map.  The crowd overflows its home bucket's count to
+/// the 255 cap, so after it thins out lookups through that bucket rely
+/// on the saturated count to keep probing.
+template <typename Map>
+void crowd_one_bucket(Map& map, std::uint64_t seed) {
+  map.reserve(3000);
+  const std::size_t capacity = map.capacity();
+  const std::size_t bucket_mask = capacity / util::kBucketSlots - 1;
+  Rng rng(seed);
+  std::vector<std::uint64_t> crowd;
+  while (crowd.size() < 300) {
+    const std::uint64_t key = rng.next_u64() << 4;
+    if ((util::mix64(key) & bucket_mask) == 7) crowd.push_back(key);
+  }
+  std::vector<std::uint64_t> spread;
+  for (int i = 0; i < 1500; ++i) spread.push_back(rng.next_u64() << 4);
+
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  const auto put = [&](std::uint64_t key) {
+    const std::uint64_t value = rng.uniform(1, 1u << 20);  // never zero
+    map.put(key, value);
+    ref[key] = value;
+  };
+  const auto check = [&](std::uint64_t key) {
+    const std::uint64_t* v = map.find(key);
+    const auto it = ref.find(key);
+    ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
+    if (v != nullptr) {
+      ASSERT_EQ(*v, it->second) << "key " << key;
+    }
+  };
+  for (const std::uint64_t key : crowd) put(key);
+  for (const std::uint64_t key : crowd) check(key);
+  for (int op = 0; op < 30000; ++op) {
+    const std::uint64_t key = rng.uniform(0, 2) == 0
+                                  ? crowd[rng.uniform(0, crowd.size() - 1)]
+                                  : spread[rng.uniform(0, spread.size() - 1)];
+    switch (rng.uniform(0, 3)) {
+      case 0:
+        put(key);
+        break;
+      case 1:
+      case 2:  // erase-biased: the crowd keeps thinning behind its count
+        ASSERT_EQ(map.erase(key), ref.erase(key) > 0) << "op " << op;
+        break;
+      case 3:
+        check(key);
+        break;
+    }
+    ASSERT_EQ(map.size(), ref.size());
+  }
+  for (const std::uint64_t key : crowd) check(key);
+  for (const std::uint64_t key : spread) check(key);
+  std::size_t visited = 0;
+  map.for_each([&](std::uint64_t key, std::uint64_t value) {
+    ++visited;
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end()) << "key " << key << " not in reference";
+    ASSERT_EQ(value, it->second);
+  });
+  EXPECT_EQ(visited, ref.size());
+  // A rehash would have reset every count: the table must not have grown.
+  EXPECT_EQ(map.capacity(), capacity);
+}
+
+TEST(FlatMapEquiv, SaturatedOverflowCountNeverMisses) {
+  util::FlatMap64<std::uint64_t, util::EmptySlot::kZeroValue> packed;
+  util::FlatMap64<std::uint64_t> used;
+  crowd_one_bucket(packed, testutil::test_seed(118));
+  crowd_one_bucket(used, testutil::test_seed(118));
 }
 
 // ------------------------------------------------------ match expansion --

@@ -607,7 +607,7 @@ TEST(SnapshotGolden, FlatImageIsPinned) {
     EXPECT_EQ(peek.peek_u32(), cache::kSnapMagicFlat);
   }
   EXPECT_EQ(image.size(), 5466u);
-  EXPECT_EQ(util::crc32(image), 0x116BE1A7u);
+  EXPECT_EQ(util::crc32(image), 0xB35D399Du);
 
   cache::CacheTier restored(cc);
   cache::SnapshotReader r(image);
@@ -638,7 +638,7 @@ TEST(SnapshotGolden, TieredImageIsPinned) {
     EXPECT_EQ(peek.peek_u32(), cache::kSnapMagicTier);
   }
   EXPECT_EQ(image.size(), 9844u);
-  EXPECT_EQ(util::crc32(image), 0x23C40D71u);
+  EXPECT_EQ(util::crc32(image), 0x73886D0Fu);
 
   cache::L2Store l2_restored(cc, 1);
   cache::CacheTier restored(cc, &l2_restored);

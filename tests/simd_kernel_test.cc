@@ -1,6 +1,7 @@
 // Equivalence tests for the runtime-dispatched kernels (util/simd.h):
-// the scan tiers (rabin/scan_kernel.h), the CRC-32 fold (util/crc32.h)
-// and the GF(256) row kernels (fec/gf256.h).  Every SIMD tier must be
+// the scan tiers (rabin/scan_kernel.h), the CRC-32 fold (util/crc32.h),
+// the GF(256) row kernels (fec/gf256.h) and the fingerprint index's
+// bucket compare (cache/fingerprint_table.h).  Every SIMD tier must be
 // bit-identical to its scalar reference — same fingerprints, anchors,
 // checksums, repair symbols and wire bytes — on every input, or the
 // cache contents silently fork between peers.
@@ -16,8 +17,10 @@
 #include <array>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cache/fingerprint_table.h"
 #include "core/anchors.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
@@ -564,6 +567,85 @@ TEST(ScanKernelEquiv, WireBytesIdenticalAcrossKernelsForEveryConfig) {
       }
     });
   }
+}
+
+// ------------------------------------------------ fingerprint index --
+
+/// Everything a FingerprintTable run can show: each probe's result,
+/// each purge's count and the final for_each sequence.
+struct IndexTrace {
+  std::vector<std::tuple<bool, std::uint64_t, std::uint16_t>> probes;
+  std::vector<std::size_t> purged;
+  std::vector<std::tuple<rabin::Fingerprint, std::uint64_t, std::uint16_t>>
+      order;
+  std::size_t owners = 0;
+};
+
+/// One seeded put_anchors/probe_batch/purge sequence under the current
+/// dispatch.  Fingerprints come from a small pool, so packets overwrite
+/// each other's entries and purges find some taken over; the table starts
+/// small, so it also grows mid-run.
+IndexTrace run_index_sequence() {
+  cache::FingerprintTable table;
+  Rng rng(testutil::test_seed(131));
+  std::vector<rabin::Fingerprint> pool(6000);
+  for (auto& fp : pool) fp = rng.next_u64() << 4;
+  std::vector<std::vector<rabin::Anchor>> live;
+  std::vector<cache::ProbeResult> results;
+  std::vector<rabin::Fingerprint> fps;
+  IndexTrace trace;
+  constexpr std::size_t kLive = 64;
+  for (std::uint64_t id = 1; id <= 600; ++id) {
+    std::vector<rabin::Anchor> anchors(rng.uniform(0, 120));
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+      anchors[i] = rabin::Anchor{static_cast<std::uint16_t>(i * 12),
+                                 pool[rng.uniform(0, pool.size() - 1)]};
+    }
+    results.assign(anchors.size(), cache::ProbeResult{});
+    table.probe_batch(anchors, results);
+    for (const cache::ProbeResult& r : results) {
+      trace.probes.emplace_back(r.found, r.found ? r.entry.packet_id : 0,
+                                r.found ? r.entry.offset : 0);
+    }
+    table.put_anchors(id, anchors);
+    live.push_back(std::move(anchors));
+    if (live.size() > kLive) {
+      // Evict the oldest, as CacheTier's eviction hook does.
+      const std::uint64_t oldest = id - kLive;
+      fps.clear();
+      for (const rabin::Anchor& a : live.front()) fps.push_back(a.fp);
+      trace.purged.push_back(table.purge(oldest, fps));
+      live.erase(live.begin());
+    }
+  }
+  table.for_each([&](rabin::Fingerprint fp, const cache::FpEntry& e) {
+    trace.order.emplace_back(fp, e.packet_id, e.offset);
+  });
+  trace.owners = table.owner_count();
+  table.audit_owner_counts();
+  return trace;
+}
+
+TEST(FingerprintTableEquiv, Avx2AndScalarCompareAgree) {
+  IndexTrace dispatched;
+  IndexTrace scalar;
+  {
+    ScopedEnv env("BYTECACHE_DISABLE_SIMD", "0");
+    util::refresh_simd();
+    SCOPED_TRACE(util::simd().avx2 ? "avx2 compare" : "no avx2 on this CPU");
+    dispatched = run_index_sequence();
+  }
+  {
+    ScopedEnv env("BYTECACHE_DISABLE_SIMD", "1");
+    util::refresh_simd();
+    ASSERT_FALSE(util::simd().avx2);
+    scalar = run_index_sequence();
+  }
+  EXPECT_GT(scalar.order.size(), 1000u);
+  EXPECT_EQ(dispatched.probes, scalar.probes);
+  EXPECT_EQ(dispatched.purged, scalar.purged);
+  EXPECT_EQ(dispatched.order, scalar.order);
+  EXPECT_EQ(dispatched.owners, scalar.owners);
 }
 
 // ------------------------------------------------ environment overrides --

@@ -105,6 +105,21 @@ TEST(HugePages, LargeArraysAreHugePageAligned) {
   q[15] = 7;
   EXPECT_EQ(q[15], 7u);
   alloc.deallocate(q, 16);
+  // A small array of an over-aligned type still gets its alignment (a
+  // cache-line bucket is read with aligned vector loads).
+  struct alignas(64) Line {
+    std::uint64_t words[8];
+  };
+  HugePageAllocator<Line> lines;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              std::size_t{2048}}) {
+    Line* l = lines.allocate(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(l) % alignof(Line), 0u)
+        << n << " lines";
+    l[n - 1].words[7] = 9;
+    EXPECT_EQ(l[n - 1].words[7], 9u);
+    lines.deallocate(l, n);
+  }
 }
 
 TEST(Rng, Deterministic) {
