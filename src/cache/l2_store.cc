@@ -401,22 +401,4 @@ L2Store::Stripe* L2Store::attach(FingerprintTable& index) {
   return stripe;
 }
 
-std::size_t L2Store::bytes_used() const {
-  std::size_t total = 0;
-  for (const auto& s : stripes_) total += s->bytes_used();
-  return total;
-}
-
-std::size_t L2Store::packets() const {
-  std::size_t total = 0;
-  for (const auto& s : stripes_) total += s->size();
-  return total;
-}
-
-std::size_t L2Store::host_pairs() const {
-  std::size_t total = 0;
-  for (const auto& s : stripes_) total += s->hosts().pairs();
-  return total;
-}
-
 }  // namespace bytecache::cache

@@ -207,12 +207,6 @@ class L2Store {
     return *stripes_[i];
   }
 
-  /// Aggregate occupancy across stripes (snapshot-time telemetry only:
-  /// the per-stripe counters are owned by worker threads).
-  [[nodiscard]] std::size_t bytes_used() const;
-  [[nodiscard]] std::size_t packets() const;
-  [[nodiscard]] std::size_t host_pairs() const;
-
  private:
   CacheConfig config_;
   std::vector<std::unique_ptr<Stripe>> stripes_;

@@ -8,7 +8,7 @@
 
 namespace bytecache::cache {
 
-SliceArena::TestHooks SliceArena::test_hooks;
+thread_local SliceArena::TestHooks SliceArena::test_hooks;
 
 SliceArena::~SliceArena() {
   for (const Area& a : areas_) {

@@ -88,18 +88,19 @@ class SliceArena {
   void audit() const;
 
   /// Test-only seams (tests/slice_arena_test.cc); cold — touched once
-  /// per 2 MiB area, never per slice.
+  /// per 2 MiB area, never per slice.  One copy per thread: sharded
+  /// gateway workers carve their codecs' arenas concurrently.
   struct TestHooks {
     /// When > 0, decremented per carve; hitting 0 makes that carve's
     /// bookkeeping growth throw std::bad_alloc — the exact window the
     /// area-leak regression test exercises.
     int fail_bookkeeping = 0;
-    /// Process-lifetime balance of areas obtained from / returned to
-    /// the OS (heap-fallback slices excluded).
+    /// This thread's balance of areas obtained from / returned to the
+    /// OS (heap-fallback slices excluded).
     std::uint64_t areas_allocated = 0;
     std::uint64_t areas_freed = 0;
   };
-  static TestHooks test_hooks;
+  static thread_local TestHooks test_hooks;
 
  private:
   /// While free, a slice's first bytes hold the next freelist entry.

@@ -89,11 +89,6 @@ class SnapshotReader {
     return util::get_u32(data_, off);
   }
 
-  /// Everything consumed so far (CRC coverage spans).
-  [[nodiscard]] util::BytesView consumed() const {
-    return data_.subspan(0, off_);
-  }
-
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - off_; }
   [[nodiscard]] bool at_end() const { return ok() && remaining() == 0; }

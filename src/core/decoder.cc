@@ -134,20 +134,6 @@ const std::vector<rabin::Anchor>& Decoder::anchors_of(
   return anchors;
 }
 
-void Decoder::decode_burst(std::span<packet::Packet* const> pkts,
-                           std::span<DecodeInfo> out) {
-  BC_CHECK(out.size() >= pkts.size())
-      << "decode_burst result span too small: " << out.size() << " < "
-      << pkts.size();
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    if (pkts[i] == nullptr) continue;
-    if (i + 1 < pkts.size() && pkts[i + 1] != nullptr) {
-      __builtin_prefetch(pkts[i + 1]->payload.data());
-    }
-    out[i] = process(*pkts[i]);
-  }
-}
-
 DecodeInfo Decoder::process(packet::Packet& pkt) {
   ++stats_.packets;
   stats_.bytes_received += pkt.payload.size();

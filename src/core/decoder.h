@@ -135,14 +135,6 @@ class Decoder {
   /// the caller must discard the packet.
   DecodeInfo process(packet::Packet& pkt);
 
-  /// Burst form: processes `pkts` in order, exactly as a process() loop
-  /// would, writing out[i] for pkts[i] and prefetching packet i+1's
-  /// payload head while packet i decodes (mirrors
-  /// Encoder::encode_burst).  Requires out.size() >= pkts.size(); null
-  /// entries are skipped.
-  void decode_burst(std::span<packet::Packet* const> pkts,
-                    std::span<DecodeInfo> out);
-
   [[nodiscard]] const DecoderStats& stats() const { return stats_; }
   [[nodiscard]] const cache::CacheTier& cache() const { return cache_; }
   [[nodiscard]] const DreParams& params() const { return params_; }

@@ -195,20 +195,6 @@ void Encoder::on_reverse_ack(std::uint64_t flow_key, std::uint32_t ack) {
   flows_.upsert(flow_key).observe_ack(ack);
 }
 
-void Encoder::encode_burst(std::span<packet::Packet* const> pkts,
-                           std::span<EncodeInfo> out) {
-  BC_CHECK(out.size() >= pkts.size())
-      << "encode_burst result span too small: " << out.size() << " < "
-      << pkts.size();
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    if (pkts[i] == nullptr) continue;
-    if (i + 1 < pkts.size() && pkts[i + 1] != nullptr) {
-      __builtin_prefetch(pkts[i + 1]->payload.data());
-    }
-    out[i] = process(*pkts[i]);
-  }
-}
-
 void Encoder::identify_regions(util::BytesView payload,
                                const PacketContext& ctx, bool allow_encode,
                                EncodeInfo& info) {

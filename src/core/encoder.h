@@ -118,15 +118,6 @@ class Encoder {
   /// Processes one outgoing packet in place.
   EncodeInfo process(packet::Packet& pkt);
 
-  /// Burst form: processes `pkts` in order, exactly as a process() loop
-  /// would (same cache evolution, same wire bytes), writing out[i] for
-  /// pkts[i].  While packet i encodes, packet i+1's payload head is
-  /// prefetched, so back-to-back packets overlap their first-touch
-  /// misses.  Requires out.size() >= pkts.size(); null entries are
-  /// skipped (their EncodeInfo is left default).
-  void encode_burst(std::span<packet::Packet* const> pkts,
-                    std::span<EncodeInfo> out);
-
   [[nodiscard]] const EncoderStats& stats() const { return stats_; }
   [[nodiscard]] const fec::RepairEncoderStats& repair_stats() const {
     return repair_enc_.stats();

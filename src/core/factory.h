@@ -47,6 +47,9 @@ struct GatewayConfig {
   /// Sharded gateways only: shared-nothing shard count (>= 1), SPSC ring
   /// capacity (rounded up to a power of two), and whether each shard
   /// gets its own worker thread (false = deterministic inline mode).
+  /// Of these three the sharded decoder reads only `shards`: it has no
+  /// rings or threads of its own and decodes on the thread that feeds
+  /// each shard.
   std::size_t shards = 1;
   std::size_t ring_capacity = 1024;
   bool threaded = true;

@@ -319,17 +319,6 @@ void DecoderGateway::receive(packet::PacketPtr pkt) {
   process_received(std::move(pkt));
 }
 
-void DecoderGateway::receive_burst(std::span<packet::PacketPtr> pkts) {
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    if (pkts[i] == nullptr) continue;
-    if (i + 1 < pkts.size() && pkts[i + 1] != nullptr) {
-      __builtin_prefetch(pkts[i + 1]->payload.data());
-    }
-    ++stats_.packets;
-    process_received(std::move(pkts[i]));
-  }
-}
-
 void DecoderGateway::process_received(packet::PacketPtr pkt) {
   if (repair_ != nullptr) {
     if (fec::is_repair_payload(pkt->payload)) {

@@ -81,8 +81,8 @@ class EncoderGateway {
   /// `pkts` in order, exactly as a receive() loop would — same codec
   /// sequence, same sink calls, same stats — while prefetching the next
   /// packet's payload head so back-to-back encodes overlap their
-  /// first-touch misses.  The sharded workers drain their input rings
-  /// into this (gateway/sharded_gateways.cc).
+  /// first-touch misses.  The sharded encoder's workers drain their input
+  /// rings into this (gateway/sharded_gateways.cc).
   void receive_burst(std::span<packet::PacketPtr> pkts);
 
   /// Adds an observer called with the EncodeInfo of every processed
@@ -191,11 +191,6 @@ class DecoderGateway {
   /// Decodes and forwards; drops undecodable packets (sending the
   /// configured control feedback on the reverse path).
   void receive(packet::PacketPtr pkt);
-
-  /// Burst form (see EncoderGateway::receive_burst): consumes and
-  /// processes every non-null packet of `pkts` in order with next-packet
-  /// payload prefetch, observably identical to a receive() loop.
-  void receive_burst(std::span<packet::PacketPtr> pkts);
 
   /// Releases everything the coded-repair reorder cache still holds
   /// (params.coded_repair), oldest generation first — teardown / idle,

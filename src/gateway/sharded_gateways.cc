@@ -25,9 +25,8 @@ namespace {
 
 /// Blocking ring push for the worker-side output path: spins politely;
 /// drops the element if the gateway is being torn down (`abort`).  The
-/// caller is by contract the one producer of `ring` (a shard's worker, or
-/// the shard-owning thread in submit_to_shard mode), so the producer role
-/// is claimed here.
+/// caller is by contract the one producer of `ring` (the shard's worker),
+/// so the producer role is claimed here.
 template <typename T>
 void push_or_abort(util::SpscRing<T>& ring, T v,
                    const std::atomic<bool>& abort) {
@@ -204,23 +203,6 @@ void ShardedEncoderGateway::submit(packet::PacketPtr pkt) {
   enqueue(s, Cmd{std::move(pkt), Cmd::Kind::kData});
 }
 
-bool ShardedEncoderGateway::try_submit(packet::PacketPtr& pkt) {
-  util::ScopedRole driver(driver_role_);
-  Shard& s = shard_for(*pkt);
-  if (!threaded_) {
-    enqueue(s, Cmd{std::move(pkt), Cmd::Kind::kData});
-    return true;
-  }
-  util::ScopedRole producer(s.in.producer_role);
-  Cmd cmd{std::move(pkt), Cmd::Kind::kData};
-  if (s.in.try_push(cmd)) {
-    s.submitted.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  pkt = std::move(cmd.pkt);
-  return false;
-}
-
 void ShardedEncoderGateway::submit_control(packet::PacketPtr pkt) {
   util::ScopedRole driver(driver_role_);
   Shard& s = shard_for(*pkt);
@@ -301,16 +283,6 @@ core::EncoderStats ShardedEncoderGateway::encoder_stats() const {
   return total;
 }
 
-cache::CacheStats ShardedEncoderGateway::cache_stats() const {
-  cache::CacheStats total;
-  for (const auto& s : shards_) {
-    if (s->gw.encoder() != nullptr) {
-      cache::merge_into(total, s->gw.encoder()->cache().stats());
-    }
-  }
-  return total;
-}
-
 void ShardedEncoderGateway::audit() const {
   if (!util::kAuditEnabled) return;
   std::uint64_t packets = 0;
@@ -335,238 +307,56 @@ void ShardedEncoderGateway::audit() const {
 
 // --------------------------------------------------------------- decoder --
 
-ShardedDecoderGateway::ShardedDecoderGateway(const core::GatewayConfig& cfg)
-    : threaded_(cfg.threaded) {
+ShardedDecoderGateway::ShardedDecoderGateway(const core::GatewayConfig& cfg) {
   BC_CHECK(cfg.shards >= 1) << "a sharded gateway needs at least 1 shard";
   // See ShardedEncoderGateway: shards attach to this registry, not the
   // parent's, to avoid double counting.
   core::GatewayConfig shard_cfg = cfg;
   shard_cfg.metrics = nullptr;
-  if (cfg.span_sample_every > 0) {
-    stall_hist_ = &metrics_.histogram("gateway.decoder.ring_stall_ns");
-  }
   // One L2 store spans the gateway; each shard's codec claims a stripe.
   if (cfg.decoder_enabled() && cfg.cache.has_l2()) {
     l2_ = std::make_unique<cache::L2Store>(cfg.cache, cfg.shards);
   }
   shards_.reserve(cfg.shards);
   for (std::size_t i = 0; i < cfg.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(shard_cfg, l2_.get()));
-    Shard& s = *shards_.back();
-    metrics_.add_provider([&s] { return s.gw.snapshot(); });
-    s.gw.set_sink([this, &s, i](packet::PacketPtr pkt) {
-      if (worker_sink_) {
-        worker_sink_(i, std::move(pkt));
-      } else if (threaded_) {
-        push_or_abort(s.out, std::move(pkt), s.abort);
-      } else if (sink_) {
-        sink_(std::move(pkt));
-      }
+    shards_.push_back(std::make_unique<DecoderGateway>(shard_cfg, l2_.get()));
+    DecoderGateway& gw = *shards_.back();
+    metrics_.add_provider([&gw] { return gw.snapshot(); });
+    // Both sinks fire inline, on the thread that called submit_to_shard.
+    gw.set_sink([this, i](packet::PacketPtr pkt) {
+      if (worker_sink_) worker_sink_(i, std::move(pkt));
     });
-    s.gw.set_feedback([this, &s](packet::PacketPtr pkt) {
-      if (threaded_) {
-        push_or_abort(s.feedback, std::move(pkt), s.abort);
-      } else if (feedback_) {
-        feedback_(std::move(pkt));
-      }
+    gw.set_feedback([this](packet::PacketPtr pkt) {
+      if (feedback_) feedback_(std::move(pkt));
     });
   }
   if (cfg.metrics != nullptr) {
     cfg.metrics->add_provider([this] { return snapshot(); });
   }
-  if (threaded_) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard* s = shards_[i].get();
-      s->thread = std::thread([this, s] { run_worker(*s); });
-    }
-  }
-}
-
-ShardedDecoderGateway::~ShardedDecoderGateway() {
-  for (auto& s : shards_) {
-    s->abort.store(true, std::memory_order_release);
-    s->stop.store(true, std::memory_order_release);
-  }
-  for (auto& s : shards_) {
-    if (s->thread.joinable()) s->thread.join();
-  }
-}
-
-void ShardedDecoderGateway::set_worker_sink(ShardPacketSink sink) {
-  worker_sink_ = std::move(sink);
-}
-
-void ShardedDecoderGateway::run_worker(Shard& s) {
-  // See ShardedEncoderGateway::run_worker: this thread owns the input
-  // ring's consumer end; output/feedback producer ends are claimed in
-  // push_or_abort.  The input ring holds bare packets, so every burst
-  // goes straight through the gateway's prefetched loop.
-  util::ScopedRole consumer(s.in.consumer_role);
-  util::Backoff backoff;
-  std::array<packet::PacketPtr, kWorkerBurst> burst;
-  for (;;) {
-    std::size_t n = s.in.pop_burst(burst.data(), burst.size());
-    if (n == 0 && s.stop.load(std::memory_order_acquire)) {
-      n = s.in.pop_burst(burst.data(), burst.size());
-      if (n == 0) break;
-    }
-    if (n > 0) {
-      backoff.reset();
-      s.gw.receive_burst({burst.data(), n});
-      s.completed.fetch_add(n, std::memory_order_release);
-      continue;
-    }
-    backoff.pause();
-  }
-}
-
-void ShardedDecoderGateway::enqueue(Shard& s, packet::PacketPtr pkt) {
-  if (!threaded_) {
-    s.submitted.fetch_add(1, std::memory_order_relaxed);
-    s.gw.receive(std::move(pkt));
-    s.completed.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  util::ScopedRole producer(s.in.producer_role);
-  s.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (s.in.try_push(pkt)) return;
-  // Slow path only: see ShardedEncoderGateway::enqueue.
-  const bool timed = stall_hist_ != nullptr;
-  const auto t0 = timed ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-  util::Backoff backoff;
-  do {
-    if (drain_some() == 0) backoff.pause();
-  } while (!s.in.try_push(pkt));
-  if (timed) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    stall_hist_->record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-  }
-}
-
-void ShardedDecoderGateway::submit(packet::PacketPtr pkt) {
-  util::ScopedRole driver(driver_role_);
-  Shard& s = *shards_[shard_index_of(shard_key_of(*pkt), shards_.size())];
-  enqueue(s, std::move(pkt));
-}
-
-bool ShardedDecoderGateway::try_submit(packet::PacketPtr& pkt) {
-  util::ScopedRole driver(driver_role_);
-  Shard& s = *shards_[shard_index_of(shard_key_of(*pkt), shards_.size())];
-  if (!threaded_) {
-    enqueue(s, std::move(pkt));
-    return true;
-  }
-  util::ScopedRole producer(s.in.producer_role);
-  if (s.in.try_push(pkt)) {
-    s.submitted.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
 }
 
 void ShardedDecoderGateway::submit_to_shard(std::size_t i,
                                             packet::PacketPtr pkt) {
-  // Deliberately NOT driver-scoped: each shard index is fed by its own
-  // owning thread (e.g. the matching encoder shard's worker), which is by
-  // contract the one producer of this shard's input ring.
-  Shard& s = *shards_[i];
-  if (!threaded_) {
-    // Inline decode on the calling thread — the caller owns shard i's
-    // threading (e.g. the matching encoder shard's worker).
-    s.submitted.fetch_add(1, std::memory_order_relaxed);
-    s.gw.receive(std::move(pkt));
-    s.completed.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  util::ScopedRole producer(s.in.producer_role);
-  s.submitted.fetch_add(1, std::memory_order_relaxed);
-  util::Backoff backoff;
-  while (!s.in.try_push(pkt)) {
-    if (s.abort.load(std::memory_order_acquire)) return;
-    backoff.pause();
-  }
-}
-
-std::size_t ShardedDecoderGateway::drain() {
-  util::ScopedRole driver(driver_role_);
-  return drain_some();
-}
-
-std::size_t ShardedDecoderGateway::drain_some() {
-  std::size_t delivered = 0;
-  std::array<packet::PacketPtr, kWorkerBurst> burst;
-  for (auto& s : shards_) {
-    util::ScopedRole out_consumer(s->out.consumer_role);
-    std::size_t n;
-    while ((n = s->out.pop_burst(burst.data(), burst.size())) > 0) {
-      delivered += n;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (sink_) sink_(std::move(burst[i]));
-        burst[i].reset();
-      }
-    }
-    util::ScopedRole feedback_consumer(s->feedback.consumer_role);
-    while ((n = s->feedback.pop_burst(burst.data(), burst.size())) > 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (feedback_) feedback_(std::move(burst[i]));
-        burst[i].reset();
-      }
-    }
-  }
-  return delivered;
-}
-
-void ShardedDecoderGateway::drain_until_idle() {
-  util::ScopedRole driver(driver_role_);
-  util::Backoff backoff;
-  for (;;) {
-    if (drain_some() > 0) backoff.reset();
-    bool idle = true;
-    for (auto& s : shards_) {
-      if (s->completed.load(std::memory_order_acquire) !=
-          s->submitted.load(std::memory_order_relaxed)) {
-        idle = false;
-        break;
-      }
-    }
-    if (idle) {
-      drain_some();
-      bool empty = true;
-      for (auto& s : shards_) {
-        if (!s->out.empty() || !s->feedback.empty()) empty = false;
-      }
-      if (empty) return;
-    }
-    backoff.pause();
-  }
+  BC_CHECK(i < shards_.size())
+      << "submit_to_shard(" << i << ") on a gateway of " << shards_.size()
+      << " shards";
+  if (i >= shards_.size()) return;  // the check reported; drop the packet
+  shards_[i]->receive(std::move(pkt));
 }
 
 DecoderGatewayStats ShardedDecoderGateway::stats() const {
   DecoderGatewayStats total;
-  for (const auto& s : shards_) {
-    merge_into(total, s->gw.stats());
+  for (const auto& gw : shards_) {
+    merge_into(total, gw->stats());
   }
   return total;
 }
 
 core::DecoderStats ShardedDecoderGateway::decoder_stats() const {
   core::DecoderStats total;
-  for (const auto& s : shards_) {
-    if (s->gw.decoder() != nullptr) {
-      core::merge_into(total, s->gw.decoder()->stats());
-    }
-  }
-  return total;
-}
-
-cache::CacheStats ShardedDecoderGateway::cache_stats() const {
-  cache::CacheStats total;
-  for (const auto& s : shards_) {
-    if (s->gw.decoder() != nullptr) {
-      cache::merge_into(total, s->gw.decoder()->cache().stats());
+  for (const auto& gw : shards_) {
+    if (gw->decoder() != nullptr) {
+      core::merge_into(total, gw->decoder()->stats());
     }
   }
   return total;
@@ -575,19 +365,9 @@ cache::CacheStats ShardedDecoderGateway::cache_stats() const {
 void ShardedDecoderGateway::audit() const {
   if (!util::kAuditEnabled) return;
   std::uint64_t packets = 0;
-  for (const auto& s : shards_) {
-    s->in.audit();
-    s->out.audit();
-    s->feedback.audit();
-    if (s->gw.decoder() != nullptr) s->gw.decoder()->audit();
-    const std::uint64_t submitted =
-        s->submitted.load(std::memory_order_acquire);
-    const std::uint64_t completed =
-        s->completed.load(std::memory_order_acquire);
-    BC_AUDIT(completed <= submitted)
-        << "shard completed " << completed << " of " << submitted
-        << " submitted packets";
-    packets += s->gw.stats().packets;
+  for (const auto& gw : shards_) {
+    if (gw->decoder() != nullptr) gw->decoder()->audit();
+    packets += gw->stats().packets;
   }
   const DecoderGatewayStats total = stats();
   BC_AUDIT(total.packets == packets)

@@ -2,13 +2,16 @@
 //
 // Traffic is partitioned by a stable flow-key hash into N shared-nothing
 // shards, each owning a private EncoderGateway / DecoderGateway (and so
-// a private CacheTier), driven by one worker thread per shard and fed
-// through fixed-capacity SPSC rings (util/spsc_ring.h).  A shard's codec
-// is touched by exactly one thread, so the allocation-free hot path runs
-// unmodified and lock-free inside it; the wire format is untouched, and
-// with one shard the packet sequence through the codec is exactly the
-// single-gateway sequence, so N=1 is bit-identical to EncoderGateway /
-// DecoderGateway (pinned by tests/sharded_gateway_test.cc).
+// a private CacheTier).  Each encoder shard is driven by its own worker
+// thread fed through fixed-capacity SPSC rings (util/spsc_ring.h); each
+// decoder shard decodes inline on the thread that feeds it — in the
+// deployment, the encoder shard's worker, so a shard's whole pipeline
+// shares one thread.  A shard's codec is touched by exactly one thread,
+// so the allocation-free hot path runs unmodified and lock-free inside
+// it; the wire format is untouched, and with one shard the packet
+// sequence through the codec is exactly the single-gateway sequence, so
+// N=1 is bit-identical to EncoderGateway / DecoderGateway (pinned by
+// tests/sharded_gateway_test.cc).
 #pragma once
 //
 // Shard key: the unordered IP endpoint pair, NOT the TCP ports — the
@@ -21,20 +24,22 @@
 // is preserved end to end; cross-shard order is unspecified, as between
 // unrelated flows on any real network.
 //
-// Threading contract: one thread calls submit*()/drain*() (the
-// "driver"); workers are internal.  With GatewayConfig::threaded == false no
-// threads or rings exist and submit*() runs the codec inline — the
-// deterministic mode for tests, and the building block for callers that
-// run shards on their own threads via submit_to_shard() (each shard
-// index then owned by one calling thread).  Statistics and audits
-// require quiescence: call drain_until_idle() first.
+// Threading contract.  Encoder: one thread calls submit*()/drain*() (the
+// "driver"); workers are internal.  With GatewayConfig::threaded == false
+// no threads or rings exist and submit*() runs the codec inline — the
+// deterministic mode for tests.  Statistics and audits require
+// quiescence: call drain_until_idle() first.  Decoder: no threads or
+// rings at all; submit_to_shard(i, pkt) decodes on the calling thread,
+// and each shard index is fed by one thread at a time (typically encoder
+// shard i's worker through the encoder's worker sink).  Its statistics
+// and audits require that no thread is feeding it.
 //
-// The contract is compiler-enforced under Clang (-Wthread-safety, see
-// util/thread_annotations.h and DESIGN.md §11): the driver-only surface
-// claims `driver_role_` (so the registry and the stall histogram are
-// provably driver-thread state), workers claim their shard rings'
-// consumer roles, and every ring end is pushed/popped only under the
-// matching role capability.
+// The encoder's contract is compiler-enforced under Clang
+// (-Wthread-safety, see util/thread_annotations.h and DESIGN.md §11):
+// the driver-only surface claims `driver_role_` (so the registry and the
+// stall histogram are provably driver-thread state), workers claim their
+// shard rings' consumer roles, and every ring end is pushed/popped only
+// under the matching role capability.
 
 #include <atomic>
 #include <cstdint>
@@ -50,10 +55,11 @@
 
 namespace bytecache::gateway {
 
-/// Elements moved per ring operation on the burst paths: workers pop
-/// commands in bursts of up to this many (one release store retires the
-/// whole batch, and consecutive data packets flow through
-/// receive_burst's prefetched loop), and drain() pops output likewise.
+/// Elements moved per ring operation on the encoder's burst paths: its
+/// workers pop commands in bursts of up to this many (one release store
+/// retires the whole batch, and consecutive data packets flow through
+/// EncoderGateway::receive_burst's prefetched loop), and drain() pops
+/// output likewise.
 /// 32 amortizes the synchronizing stores ~30x while bounding the extra
 /// latency a burst adds ahead of any one packet.
 inline constexpr std::size_t kWorkerBurst = 32;
@@ -68,8 +74,9 @@ inline constexpr std::size_t kWorkerBurst = 32;
 [[nodiscard]] std::size_t shard_index_of(std::uint64_t key,
                                          std::size_t shards);
 
-/// Sink invoked on a shard's worker thread with that shard's index;
-/// installing it bypasses the output ring (see set_worker_sink).
+/// Sink invoked with a shard's index on the thread that runs that shard's
+/// codec: an encoder shard's worker (installing it bypasses the output
+/// ring), or whichever thread feeds a decoder shard.
 using ShardPacketSink = std::function<void(std::size_t, packet::PacketPtr)>;
 
 class ShardedEncoderGateway {
@@ -103,10 +110,6 @@ class ShardedEncoderGateway {
   /// the shard's input ring accepts it.  Driver thread only.
   void submit(packet::PacketPtr pkt);
 
-  /// Non-blocking form: false (packet untouched) if the shard's input
-  /// ring is full.  Driver thread only.
-  bool try_submit(packet::PacketPtr& pkt);
-
   /// Reverse-path DRE control packet (NACK feedback) or reverse data/ACK
   /// packet to observe (ack-gated policy).  Routed through the owning
   /// shard's input ring so control actions stay ordered with the shard's
@@ -131,7 +134,6 @@ class ShardedEncoderGateway {
   /// Aggregates across shards (quiescent callers only).
   [[nodiscard]] EncoderGatewayStats stats() const;
   [[nodiscard]] core::EncoderStats encoder_stats() const;
-  [[nodiscard]] cache::CacheStats cache_stats() const;
 
   /// The per-shard registries merged into one value set (quiescent
   /// callers only): counters and histograms add across shards, gauges
@@ -202,96 +204,61 @@ class ShardedEncoderGateway {
 
 class ShardedDecoderGateway {
  public:
-  /// See ShardedEncoderGateway: shards/rings/threading come from `cfg`,
-  /// the decoder is enabled iff cfg.decoder_enabled().
+  /// N = cfg.shards DecoderGateway shards sharing one L2 store, one
+  /// stripe each; the decoder is enabled iff cfg.decoder_enabled().  It
+  /// has no threads or rings of its own, so cfg.ring_capacity and
+  /// cfg.threaded are not read.
   explicit ShardedDecoderGateway(const core::GatewayConfig& cfg);
-  ~ShardedDecoderGateway();
 
   ShardedDecoderGateway(const ShardedDecoderGateway&) = delete;
   ShardedDecoderGateway& operator=(const ShardedDecoderGateway&) = delete;
 
-  /// Decoded output, delivered by drain() on the driver thread.
-  void set_sink(PacketSink sink) { sink_ = std::move(sink); }
+  /// Decoded output: shard i's packets are handed to `sink` with index i
+  /// on the thread that fed shard i.  The sink must be thread-safe across
+  /// shard indices (typically it only touches per-shard state).  Set
+  /// before the first submit.
+  void set_worker_sink(ShardPacketSink sink) { worker_sink_ = std::move(sink); }
 
-  /// Worker-side decoded output (see ShardedEncoderGateway equivalent).
-  void set_worker_sink(ShardPacketSink sink);
-
-  /// Reverse-path sink for NACK control packets, delivered by drain()
-  /// on the driver thread.
+  /// Reverse-path sink for control packets (NACKs, loss reports, resync
+  /// requests), called inline on the thread that fed the shard whose
+  /// decoder sends them.  Set before the first submit.
   void set_feedback(PacketSink feedback) { feedback_ = std::move(feedback); }
 
-  /// Routes an incoming (possibly encoded) packet to its shard.  Blocks
-  /// draining until the shard accepts it.  Driver thread only.
-  void submit(packet::PacketPtr pkt);
-  bool try_submit(packet::PacketPtr& pkt);
-
-  /// Pushes a packet directly into shard `i`'s input, bypassing key
-  /// derivation — for upstream stages that are themselves sharded with
-  /// the same key (an encoder shard's worker feeds its decoder twin).
-  /// Each shard index must be fed by exactly one thread.  In non-threaded
-  /// mode the packet is decoded inline on the calling thread.
+  /// Decodes an incoming (possibly encoded) packet on shard `i`, inline
+  /// on the calling thread.  The caller routes by the same key as the
+  /// encoder — typically shard_index_of(shard_key_of(*pkt), shard_count()),
+  /// or the index of the encoder shard whose worker feeds it.  Each shard
+  /// index must be fed by one thread at a time.  An out-of-range index
+  /// fails a check and the packet is dropped.
   void submit_to_shard(std::size_t i, packet::PacketPtr pkt);
-
-  /// Delivers decoded packets (and NACK feedback) from the per-shard
-  /// output rings; returns packets delivered.  Driver thread only.
-  std::size_t drain();
-  void drain_until_idle();
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const DecoderGateway& shard(std::size_t i) const {
-    return shards_[i]->gw;
+    return *shards_[i];
   }
-  [[nodiscard]] DecoderGateway& shard(std::size_t i) { return shards_[i]->gw; }
+  [[nodiscard]] DecoderGateway& shard(std::size_t i) { return *shards_[i]; }
 
+  /// Aggregates across shards (quiescent callers only: no thread is
+  /// feeding a shard).
   [[nodiscard]] DecoderGatewayStats stats() const;
   [[nodiscard]] core::DecoderStats decoder_stats() const;
-  [[nodiscard]] cache::CacheStats cache_stats() const;
 
-  /// Cross-shard merged value set (see ShardedEncoderGateway).
-  [[nodiscard]] obs::Snapshot snapshot() const {
-    util::ScopedRole driver(driver_role_);
-    return metrics_.snapshot();
-  }
+  /// The per-shard registries merged into one value set (quiescent
+  /// callers only; see ShardedEncoderGateway::snapshot).
+  [[nodiscard]] obs::Snapshot snapshot() const { return metrics_.snapshot(); }
 
+  /// Deep invariant audit (BC_AUDIT; quiescent callers only): every
+  /// shard's decoder, plus the aggregated packet count.
   void audit() const;
 
  private:
-  struct Shard {
-    Shard(const core::GatewayConfig& cfg, cache::L2Store* l2)
-        : in(cfg.ring_capacity),
-          out(cfg.ring_capacity),
-          feedback(cfg.ring_capacity),
-          gw(cfg, l2) {}
-    util::SpscRing<packet::PacketPtr> in;
-    util::SpscRing<packet::PacketPtr> out;
-    util::SpscRing<packet::PacketPtr> feedback;
-    DecoderGateway gw;
-    std::thread thread;
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<bool> stop{false};
-    std::atomic<bool> abort{false};
-  };
-
-  void enqueue(Shard& s, packet::PacketPtr pkt) BC_REQUIRES(driver_role_);
-  std::size_t drain_some() BC_REQUIRES(driver_role_);
-  void run_worker(Shard& s);
-
-  bool threaded_;
   // See ShardedEncoderGateway::l2_: one store, one stripe per shard.
   std::unique_ptr<cache::L2Store> l2_;  // null unless cfg.cache.has_l2()
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Set before the first submit, then read-only (see ShardedEncoderGateway).
-  PacketSink sink_;
+  std::vector<std::unique_ptr<DecoderGateway>> shards_;
+  // Set before the first submit, then only read by the feeding threads.
   ShardPacketSink worker_sink_;
   PacketSink feedback_;
-  /// See ShardedEncoderGateway::driver_role_.  submit_to_shard() is the
-  /// one entry point exempt from it: each shard index is owned by its own
-  /// calling thread, which claims that shard's ring producer role instead.
-  util::ThreadRole driver_role_;
-  obs::MetricsRegistry metrics_ BC_GUARDED_BY(driver_role_);
-  obs::Histogram* stall_hist_ BC_GUARDED_BY(driver_role_) =
-      nullptr;  // "...ring_stall_ns"; may be off
+  obs::MetricsRegistry metrics_;
 };
 
 }  // namespace bytecache::gateway

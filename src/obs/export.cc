@@ -82,52 +82,6 @@ std::string to_jsonl(const Snapshot& snap) {
   return out;
 }
 
-std::string prometheus_name(std::string_view name) {
-  std::string out = "bc_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string to_prometheus(const Snapshot& snap) {
-  std::string out;
-  for (const MetricValue& m : snap.entries()) {
-    const std::string name = prometheus_name(m.name);
-    out += "# TYPE " + name + " " + kind_name(m.kind) + "\n";
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        out += name + " " + fmt_u64(m.counter) + "\n";
-        break;
-      case MetricKind::kGauge:
-        out += name + " " + fmt_double(m.gauge) + "\n";
-        break;
-      case MetricKind::kHistogram: {
-        // Cumulative buckets over the non-empty prefix of the range,
-        // then the mandatory +Inf bucket.
-        std::uint64_t cum = 0;
-        std::size_t last = 0;
-        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-          if (m.hist.buckets[i] != 0) last = i;
-        }
-        for (std::size_t i = 0; i <= last; ++i) {
-          cum += m.hist.buckets[i];
-          out += name + "_bucket{le=\"" +
-                 fmt_u64(Histogram::upper_bound(i)) + "\"} " +
-                 fmt_u64(cum) + "\n";
-        }
-        out += name + "_bucket{le=\"+Inf\"} " + fmt_u64(m.hist.count) + "\n";
-        out += name + "_sum " + fmt_u64(m.hist.sum) + "\n";
-        out += name + "_count " + fmt_u64(m.hist.count) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 std::string to_json_object(const Snapshot& snap) {
   std::string out = "{";
   bool first = true;

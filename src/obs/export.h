@@ -1,4 +1,4 @@
-// Snapshot exporters: JSON-lines and Prometheus text exposition format.
+// Snapshot exporters: JSON-lines and a single JSON object.
 //
 // Both render an obs::Snapshot deterministically (entries are sorted by
 // name), so the outputs are golden-testable (tests/data/, regenerate
@@ -13,11 +13,6 @@
 //
 // Histogram "buckets" pairs are [inclusive_upper_bound, count], sparse
 // (zero buckets omitted).
-//
-// Prometheus: the text exposition format a scrape endpoint serves.
-// Dotted names become underscored with a "bc_" namespace prefix
-// ("encoder.packets" -> "bc_encoder_packets"); histograms expand into
-// cumulative _bucket{le="..."} series plus _sum and _count.
 #pragma once
 
 #include <string>
@@ -29,14 +24,8 @@ namespace bytecache::obs {
 /// One metric per line; trailing newline.
 [[nodiscard]] std::string to_jsonl(const Snapshot& snap);
 
-/// Prometheus text exposition format (version 0.0.4); trailing newline.
-[[nodiscard]] std::string to_prometheus(const Snapshot& snap);
-
 /// A single JSON object {"name":value,...} with histogram sub-objects —
 /// the form embedded into experiment/bench JSON documents.
 [[nodiscard]] std::string to_json_object(const Snapshot& snap);
-
-/// "encoder.cache.hits" -> "bc_encoder_cache_hits" (Prometheus naming).
-[[nodiscard]] std::string prometheus_name(std::string_view name);
 
 }  // namespace bytecache::obs

@@ -23,8 +23,8 @@
 //     counters and histograms add, gauges combine per their declared
 //     MergeOp — exactly the old per-struct merge_into pattern, once.
 //
-// Exporters (obs/export.h) render a Snapshot as JSON-lines or Prometheus
-// text exposition format.  Naming (DESIGN.md §10): dotted lowercase paths,
+// Exporters (obs/export.h) render a Snapshot as JSON-lines or one JSON
+// object.  Naming (DESIGN.md §10): dotted lowercase paths,
 // layer first — "encoder.packets", "decoder.cache.hits"; histograms carry
 // a unit suffix ("gateway.encoder.encode_ns").
 #pragma once
@@ -109,8 +109,7 @@ class Histogram {
     return static_cast<std::size_t>(std::bit_width(v));
   }
 
-  /// Inclusive upper bound of bucket i (the Prometheus "le" boundary):
-  /// 2^i - 1; ~0 for the last bucket.
+  /// Inclusive upper bound of bucket i: 2^i - 1; ~0 for the last bucket.
   [[nodiscard]] static constexpr std::uint64_t upper_bound(std::size_t i) {
     return i >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << i) - 1;
   }

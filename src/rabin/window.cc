@@ -8,18 +8,6 @@
 
 namespace bytecache::rabin {
 
-RollingWindow::RollingWindow(const RabinTables& tables)
-    : tables_(&tables),
-      ring_(std::bit_ceil(tables.window()), 0),
-      mask_(ring_.size() - 1),
-      window_(tables.window()) {}
-
-void RollingWindow::reset() {
-  fed_ = 0;
-  fp_ = kEmptyFingerprint;
-  // ring contents are irrelevant until refilled
-}
-
 // The selection functions below have two code paths with pinned-identical
 // output (tests/simd_kernel_test.cc) — except MAXP, which always runs
 // fused (see the comment in selected_anchors_maxp_into):

@@ -1,4 +1,4 @@
-// Rolling-window fingerprinter and whole-payload scanner.
+// Whole-payload rolling-window scanner and anchor selection.
 //
 // The encoder slides a w-byte window over each packet payload (paper
 // Fig. 2, procedure B) and needs the fingerprint at every byte position.
@@ -6,10 +6,6 @@
 // template that inlines its sink into the roll loop (one push-table and
 // one out-table lookup plus XORs per byte — see rabin.h) and reads the
 // outgoing byte straight from the payload instead of maintaining a ring.
-//
-// RollingWindow serves the incremental (byte-at-a-time) use case where
-// the payload is not all in memory; its ring is sized to the next power
-// of two so indexing is a mask, not a division.
 #pragma once
 
 #include <cstdint>
@@ -19,45 +15,6 @@
 #include "util/bytes.h"
 
 namespace bytecache::rabin {
-
-/// Incremental w-byte rolling fingerprint (ring-buffered; use `scan` when
-/// the whole payload is in memory).
-class RollingWindow {
- public:
-  explicit RollingWindow(const RabinTables& tables);
-
-  /// Feeds one byte; returns true once at least w bytes have been fed,
-  /// i.e. fingerprint() covers a full window.
-  bool feed(std::uint8_t b) {
-    if (fed_ < window_) {
-      fp_ = tables_->push(fp_, b);
-    } else {
-      // The byte fed exactly `window_` positions ago is still in the
-      // ring: capacity >= window_, so it has not been overwritten yet.
-      fp_ = tables_->roll(fp_, ring_[(fed_ - window_) & mask_], b);
-    }
-    ring_[fed_ & mask_] = b;
-    ++fed_;
-    return fed_ >= window_;
-  }
-
-  /// Fingerprint of the last min(fed, w) bytes.
-  [[nodiscard]] Fingerprint fingerprint() const { return fp_; }
-
-  /// True once a full window has been fed.
-  [[nodiscard]] bool full() const { return fed_ >= window_; }
-
-  /// Resets to the empty state.
-  void reset();
-
- private:
-  const RabinTables* tables_;
-  std::vector<std::uint8_t> ring_;  // bit_ceil(window) bytes
-  std::size_t mask_ = 0;            // ring_.size() - 1 (power of two)
-  std::size_t window_ = 0;
-  std::size_t fed_ = 0;  // total bytes fed
-  Fingerprint fp_ = kEmptyFingerprint;
-};
 
 /// A selected fingerprint anchored in a payload.
 struct Anchor {

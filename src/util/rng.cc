@@ -58,14 +58,6 @@ bool Rng::chance(double p) {
   return next_double() < p;
 }
 
-double Rng::exponential(double mean) {
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
 std::size_t Rng::zipf(std::size_t n, double s) {
   if (n <= 1) return 0;
   // Inverse-CDF over the (small) support; n is bounded by workload pools.

@@ -31,9 +31,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
   /// Zipf-like rank in [0, n): probability ~ 1/(rank+1)^s.  Used by the
   /// workload generators to model temporal locality of web content.
   std::size_t zipf(std::size_t n, double s);

@@ -39,14 +39,6 @@ std::string make_sentence(util::Rng& rng) {
   return s;
 }
 
-std::vector<std::string> make_sentence_pool(util::Rng& rng,
-                                            std::size_t count) {
-  std::vector<std::string> pool;
-  pool.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) pool.push_back(make_sentence(rng));
-  return pool;
-}
-
 util::Bytes random_text(util::Rng& rng, std::size_t size) {
   static constexpr char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .,;:!?";

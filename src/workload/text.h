@@ -5,7 +5,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -14,10 +13,6 @@ namespace bytecache::workload {
 
 /// One random sentence (words from a fixed vocabulary, 6–14 words).
 [[nodiscard]] std::string make_sentence(util::Rng& rng);
-
-/// A pool of distinct sentences to sample from.
-[[nodiscard]] std::vector<std::string> make_sentence_pool(util::Rng& rng,
-                                                          std::size_t count);
 
 /// Random printable filler (high entropy, no 16-byte repeats in practice).
 [[nodiscard]] util::Bytes random_text(util::Rng& rng, std::size_t size);

@@ -17,6 +17,7 @@
 #include "cache/recency_chain.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
+#include "gateway/sharded_gateways.h"
 #include "rabin/window.h"
 #include "sim/simulator.h"
 #include "tests/testutil.h"
@@ -275,6 +276,30 @@ TEST(CodecAudit, EncoderAndDecoderStayCleanOverAStream) {
   }
   EXPECT_GT(enc.stats().encoded_packets, 0u);
   EXPECT_EQ(dec.stats().drops(), 0u);
+}
+
+// ------------------------------------------------- sharded gateway index --
+
+TEST(ShardedDecoderCheck, OutOfRangeShardIndexReportsAndDrops) {
+  core::GatewayConfig cfg;
+  cfg.shards = 2;
+  gateway::ShardedDecoderGateway dec(cfg);
+  std::size_t delivered = 0;
+  dec.set_worker_sink([&](std::size_t, packet::PacketPtr) { ++delivered; });
+  const util::Bytes payload(64, 'x');
+  {
+    FailureRecorder rec;
+    dec.submit_to_shard(dec.shard_count(), testutil::make_udp_packet(payload));
+    ASSERT_EQ(rec.messages().size(), 1u);
+    EXPECT_NE(rec.messages()[0].find("on a gateway of 2 shards"),
+              std::string::npos);
+  }
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(dec.stats().packets, 0u);
+  // An in-range index still decodes.
+  dec.submit_to_shard(1, testutil::make_udp_packet(payload));
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(dec.shard(1).stats().packets, 1u);
 }
 
 // ---------------------------------------------------- simulator cadence --

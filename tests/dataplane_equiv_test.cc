@@ -6,7 +6,6 @@
 // reference on random inputs so a behavioural drift cannot hide behind a
 // performance win:
 //   - template scan vs full recomputation,
-//   - RollingWindow vs RabinTables::of at every offset,
 //   - FlatMap64 / FingerprintTable vs std::unordered_map, and the
 //     packed-slot form vs the used-byte form and a textbook layout,
 //   - word-wide match expansion vs a byte-at-a-time oracle,
@@ -74,40 +73,6 @@ TEST(ScanEquiv, TemplateVsErasedVsRecompute) {
       EXPECT_EQ(a.fp, tables.of(util::BytesView(payload).subspan(a.offset, 16)))
           << "offset " << a.offset;
     }
-  }
-}
-
-TEST(RollingWindowEquiv, MatchesRecomputeAtEveryOffset) {
-  const rabin::RabinTables tables(16);
-  Rng rng(testutil::test_seed(102));
-  const Bytes payload = random_bytes(rng, 700);
-  rabin::RollingWindow win(tables);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    const bool full = win.feed(payload[i]);
-    EXPECT_EQ(full, i + 1 >= 16);
-    EXPECT_EQ(full, win.full());
-    if (full) {
-      const std::size_t off = i + 1 - 16;
-      EXPECT_EQ(win.fingerprint(),
-                tables.of(util::BytesView(payload).subspan(off, 16)))
-          << "offset " << off;
-    }
-  }
-}
-
-TEST(RollingWindowEquiv, ResetMatchesFreshWindow) {
-  const rabin::RabinTables tables(16);
-  Rng rng(testutil::test_seed(103));
-  const Bytes payload = random_bytes(rng, 64);
-  rabin::RollingWindow reused(tables);
-  for (std::uint8_t b : payload) reused.feed(b);
-  reused.reset();
-  EXPECT_FALSE(reused.full());
-  rabin::RollingWindow fresh(tables);
-  for (std::uint8_t b : payload) {
-    reused.feed(b);
-    fresh.feed(b);
-    EXPECT_EQ(reused.fingerprint(), fresh.fingerprint());
   }
 }
 

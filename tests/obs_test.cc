@@ -309,19 +309,8 @@ TEST(ObsExport, JsonLinesMatchesPinnedGolden) {
   check_golden_text("obs_export.jsonl", obs::to_jsonl(golden_snapshot()));
 }
 
-TEST(ObsExport, PrometheusMatchesPinnedGolden) {
-  check_golden_text("obs_export.prom", obs::to_prometheus(golden_snapshot()));
-}
-
 TEST(ObsExport, JsonObjectMatchesPinnedGolden) {
   check_golden_text("obs_export.json", obs::to_json_object(golden_snapshot()));
-}
-
-TEST(ObsExport, PrometheusNameMangling) {
-  EXPECT_EQ(obs::prometheus_name("encoder.cache.hits"),
-            "bc_encoder_cache_hits");
-  EXPECT_EQ(obs::prometheus_name("gateway.encoder.encode_ns"),
-            "bc_gateway_encoder_encode_ns");
 }
 
 // ------------------------------------------- sharded merge equals N=1 --

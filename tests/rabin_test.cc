@@ -159,26 +159,7 @@ TEST(Rabin, SelectionRateApproximatelyTwoToMinusK) {
   EXPECT_NEAR(rate, 1.0 / 16, 0.01);
 }
 
-// ------------------------------------------------------------- window --
-
-TEST(RollingWindow, FullAfterWBytes) {
-  RabinTables t(8);
-  RollingWindow win(t);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_FALSE(win.feed('a'));
-  }
-  EXPECT_TRUE(win.feed('a'));
-  EXPECT_TRUE(win.full());
-}
-
-TEST(RollingWindow, ResetClears) {
-  RabinTables t(4);
-  RollingWindow win(t);
-  for (int i = 0; i < 10; ++i) win.feed(static_cast<std::uint8_t>(i));
-  win.reset();
-  EXPECT_FALSE(win.full());
-  EXPECT_EQ(win.fingerprint(), kEmptyFingerprint);
-}
+// --------------------------------------------------------------- scan --
 
 TEST(Scan, VisitsEveryWindowPosition) {
   RabinTables t(16);

@@ -1,8 +1,9 @@
 // Sharded multi-worker gateways (gateway/sharded_gateways.h): shard-key
 // stability, bit-identity of the N=1 configuration with the plain
-// gateways, end-to-end correctness across many flows under real worker
-// threads (the ThreadSanitizer stress for `ctest -L sanitize`), control
-// feedback routing, and bounded-cache churn.
+// gateways, end-to-end correctness across many flows under real encoder
+// worker threads, with the decoder shards run on the driver thread or
+// inline on those workers (the ThreadSanitizer stress for
+// `ctest -L sanitize`), control feedback routing, and bounded-cache churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,6 +66,13 @@ std::vector<packet::PacketPtr> flow_stream(std::uint32_t src,
                               1000 + static_cast<std::uint32_t>(off)));
   }
   return out;
+}
+
+/// Decodes `p` on the shard its host pair maps to — the same routing the
+/// encoder applies, so the decoder shard sees its encoder twin's output.
+void decode_routed(ShardedDecoderGateway& dec, packet::PacketPtr p) {
+  const std::size_t i = shard_index_of(shard_key_of(*p), dec.shard_count());
+  dec.submit_to_shard(i, std::move(p));
 }
 
 std::uint64_t pair_id(const packet::Packet& p) {
@@ -175,28 +183,25 @@ TEST(ShardedDecoderGateway, SingleShardBitIdenticalToPlainGateway) {
   });
   for (const auto& pkt : encoded) plain.receive(packet::clone_packet(*pkt));
 
-  for (bool threaded : {false, true}) {
-    ShardedDecoderGateway sharded(
-        make_cfg(core::PolicyKind::kNaive, params, /*shards=*/1, threaded));
-    std::vector<Bytes> sharded_wire;
-    sharded.set_sink([&](packet::PacketPtr p) {
-      sharded_wire.push_back(packet::to_wire(*p));
-    });
-    for (const auto& pkt : encoded) {
-      sharded.submit(packet::clone_packet(*pkt));
-    }
-    sharded.drain_until_idle();
-
-    ASSERT_EQ(sharded_wire.size(), plain_wire.size());
-    for (std::size_t i = 0; i < plain_wire.size(); ++i) {
-      ASSERT_EQ(sharded_wire[i], plain_wire[i])
-          << "wire divergence at packet " << i << " threaded=" << threaded;
-    }
-    EXPECT_EQ(sharded.stats().packets, plain.stats().packets);
-    EXPECT_EQ(sharded.stats().dropped, plain.stats().dropped);
-    EXPECT_EQ(sharded.stats().dropped, 0u);
-    sharded.audit();
+  ShardedDecoderGateway sharded(
+      make_cfg(core::PolicyKind::kNaive, params, /*shards=*/1));
+  std::vector<Bytes> sharded_wire;
+  sharded.set_worker_sink([&](std::size_t, packet::PacketPtr p) {
+    sharded_wire.push_back(packet::to_wire(*p));
+  });
+  for (const auto& pkt : encoded) {
+    decode_routed(sharded, packet::clone_packet(*pkt));
   }
+
+  ASSERT_EQ(sharded_wire.size(), plain_wire.size());
+  for (std::size_t i = 0; i < plain_wire.size(); ++i) {
+    ASSERT_EQ(sharded_wire[i], plain_wire[i])
+        << "wire divergence at packet " << i;
+  }
+  EXPECT_EQ(sharded.stats().packets, plain.stats().packets);
+  EXPECT_EQ(sharded.stats().dropped, plain.stats().dropped);
+  EXPECT_EQ(sharded.stats().dropped, 0u);
+  sharded.audit();
 }
 
 // ------------------------------------------- threaded end-to-end stress --
@@ -258,33 +263,41 @@ void run_threaded_end_to_end(std::size_t shards, std::size_t cache_bytes,
   ShardedEncoderGateway enc(cfg);
   ShardedDecoderGateway dec(cfg);
 
-  std::map<std::uint64_t, Bytes> decoded;
-  dec.set_sink([&](packet::PacketPtr p) {
-    util::append(decoded[pair_id(*p)], p->payload);
+  // One map per shard: in the worker chain the shards' sinks run on
+  // different threads, and a host pair is decoded on exactly one shard.
+  std::vector<std::map<std::uint64_t, Bytes>> shard_decoded(shards);
+  dec.set_worker_sink([&](std::size_t i, packet::PacketPtr p) {
+    util::append(shard_decoded[i][pair_id(*p)], p->payload);
   });
 
   if (worker_sink_chain) {
-    // The bench topology: each encoder shard's worker feeds its decoder
-    // twin directly, bypassing the encoder's output rings.
+    // The bench topology: each encoder shard's worker decodes its output
+    // inline on the decoder twin, bypassing the encoder's output rings.
     enc.set_worker_sink([&dec](std::size_t i, packet::PacketPtr p) {
       dec.submit_to_shard(i, std::move(p));
     });
   } else {
     // Driver-thread relay: drain() hands encoder output to the decoder.
-    enc.set_sink([&dec](packet::PacketPtr p) { dec.submit(std::move(p)); });
+    enc.set_sink([&dec](packet::PacketPtr p) {
+      decode_routed(dec, std::move(p));
+    });
   }
 
   std::size_t submitted = 0;
   for (auto& pkt : fs.interleaved) {
     enc.submit(std::move(pkt));
     ++submitted;
-    if (submitted % 16 == 0) {
-      enc.drain();
-      dec.drain();
-    }
+    if (submitted % 16 == 0) enc.drain();
   }
   enc.drain_until_idle();
-  dec.drain_until_idle();
+
+  std::map<std::uint64_t, Bytes> decoded;
+  for (auto& per_shard : shard_decoded) {
+    for (auto& [id, bytes] : per_shard) {
+      ASSERT_TRUE(decoded.emplace(id, std::move(bytes)).second)
+          << "flow " << id << " decoded on two shards";
+    }
+  }
 
   EXPECT_EQ(enc.stats().packets, submitted);
   EXPECT_EQ(dec.stats().packets, submitted);
@@ -348,14 +361,14 @@ TEST(ShardedGateways, NackFeedbackRoutesToOwningShard) {
     enc.submit_control(std::move(p));
   });
   std::size_t delivered = 0;
-  dec.set_sink([&](packet::PacketPtr) { ++delivered; });
+  dec.set_worker_sink([&](std::size_t, packet::PacketPtr) { ++delivered; });
 
   // Inline mode makes the whole loop synchronous: encode -> (maybe lose)
   // -> decode -> NACK -> encoder invalidation, one packet at a time.
   std::size_t wire_index = 0;
   enc.set_sink([&](packet::PacketPtr p) {
     if (wire_index++ == 0) return;  // the first packet is lost in flight
-    dec.submit(std::move(p));
+    decode_routed(dec, std::move(p));
   });
 
   // A heavily self-similar object: later segments reference the first,

@@ -180,14 +180,6 @@ TEST(Rng, ChanceApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(8);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.15);
-}
-
 TEST(Rng, ZipfSkewsTowardLowRanks) {
   Rng rng(9);
   std::map<std::size_t, int> counts;

@@ -1,8 +1,8 @@
 // BC-FIXTURE: path=src/gateway/fixture_burst.cc
 //
-// bc-hotpath-alloc known-bad for the burst data plane (PR 7): the burst
-// entry points (receive_burst / push_burst / encode_burst / probe_batch
-// and friends) are hot roots *by name*, wherever they live — a gateway
+// bc-hotpath-alloc known-bad for the burst data plane: the burst entry
+// points (receive_burst / push_burst / pop_burst / probe_batch and
+// friends) are hot roots *by name*, wherever they live — a gateway
 // is not a blanket root directory, so without the name-based roots an
 // allocation behind receive_burst would go unreported.  Covers a
 // node-map growth inside the burst function itself, a transitive
