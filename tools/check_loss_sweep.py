@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Gate on bench_resilience's loss sweep: every coded-repair row completes.
+"""Gate on bench_resilience's loss frontier: the gated rows complete.
 
 bench_resilience prints its table a second time as CSV, after a "(CSV)"
 line.  This reads that output from a file (or stdin, given "-") and
-exits 1 if a row of the `coded` policy completed fewer than 100% of its
-transfers, or if the sweep has no coded row at all, so that a renamed
-row cannot turn the gate into a no-op.  The sweep runs in simulated
-time, so its outcome does not depend on the machine.
+exits 1 if a `coded` or `ack_gated` row completed fewer than 100% of its
+transfers at a uniform-loss or reorder point, or if the sweep lacks
+either row at such a point, so that a renamed row cannot turn the gate
+into a no-op.  Gilbert-Elliott ("bursty") rows are printed but not
+gated: both answers can still stall a trial under long bursts.  The
+sweep runs in simulated time, so its outcome does not depend on the
+machine.
 
 Usage:
-  ./build-release/bench/bench_resilience --quick > sweep.txt
+  ./build-release/bench/bench_resilience > sweep.txt
   python3 tools/check_loss_sweep.py sweep.txt
   python3 tools/check_loss_sweep.py --self-test
 """
@@ -19,39 +22,53 @@ import csv
 import io
 import sys
 
-POLICY = "coded"
+POLICIES = ("coded", "ack_gated")
+UNGATED_CHANNEL = "bursty"
 
 
 def incomplete_rows(text):
-    """(loss %, completion %) of every coded row below 100%.
+    """(policy, channel, rate %, completion %) of every gated row below 100%.
 
-    Raises ValueError when the output has no CSV section or no coded row.
+    Raises ValueError when the output has no CSV section or lacks a gated
+    policy's rows.
     """
     marker = "(CSV)"
     at = text.find(marker)
     if at < 0:
         raise ValueError("no (CSV) section in the sweep output")
     rows = csv.DictReader(io.StringIO(text[at + len(marker):].strip()))
-    coded = [r for r in rows if r.get("policy") == POLICY]
-    if not coded:
-        raise ValueError(f"the sweep has no {POLICY} rows")
-    return [(r["actual loss %"], r["completion %"]) for r in coded
-            if float(r["completion %"].rstrip("%")) < 100.0]
+    gated = [r for r in rows if r.get("policy") in POLICIES and
+             r.get("channel") != UNGATED_CHANNEL]
+    for policy in POLICIES:
+        if not any(r["policy"] == policy for r in gated):
+            raise ValueError(f"the sweep has no gated {policy} rows")
+    return [(r["policy"], r["channel"], r["rate %"], r["completion %"])
+            for r in gated if float(r["completion %"].rstrip("%")) < 100.0]
 
 
 def self_test():
-    head = ("table\n\n(CSV)\nactual loss %,policy,completion %,"
-            "duration s\n")
-    ok = head + "1,coded,100%,0.46\n1,naive,67%,1.70\n10,coded,100%,5.65\n"
+    head = "table\n\n(CSV)\nchannel,rate %,policy,completion %,mean s\n"
+    ok = head + ("uniform,1,coded,100.0%,0.46\nuniform,1,ack_gated,100.0%,0.5\n"
+                 "uniform,1,none,67.0%,1.70\nbursty,10,ack_gated,98.3%,6.6\n"
+                 "reorder,2,coded,100.0%,0.4\n")
     assert incomplete_rows(ok) == [], "a complete sweep must pass"
-    bad = head + "1,coded,100%,0.46\n10,coded,83%,40.1\n"
-    assert incomplete_rows(bad) == [("10", "83%")], "an 83% row must fail"
-    for broken in ("no csv here\n", head + "1,naive,100%,0.5\n"):
+    bad = head + ("uniform,1,coded,100.0%,0.46\n"
+                  "uniform,10,coded,83.3%,40.1\nuniform,1,ack_gated,100.0%,0.5\n")
+    assert incomplete_rows(bad) == [("coded", "uniform", "10", "83.3%")], \
+        "an 83% coded row must fail"
+    bad = head + ("uniform,1,coded,100.0%,0.46\n"
+                  "uniform,5,ack_gated,99.2%,1.5\n")
+    assert incomplete_rows(bad) == [("ack_gated", "uniform", "5", "99.2%")], \
+        "a 99% ack_gated row must fail"
+    for broken in ("no csv here\n", head + "uniform,1,naive,100.0%,0.5\n",
+                   head + "uniform,1,coded,100.0%,0.5\n",
+                   head + ("uniform,1,coded,100.0%,0.5\n"
+                           "bursty,1,ack_gated,100.0%,0.5\n")):
         try:
             incomplete_rows(broken)
         except ValueError:
             continue
-        raise AssertionError(f"accepted a sweep without coded rows: {broken!r}")
+        raise AssertionError(f"accepted a sweep without gated rows: {broken!r}")
     print("check_loss_sweep: self-test passed")
 
 
@@ -77,12 +94,13 @@ def main():
     except ValueError as e:
         print(f"check_loss_sweep: {e}", file=sys.stderr)
         return 1
-    for loss, completion in bad:
-        print(f"check_loss_sweep: {POLICY} completed {completion} at "
-              f"{loss}% loss", file=sys.stderr)
+    for policy, channel, rate, completion in bad:
+        print(f"check_loss_sweep: {policy} completed {completion} at "
+              f"{rate}% {channel}", file=sys.stderr)
     if bad:
         return 1
-    print(f"check_loss_sweep: every {POLICY} row completed 100%")
+    print("check_loss_sweep: every gated " + " and ".join(POLICIES) +
+          " row completed 100%")
     return 0
 
 
