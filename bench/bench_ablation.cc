@@ -3,9 +3,7 @@
 //      (paper Section III-B: "Small values of k and w are more effective
 //      ... However, for performance reasons, larger values may need to be
 //      selected").
-//   2. Adaptive k-distance vs fixed k across loss rates (the tune-able
-//      scheme the paper's conclusion calls for).
-//   3. Bursty (Gilbert-Elliott) vs independent loss at equal average rate.
+//   2. Bursty (Gilbert-Elliott) vs independent loss at equal average rate.
 #include <cstdio>
 
 #include "bench/common.h"
@@ -31,30 +29,6 @@ void ablate_window_and_selection() {
                      harness::Table::num(rep.percent_saved, 1),
                      harness::Table::num(1460.0 / (1 << bits), 0)});
     }
-  }
-  table.print();
-}
-
-void ablate_adaptive() {
-  harness::print_heading("Ablation: adaptive k-distance vs fixed k");
-  const auto& file = bench::file1();
-  harness::Table table({"loss %", "fixed k=8 delay", "fixed k=64 delay",
-                        "adaptive delay", "adaptive bytes/fixed8 bytes"});
-  for (double loss : {0.0, 0.02, 0.05, 0.10}) {
-    auto k8 = bench::default_config(core::PolicyKind::kKDistance, loss, 6);
-    k8.dre.k_distance = 8;
-    auto k64 = bench::default_config(core::PolicyKind::kKDistance, loss, 6);
-    k64.dre.k_distance = 64;
-    auto ad = bench::default_config(core::PolicyKind::kAdaptive, loss, 6);
-    auto r8 = harness::run_experiment(k8, file);
-    auto r64 = harness::run_experiment(k64, file);
-    auto ra = harness::run_experiment(ad, file);
-    table.add_row({harness::Table::num(loss * 100, 0),
-                   harness::Table::num(r8.duration_s.mean(), 2),
-                   harness::Table::num(r64.duration_s.mean(), 2),
-                   harness::Table::num(ra.duration_s.mean(), 2),
-                   harness::Table::num(
-                       ra.wire_bytes.mean() / r8.wire_bytes.mean(), 2)});
   }
   table.print();
 }
@@ -148,7 +122,6 @@ void ablate_tcp_flavour() {
 int main() {
   ablate_window_and_selection();
   ablate_selection_mode();
-  ablate_adaptive();
   ablate_burstiness();
   ablate_tcp_flavour();
   return 0;

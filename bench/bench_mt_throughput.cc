@@ -150,14 +150,13 @@ Result run_sharded(const std::string& name, std::size_t shards,
   enc_cfg.ring_capacity = 512;
   enc_cfg.threaded = true;
   core::GatewayConfig dec_cfg = enc_cfg;
-  dec_cfg.threaded = false;
 
   gateway::ShardedEncoderGateway enc(enc_cfg);
   gateway::ShardedDecoderGateway dec(dec_cfg);
 
   // Each encoder worker hands its shard's wire packets straight to the
-  // decoder twin; with the decoder non-threaded the decode runs inline on
-  // that same worker, so the whole per-shard pipeline shares one thread.
+  // decoder twin, which decodes on the thread that feeds it, so the whole
+  // per-shard pipeline shares one thread.
   std::vector<ShardVerifier> verify(shards);
   for (auto& v : verify) {
     v.flows = &flows;

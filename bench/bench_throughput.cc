@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
   tiered_cache.l1_bytes = 64 * 1024;
   tiered_cache.l2_bytes = 4 * 1024 * 1024;
   tiered_cache.per_host_pair_bytes = 2 * 1024 * 1024;
-  core::DreParams resilient = value_sampling;  // full resilience layer on
-  resilient.epoch_resync = true;
+  core::DreParams resync = value_sampling;  // v2 wire: epoch resync on
+  resync.epoch_resync = true;
   core::DreParams coded = value_sampling;  // coded-repair layer (v3 wire)
   coded.epoch_resync = true;
   coded.coded_repair = true;
@@ -263,15 +263,14 @@ int main(int argc, char** argv) {
   results.push_back(
       run_pipeline("file1_tiered", s1, core::PolicyKind::kNaive,
                    value_sampling, passes, tiered_cache));
-  // Resilience-layer probe: the resilient policy with epoch resync on a
-  // lossless in-memory stream.  The estimator sees no loss so the ladder
-  // stays on its k-distance rung, whose admit rule refuses same-flow
-  // self-matches (see KDistancePolicy::admit) — on this single-flow
-  // replay that caps compression, so the tracked number here is CPU cost
-  // and the v2 shim overhead, not the naive-policy wire ratio.
+  // Epoch-resync probe: k-distance with epoch resync on a lossless
+  // in-memory stream.  Its admit rule refuses same-flow self-matches (see
+  // KDistancePolicy::admit) — on this single-flow replay that caps
+  // compression, so the tracked number here is CPU cost and the v2 shim
+  // overhead, not the naive-policy wire ratio.
   results.push_back(
-      run_pipeline("file1_resilient_valuesampling", s1,
-                   core::PolicyKind::kResilient, resilient, passes));
+      run_pipeline("file1_kdistance_resync_valuesampling", s1,
+                   core::PolicyKind::kKDistance, resync, passes));
   // Coded-repair probe (DESIGN.md §13): every data packet rides the v3
   // shim and each closed generation emits R repair payloads, which
   // wire_ratio charges.  On this lossless replay the tracked number is

@@ -4,7 +4,7 @@
 //         --file=file1 --size-kb=574 --csv
 //
 // Flags (all optional):
-//   --policy=none|naive|cache_flush|tcp_seq|k_distance|adaptive|resilient
+//   --policy=none|naive|cache_flush|tcp_seq|k_distance
 //   --loss=<percent>          forward-link loss rate     (default 1)
 //   --bursty                  Gilbert-Elliott loss instead of Bernoulli
 //   --corrupt=<percent>       corruption probability     (default 0)

@@ -3,7 +3,7 @@
 // both ends.
 //
 //   $ ./wireless_download [policy] [loss%] [size_kb] [capture.pcap]
-//   policy: none | naive | cache_flush | tcp_seq | k_distance | adaptive
+//   policy: none | naive | cache_flush | tcp_seq | k_distance
 //
 // With a fourth argument, the forward-direction wire traffic (including
 // the DRE-encoded packets) is saved as a pcap file for Wireshark.
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   if (!policy) {
     std::fprintf(stderr,
                  "unknown policy '%s' (try none, naive, cache_flush, "
-                 "tcp_seq, k_distance, adaptive)\n",
+                 "tcp_seq, k_distance)\n",
                  policy_name.c_str());
     return 2;
   }

@@ -40,17 +40,6 @@ std::optional<TcpInfo> data_tcp_info(const packet::Packet& pkt) {
   return info;
 }
 
-/// The per-host-pair loss table of an encoder built with `params`.
-std::unique_ptr<resilience::PerceivedLossEstimator> make_loss_table(
-    const DreParams& params) {
-  resilience::DegradationConfig ladder = params.degradation;
-  // A coded rung only exists when the wire can carry repairs a decoder
-  // will use; otherwise the ladder is the historical four-level one.
-  ladder.coded_rung &= params.coded_repair;
-  return std::make_unique<resilience::PerceivedLossEstimator>(
-      params.loss_estimator, ladder);
-}
-
 }  // namespace
 
 Encoder::Encoder(const DreParams& params,
@@ -61,9 +50,8 @@ Encoder::Encoder(const DreParams& params,
       policy_(std::move(policy)),
       cache_(cache, l2),
       repair_enc_(params.repair) {
-  if (params_.coded_repair ||
-      (policy_ != nullptr && policy_->reads_loss_table())) {
-    loss_ = make_loss_table(params_);
+  if (params_.coded_repair) {
+    loss_ = std::make_unique<resilience::PerceivedLossEstimator>();
   }
 }
 
@@ -109,10 +97,6 @@ void Encoder::set_policy(std::unique_ptr<EncodingPolicy> policy) {
   flush();
   ++stats_.flushes;
   policy_ = std::move(policy);
-  if (loss_ == nullptr && policy_->reads_loss_table()) {
-    loss_ = make_loss_table(params_);
-    sync_loss_clock();
-  }
 }
 
 void Encoder::audit() const {
@@ -329,14 +313,17 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   ctx.host_key = host_key_of(pkt.ip.src, pkt.ip.dst);
   ctx.stream_index = stream_index_++;
   ctx.payload_size = pkt.payload.size();
-  if (loss_ != nullptr) ctx.host_pair = &loss_->on_offered(ctx.host_key);
+  // The host pair's loss record, this packet counted as offered; null
+  // without a loss table.
+  resilience::FlowLossState* path =
+      loss_ != nullptr ? &loss_->on_offered(ctx.host_key) : nullptr;
 
   const PolicyDecision decision = policy_->before_encode(ctx);
   if (decision.is_retransmission) {
     info.retransmission = true;
     ++stats_.retransmissions;
-    if (ctx.host_pair != nullptr) {
-      loss_->on_retransmission(*ctx.host_pair);
+    if (path != nullptr) {
+      loss_->on_retransmission(*path);
       repair_enc_.note_loss();
     }
   }
@@ -350,20 +337,13 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
     ++stats_.references;
   }
 
-  // Coded repair covers exactly the packets that touch the caches — data
-  // packets while the knob and the rung both say so.  A retransmission
-  // closes the open generation first (the loss it implies is precisely
-  // when buffered repairs help, and it doubles as a tail-loss timer);
-  // the rung turning coded repair off closes it so tail members are not
-  // left waiting for repairs that will never come.
-  const bool fec_active = params_.coded_repair && decision.coded_repair;
-  if (params_.coded_repair) {
-    if ((fec_active && decision.is_retransmission) ||
-        (!fec_active && fec_was_active_)) {
-      repair_enc_.close_generation();
-      sync_loss_clock();
-    }
-    fec_was_active_ = fec_active;
+  // Coded repair covers exactly the packets that touch the caches: every
+  // data packet.  A retransmission closes the open generation first (the
+  // loss it implies is precisely when buffered repairs help, and it
+  // doubles as a tail-loss timer).
+  if (params_.coded_repair && decision.is_retransmission) {
+    repair_enc_.close_generation();
+    sync_loss_clock();
   }
 
   const util::BytesView payload(pkt.payload);
@@ -384,7 +364,7 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
   cache_.update(payload, anchors, meta);
 
   // ---- Substitute ----
-  if (fec_active) {
+  if (params_.coded_repair) {
     // Every data packet is wrapped in the v3 shim so it carries a
     // generation tag — the decoder-side reorder/repair machinery needs
     // the complete cache-touching stream sequenced, not just the packets
@@ -436,10 +416,9 @@ EncodeInfo Encoder::process(packet::Packet& pkt) {
     // with its path's loss record (coded repair always keeps the table);
     // reaching G members closes the generation and emits its repairs.
     packet::to_wire_into(pkt, fec_wire_);
-    const resilience::FlowLossState& path = ctx.host_pair->loss;
     repair_enc_.add_member(fec_wire_,
-                           fec::MemberLoss{path.recent_loss(),
-                                           loss_->since_loss(path)});
+                           fec::MemberLoss{path->recent_loss(),
+                                           loss_->since_loss(*path)});
     sync_loss_clock();
   } else if (!regions.empty()) {
     // Pure-compression path: substitute only if it shrinks the packet.

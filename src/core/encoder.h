@@ -29,6 +29,7 @@
 #include "obs/fields.h"
 #include "packet/packet.h"
 #include "rabin/window.h"
+#include "resilience/perceived_loss.h"
 #include "util/flat_map.h"
 
 namespace bytecache::core {
@@ -127,7 +128,7 @@ class Encoder {
     return repair_enc_.repairs_per_generation();
   }
   /// The per-host-pair loss table (DESIGN.md §13.3), or null: it is kept
-  /// only under coded repair or a policy that reads_loss_table().
+  /// exactly when params.coded_repair is on.
   [[nodiscard]] const resilience::PerceivedLossEstimator* loss_table() const {
     return loss_.get();
   }
@@ -158,9 +159,8 @@ class Encoder {
   /// of load_state() — and the cache is flushed first so the decoder
   /// never sees references admitted under rules the operator just
   /// revoked.  The flow records and the loss table are the encoder's and
-  /// carry over; a policy that reads_loss_table() gets one built if the
-  /// encoder kept none.  `policy` must be non-null (kNone cannot be
-  /// switched to).
+  /// carry over.  `policy` must be non-null (kNone cannot be switched
+  /// to).
   void set_policy(std::unique_ptr<EncodingPolicy> policy);
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
@@ -233,11 +233,10 @@ class Encoder {
   std::uint16_t epoch_ = 0;
   bool epoch_bumped_ = false;  // next encoded packet carries the flag
   fec::RepairEncoder repair_enc_;  // idle unless params.coded_repair
-  bool fec_was_active_ = false;    // rung turn-off closes the generation
   // The one record per host pair (resilience/perceived_loss.h): the
-  // perceived-loss estimate, loss clock and ladder the resilient policy
-  // and the repair count read.  Null unless coded repair or the policy
-  // needs it, so other codecs do no estimator work per packet.
+  // recent-loss window and loss clock the repair count reads.  Null
+  // unless coded repair is on, so other codecs do no estimator work per
+  // packet.
   std::unique_ptr<resilience::PerceivedLossEstimator> loss_;
   // The one record per TCP flow (core/flow.h): the previous outgoing
   // seq that classifies retransmissions for every policy, and the highest

@@ -17,10 +17,6 @@ std::unique_ptr<EncodingPolicy> make_policy(PolicyKind kind,
       return std::make_unique<TcpSeqPolicy>();
     case PolicyKind::kKDistance:
       return std::make_unique<KDistancePolicy>(params.k_distance);
-    case PolicyKind::kAdaptive:
-      return std::make_unique<AdaptivePolicy>(params);
-    case PolicyKind::kResilient:
-      return std::make_unique<ResilientPolicy>(params);
   }
   return nullptr;
 }
@@ -46,8 +42,6 @@ std::string_view to_string(PolicyKind kind) {
     case PolicyKind::kCacheFlush: return "cache_flush";
     case PolicyKind::kTcpSeq: return "tcp_seq";
     case PolicyKind::kKDistance: return "k_distance";
-    case PolicyKind::kAdaptive: return "adaptive";
-    case PolicyKind::kResilient: return "resilient";
   }
   return "?";
 }
@@ -58,8 +52,6 @@ std::optional<PolicyKind> policy_from_string(std::string_view name) {
   if (name == "cache_flush") return PolicyKind::kCacheFlush;
   if (name == "tcp_seq") return PolicyKind::kTcpSeq;
   if (name == "k_distance") return PolicyKind::kKDistance;
-  if (name == "adaptive") return PolicyKind::kAdaptive;
-  if (name == "resilient") return PolicyKind::kResilient;
   return std::nullopt;
 }
 

@@ -22,8 +22,6 @@ enum class PolicyKind {
   kCacheFlush,  // paper Section V-A
   kTcpSeq,      // paper Section V-B
   kKDistance,   // paper Section V-C
-  kAdaptive,    // extension: loss-adaptive k-distance
-  kResilient,   // extension: perceived-loss degradation ladder (DESIGN.md §9)
 };
 
 /// The one way to describe a gateway.  Plain EncoderGateway /

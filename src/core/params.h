@@ -6,9 +6,7 @@
 
 #include "fec/params.h"
 #include "rabin/polynomial.h"
-#include "resilience/degradation.h"
 #include "resilience/epoch_sync.h"
-#include "resilience/perceived_loss.h"
 
 namespace bytecache::core {
 
@@ -53,11 +51,6 @@ struct DreParams {
   /// (paper Section V-C; Table II uses k = 8).
   std::size_t k_distance = 8;
 
-  /// Adaptive policy: EWMA weight for the loss estimate and k bounds.
-  double adaptive_alpha = 0.05;
-  std::size_t adaptive_k_min = 2;
-  std::size_t adaptive_k_max = 64;
-
   /// Decoder->encoder NACK feedback (paper Section VIII, first potential
   /// approach / informed marking): on an undecodable packet the decoder
   /// names the missing fingerprint and the encoder stops referencing the
@@ -75,20 +68,16 @@ struct DreParams {
   bool epoch_resync = false;
   resilience::EpochSyncConfig epoch_sync;
 
-  /// The encoder's per-host-pair loss table (kept under coded repair or
-  /// PolicyKind::kResilient): perceived-loss EWMA and the resilient
-  /// policy's degradation-ladder thresholds.
-  resilience::LossEstimatorConfig loss_estimator;
-  resilience::DegradationConfig degradation;
-
   /// Coded repair (DESIGN.md §13): encoded packets use the v3 shim
   /// carrying a generation tag, the encoder emits GF(256) repair
   /// payloads per generation of wire packets, and the decoder gateway
   /// re-sequences reordered arrivals and reconstructs up to R lost
   /// packets per generation without a resync round-trip.  R follows the
-  /// loss the members' host pairs show (§13.3): repair.repair_packets or
-  /// more while loss is seen and at start-up, none on a path clean for
-  /// fec::kLossMemoryGenerations generations.  Off by default: v1/v2
+  /// loss the members' host pairs show (§13.3), read from the encoder's
+  /// per-host-pair loss table, which exists exactly when this is on:
+  /// repair.repair_packets or more while loss is seen and at start-up,
+  /// none on a path clean for fec::kLossMemoryGenerations generations.
+  /// Off by default: v1/v2
   /// wire bytes stay bit-identical.  Both gateways must agree.
   bool coded_repair = false;
   fec::RepairConfig repair;

@@ -1,10 +1,5 @@
 #include "core/policies.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "resilience/perceived_loss.h"
-#include "util/check.h"
 #include "util/seqcmp.h"
 
 namespace bytecache::core {
@@ -91,98 +86,6 @@ bool KDistancePolicy::admit(const PacketContext& ctx,
     return false;
   }
   return true;
-}
-
-// ------------------------------------------------------------- Adaptive --
-
-AdaptivePolicy::AdaptivePolicy(const DreParams& params)
-    : inner_(params.adaptive_k_max),
-      alpha_(params.adaptive_alpha),
-      k_min_(params.adaptive_k_min),
-      k_max_(params.adaptive_k_max) {}
-
-PolicyDecision AdaptivePolicy::before_encode(const PacketContext& ctx) {
-  const bool retx = ctx.retransmission;
-  loss_estimate_ = (1.0 - alpha_) * loss_estimate_ + alpha_ * (retx ? 1.0 : 0.0);
-
-  // k ~= 1/(2 * p): about half an expected channel loss per reference
-  // interval; with no observed loss, compress as aggressively as allowed.
-  std::size_t k = k_max_;
-  if (loss_estimate_ > 1e-9) {
-    k = static_cast<std::size_t>(std::lround(1.0 / (2.0 * loss_estimate_)));
-    k = std::clamp(k, k_min_, k_max_);
-  }
-  inner_.set_k(k);
-
-  PolicyDecision d = inner_.before_encode(ctx);
-  d.is_retransmission = retx;
-  return d;
-}
-
-bool AdaptivePolicy::admit(const PacketContext& ctx,
-                           const cache::PacketMeta& stored) const {
-  return inner_.admit(ctx, stored);
-}
-
-// ------------------------------------------------------------ Resilient --
-
-ResilientPolicy::ResilientPolicy(const DreParams& params)
-    : k_distance_(params.k_distance) {}
-
-PolicyDecision ResilientPolicy::before_encode(const PacketContext& ctx) {
-  BC_CHECK(ctx.host_pair != nullptr)
-      << "the resilient policy needs the encoder's loss table";
-  resilience::HostPairState& pair = *ctx.host_pair;
-  current_ = pair.ladder.on_sample(pair.loss.ewma);
-  switch (current_) {
-    case resilience::DegradationLevel::kKDistance: {
-      PolicyDecision d = k_distance_.before_encode(ctx);
-      d.coded_repair = false;
-      return d;
-    }
-    case resilience::DegradationLevel::kTcpSeq: {
-      PolicyDecision d = tcp_seq_.before_encode(ctx);
-      d.coded_repair = false;
-      return d;
-    }
-    case resilience::DegradationLevel::kCodedRepair: {
-      // TCP-seq encoding rules plus FEC over the encoded stream: the
-      // encoder tags packets into generations and emits repairs, the
-      // decoder reconstructs losses instead of resyncing.
-      PolicyDecision d = tcp_seq_.before_encode(ctx);
-      d.coded_repair = true;
-      return d;
-    }
-    case resilience::DegradationLevel::kCacheFlush: {
-      PolicyDecision d = cache_flush_.before_encode(ctx);
-      d.coded_repair = false;
-      return d;
-    }
-    case resilience::DegradationLevel::kPassthrough:
-      break;
-  }
-  // Pass-through: the packet is sent unencoded (it still enters the
-  // cache, keeping both ends warm for the upgrade back).
-  PolicyDecision d;
-  d.allow_encode = false;
-  d.coded_repair = false;
-  return d;
-}
-
-bool ResilientPolicy::admit(const PacketContext& ctx,
-                            const cache::PacketMeta& stored) const {
-  switch (current_) {
-    case resilience::DegradationLevel::kKDistance:
-      return k_distance_.admit(ctx, stored);
-    case resilience::DegradationLevel::kTcpSeq:
-    case resilience::DegradationLevel::kCodedRepair:
-      return tcp_seq_.admit(ctx, stored);
-    case resilience::DegradationLevel::kCacheFlush:
-      return cache_flush_.admit(ctx, stored);
-    case resilience::DegradationLevel::kPassthrough:
-      break;
-  }
-  return false;  // pass-through never encodes
 }
 
 }  // namespace bytecache::core

@@ -1,9 +1,7 @@
 // The paper's encoding policies.
 #pragma once
 
-#include "core/params.h"
 #include "core/policy.h"
-#include "resilience/degradation.h"
 
 namespace bytecache::core {
 
@@ -12,7 +10,6 @@ namespace bytecache::core {
 /// (Section IV) — kept as the baseline whose failure the benches reproduce.
 class NaivePolicy final : public EncodingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const override { return "naive"; }
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
@@ -31,7 +28,6 @@ class NaivePolicy final : public EncodingPolicy {
 /// first — recreating the circular dependency the flush exists to break.
 class CacheFlushPolicy final : public EncodingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const override { return "cache_flush"; }
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
@@ -43,7 +39,6 @@ class CacheFlushPolicy final : public EncodingPolicy {
 /// never encoded using a succeeding segment or itself, without flushing.
 class TcpSeqPolicy final : public EncodingPolicy {
  public:
-  [[nodiscard]] std::string_view name() const override { return "tcp_seq"; }
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
@@ -63,83 +58,15 @@ class KDistancePolicy final : public EncodingPolicy {
  public:
   explicit KDistancePolicy(std::size_t k);
 
-  [[nodiscard]] std::string_view name() const override { return "k_distance"; }
   PolicyDecision before_encode(const PacketContext& ctx) override;
   [[nodiscard]] bool admit(const PacketContext& ctx,
                            const cache::PacketMeta& stored) const override;
-
-  [[nodiscard]] std::size_t k() const { return k_; }
-
-  /// Changes k on the fly (used by AdaptivePolicy).
-  void set_k(std::size_t k) { k_ = k; }
 
  private:
   std::size_t k_;
   std::uint64_t since_reference_ = 0;
   std::uint64_t last_reference_index_ = 0;
   bool sent_any_ = false;
-};
-
-/// Adaptive k-distance (the tune-able scheme the paper's conclusion calls
-/// for): estimates the packet loss rate from observed TCP retransmissions
-/// (EWMA of the retransmitted-packet fraction) and sets k ~= 1/(2*p_hat),
-/// clamped to [k_min, k_max] — i.e. about half an expected loss per
-/// reference interval.  Falls back to k_max when no loss has been seen.
-class AdaptivePolicy final : public EncodingPolicy {
- public:
-  explicit AdaptivePolicy(const DreParams& params);
-
-  [[nodiscard]] std::string_view name() const override { return "adaptive"; }
-  PolicyDecision before_encode(const PacketContext& ctx) override;
-  [[nodiscard]] bool admit(const PacketContext& ctx,
-                           const cache::PacketMeta& stored) const override;
-
-  [[nodiscard]] double estimated_loss() const { return loss_estimate_; }
-  [[nodiscard]] std::size_t current_k() const { return inner_.k(); }
-
- private:
-  KDistancePolicy inner_;
-  double alpha_;
-  std::size_t k_min_;
-  std::size_t k_max_;
-  double loss_estimate_ = 0.0;
-};
-
-/// Adaptive resilience (DESIGN.md §9): the paper's Section VII argument
-/// as a runtime control loop.  The per-host-pair DegradationController in
-/// the encoder's loss table (PacketContext::host_pair) consumes the
-/// perceived-loss EWMA — fed by the encoder gateway from link drop
-/// reports and decoder loss reports (ControlMessage kLossReport) — and
-/// walks the pair along the ladder
-///
-///     k-distance -> TCP-seq -> coded repair -> Cache Flush -> pass-through
-///
-/// as the estimate crosses the configured thresholds.  Each rung
-/// delegates to the corresponding paper policy, so a flow under a
-/// resilient encoder behaves exactly like that policy until the loss
-/// picture changes.  Pairs with policy-kind kResilient and, usually,
-/// params.epoch_resync for the decoder-side recovery half.
-class ResilientPolicy final : public EncodingPolicy {
- public:
-  explicit ResilientPolicy(const DreParams& params);
-
-  [[nodiscard]] std::string_view name() const override { return "resilient"; }
-  PolicyDecision before_encode(const PacketContext& ctx) override;
-  [[nodiscard]] bool admit(const PacketContext& ctx,
-                           const cache::PacketMeta& stored) const override;
-  [[nodiscard]] bool reads_loss_table() const override { return true; }
-
- private:
-  // The rung picked in before_encode(), read by admit() for the same
-  // packet (the encoder always calls them in that order).
-  resilience::DegradationLevel current_ =
-      resilience::DegradationLevel::kKDistance;
-  // One shared instance per rung.  Only k-distance keeps state (its
-  // reference spacing), which persists across rung changes; the
-  // retransmission classification every rung reads is the encoder's.
-  KDistancePolicy k_distance_;
-  TcpSeqPolicy tcp_seq_;
-  CacheFlushPolicy cache_flush_;
 };
 
 }  // namespace bytecache::core

@@ -15,18 +15,13 @@
 //
 // Policies keep no per-flow or per-host-pair state: the encoder
 // classifies retransmissions once per segment (core/flow.h) and hands in
-// the verdict, and hands in the host pair's loss record.
+// the verdict.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "cache/packet_store.h"
-
-namespace bytecache::resilience {
-struct HostPairState;
-}  // namespace bytecache::resilience
 
 namespace bytecache::core {
 
@@ -53,16 +48,11 @@ struct PacketContext {
   bool retransmission = false;
 
   /// Identifies the unordered IP endpoint pair (core::host_key_of);
-  /// set for every data packet.  The resilience layer keys its
-  /// perceived-loss estimate and degradation state by this — the same
-  /// granularity the sharded gateways partition on, so feedback always
-  /// reaches the shard owning the state.
+  /// set for every data packet.  The encoder's loss table keys its
+  /// perceived-loss record by this — the same granularity the sharded
+  /// gateways partition on, so feedback always reaches the shard owning
+  /// the state.
   std::uint64_t host_key = 0;
-
-  /// The encoder's loss-table record for host_key, this packet already
-  /// counted as offered; null when the codec keeps no table (neither
-  /// coded repair nor a policy that reads_loss_table()).
-  resilience::HostPairState* host_pair = nullptr;
 };
 
 /// Decision made once per outgoing packet, before matching.
@@ -80,18 +70,11 @@ struct PolicyDecision {
   /// stats, closes the coded-repair generation).  Naive and k-distance
   /// ignore retransmissions and leave it false.
   bool is_retransmission = false;
-
-  /// False: the resilience ladder turned coded repair off for this host
-  /// pair (only meaningful when DreParams::coded_repair is on; policies
-  /// without a coded rung leave it true, so the knob alone decides).
-  bool coded_repair = true;
 };
 
 class EncodingPolicy {
  public:
   virtual ~EncodingPolicy() = default;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Called once per data packet before matching.
   virtual PolicyDecision before_encode(const PacketContext& ctx) = 0;
@@ -100,10 +83,6 @@ class EncodingPolicy {
   /// using `stored`?
   [[nodiscard]] virtual bool admit(const PacketContext& ctx,
                                    const cache::PacketMeta& stored) const = 0;
-
-  /// True: before_encode() reads PacketContext::host_pair, so the
-  /// encoder must keep its per-host-pair loss table.
-  [[nodiscard]] virtual bool reads_loss_table() const { return false; }
 };
 
 }  // namespace bytecache::core

@@ -1,5 +1,7 @@
 #include "gateway/gateways.h"
 
+#include <algorithm>
+
 #include "core/flow.h"
 #include "core/wire.h"
 #include "fec/wire.h"
@@ -99,8 +101,7 @@ EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
   }
   // The loss table's probes bind to the table the encoder was built
   // with (registration is construction-only, like everything in the obs
-  // layer); the ladder's only when the policy walking it is the
-  // construction-time one.
+  // layer).
   if (encoder_ != nullptr && encoder_->loss_table() != nullptr) {
     const resilience::PerceivedLossEstimator& est = *encoder_->loss_table();
     metrics_.probe_counter("resilience.loss.offered",
@@ -115,17 +116,19 @@ EncoderGateway::EncoderGateway(const core::GatewayConfig& cfg,
         obs::MergeOp::kSum);
     // Worst-case values merge with kMax: the pipeline-wide perceived
     // loss is the worst shard's, exactly as the paper's Fig. 13 metric.
+    // It reads the recent-loss window that sizes R, clamped to 1 (repair
+    // drops can outrun offered packets).
     metrics_.probe_gauge(
         "resilience.loss.perceived_max",
-        [&est] { return est.max_loss(); }, obs::MergeOp::kMax);
-    if (encoder_->policy().reads_loss_table()) {
-      metrics_.probe_gauge(
-          "resilience.degradation.worst_level",
-          [&est] { return static_cast<double>(est.worst_level()); },
-          obs::MergeOp::kMax);
-      metrics_.probe_counter("resilience.degradation.transitions",
-                             [&est] { return est.transitions(); });
-    }
+        [&est] {
+          double worst = 0.0;
+          est.pairs().for_each(
+              [&](std::uint64_t, const resilience::FlowLossState& p) {
+                worst = std::max(worst, std::min(p.recent_loss(), 1.0));
+              });
+          return worst;
+        },
+        obs::MergeOp::kMax);
   }
   if (cfg.metrics != nullptr) {
     cfg.metrics->add_provider([this] { return snapshot(); });

@@ -106,7 +106,7 @@ class EncoderGateway {
   /// The simulated link dropped `pkt` (loss or queue overflow).  A real
   /// deployment learns this from transport-level signals; the simulation
   /// reports it directly.  Feeds the encoder's loss table (kept under
-  /// coded repair or the resilient policy) as a *channel* loss sample.
+  /// coded repair) as a *channel* loss sample.
   void on_channel_drop(const packet::Packet& pkt);
 
   /// Runtime policy switch (the control channel's kSwitchPolicy,

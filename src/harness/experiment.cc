@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "obs/export.h"
-#include "resilience/degradation.h"
 #include "sim/simulator.h"
 
 namespace bytecache::harness {
@@ -82,13 +81,6 @@ TrialResult run_trial(const ExperimentConfig& config, util::BytesView file,
   r.stale_drops = snap.counter("decoder.drops_stale_epoch") +
                   snap.counter("decoder.drops_stale_ref");
   r.estimated_loss = snap.gauge("resilience.loss.perceived_max");
-  if (const obs::MetricValue* lvl =
-          snap.find("resilience.degradation.worst_level")) {
-    r.degradation_level = resilience::to_string(
-        static_cast<resilience::DegradationLevel>(lvl->gauge));
-    r.degradation_transitions =
-        snap.counter("resilience.degradation.transitions");
-  }
 
   r.repair_packets_sent = snap.counter("gateway.encoder.repair_packets_out");
   if (const obs::HistogramValue* h =
@@ -122,8 +114,7 @@ std::string to_json(const TrialResult& r) {
       "\"tcp_retransmissions\":%llu,\"tcp_timeouts\":%llu,"
       "\"resync_requests\":%llu,\"resyncs_honored\":%llu,"
       "\"epoch_adoptions\":%llu,\"stale_drops\":%llu,"
-      "\"estimated_loss\":%.6f,\"degradation_level\":\"%s\","
-      "\"degradation_transitions\":%llu,"
+      "\"estimated_loss\":%.6f,"
       "\"repair_packets_sent\":%llu,\"packets_reconstructed\":%llu,"
       "\"packets_resequenced\":%llu,\"fec_forced_releases\":%llu,"
       "\"metrics\":",
@@ -142,8 +133,6 @@ std::string to_json(const TrialResult& r) {
       static_cast<unsigned long long>(r.resyncs_honored),
       static_cast<unsigned long long>(r.epoch_adoptions),
       static_cast<unsigned long long>(r.stale_drops), r.estimated_loss,
-      r.degradation_level,
-      static_cast<unsigned long long>(r.degradation_transitions),
       static_cast<unsigned long long>(r.repair_packets_sent),
       static_cast<unsigned long long>(r.packets_reconstructed),
       static_cast<unsigned long long>(r.packets_resequenced),

@@ -76,16 +76,14 @@ struct TrialResult {
   std::uint64_t tcp_timeouts = 0;
   std::uint64_t tcp_fast_retransmits = 0;
 
-  // Resilience layer (zero unless dre.epoch_resync / the resilient
-  // policy are enabled).
+  // Resilience layer (zero unless dre.epoch_resync / dre.coded_repair
+  // are enabled).
   std::uint64_t resync_requests = 0;   // received by the encoder
   std::uint64_t resyncs_honored = 0;   // ... that flushed the cache
   std::uint64_t epoch_adoptions = 0;   // decoder epoch changes
   std::uint64_t stale_drops = 0;       // stale-epoch + stale-reference
-  double estimated_loss = 0.0;         // encoder-side EWMA (max over pairs;
-                                       // any codec keeping a loss table)
-  const char* degradation_level = "-"; // worst ladder rung reached
-  std::uint64_t degradation_transitions = 0;
+  double estimated_loss = 0.0;         // encoder-side recent loss (max
+                                       // over pairs; coded codecs only)
 
   // Coded-repair layer (zero unless dre.coded_repair; DESIGN.md §13).
   std::uint64_t repair_packets_sent = 0;    // injected by the encoder gateway

@@ -57,7 +57,7 @@ class Counter {
 /// time.  Counters and histograms always add; a gauge must say.
 enum class MergeOp : std::uint8_t {
   kSum,  // sizes, byte totals
-  kMax,  // worst-case values (perceived loss, degradation rung)
+  kMax,  // worst-case values (perceived loss, epoch)
   kMin,
   kLast,  // single-instance values; merging keeps the right-hand one
 };

@@ -12,32 +12,18 @@
 //     control channel (core::ControlMessage Type::kLossReport) is a
 //     failure sample.
 //
-// An EWMA over these {0,1} samples tracks the fraction of transmissions
-// that never reached the application.  A packet that is eventually
-// dropped contributes both its success sample (when offered) and a
-// failure sample (when the drop is reported), so the estimate converges
-// to p/(1+p) rather than p — an under-estimate of at most p^2, well
-// inside the threshold granularity of the DegradationController that
-// consumes it.
-//
-// Retransmissions only stamp the pair's loss clock: their drop is
-// already a sample.  The table is the encoder's one record per host pair
-// (loss state plus DegradationController), read by the resilient ladder
-// and the coded repair count (DESIGN.md §13.3).
+// A window over the recent samples tracks the fraction of transmissions
+// that never reached the application.  Retransmissions only stamp the
+// pair's loss clock: their drop is already a sample.  The table is the
+// encoder's one record per host pair, kept under coded repair, which
+// sizes each generation's repair count from it (DESIGN.md §13.3).
 #pragma once
 
 #include <cstdint>
 
-#include "resilience/degradation.h"
 #include "util/flat_map.h"
 
 namespace bytecache::resilience {
-
-struct LossEstimatorConfig {
-  /// EWMA weight of one sample.  0.05 reacts within ~20 packets while
-  /// still smoothing over individual bursts.
-  double alpha = 0.05;
-};
 
 /// Packets the recent-loss window spans: it halves its counts whenever
 /// it reaches this many offered packets, so it covers the last half to
@@ -46,7 +32,6 @@ inline constexpr std::uint64_t kLossWindowPackets = 1024;
 
 /// Per-host-pair estimator state.
 struct FlowLossState {
-  double ewma = 0.0;
   std::uint64_t offered = 0;
   std::uint64_t channel_drops = 0;
   std::uint64_t undecodable = 0;
@@ -60,11 +45,9 @@ struct FlowLossState {
   std::uint64_t last_loss_clock = 0;
   bool lossy = false;
 
-  /// Failure fraction over the recent-loss window.  Repair sizing reads
-  /// this rather than the EWMA: at 2% loss the EWMA's standard
-  /// deviation is about 2 points, and each upward swing would buy
-  /// repairs the path does not need.  Can exceed 1 when failures
-  /// outrun offered packets (drops of repair packets, a dead path).
+  /// Failure fraction over the recent-loss window.  Can exceed 1 when
+  /// failures outrun offered packets (drops of repair packets, a dead
+  /// path).
   [[nodiscard]] double recent_loss() const {
     return window_offered == 0 ? 0.0
                                : static_cast<double>(window_failures) /
@@ -72,22 +55,12 @@ struct FlowLossState {
   }
 };
 
-/// Everything the resilience layer keeps per host pair.
-struct HostPairState {
-  FlowLossState loss;
-  DegradationController ladder{DegradationConfig{}};
-};
-
 class PerceivedLossEstimator {
  public:
-  /// `ladder` configures the DegradationController of every new pair.
-  explicit PerceivedLossEstimator(const LossEstimatorConfig& config = {},
-                                  const DegradationConfig& ladder = {});
-
   /// A data packet of `host_key` was offered to the codec (success
   /// sample).  Returns the pair's record, valid until the next call that
   /// adds a pair.
-  HostPairState& on_offered(std::uint64_t host_key);
+  FlowLossState& on_offered(std::uint64_t host_key);
 
   /// The link reported dropping a packet of `host_key` (failure sample).
   void on_channel_drop(std::uint64_t host_key);
@@ -97,8 +70,8 @@ class PerceivedLossEstimator {
   void on_undecodable(std::uint64_t host_key, std::uint32_t count = 1);
 
   /// The encoding policy acted on a retransmission of `pair`'s: loss
-  /// evidence that stamps the loss clock but is no EWMA sample.
-  void on_retransmission(HostPairState& pair);
+  /// evidence that stamps the loss clock but is no failure sample.
+  void on_retransmission(FlowLossState& pair);
 
   /// Sets the clock loss signals are stamped with.  The owner advances
   /// it (core::Encoder: one tick per closed repair generation).
@@ -107,26 +80,13 @@ class PerceivedLossEstimator {
   /// Clock ticks since `s` last showed loss; UINT64_MAX if it never has.
   [[nodiscard]] std::uint64_t since_loss(const FlowLossState& s) const;
 
-  /// Current perceived-loss estimate for `host_key`; 0 if never sampled.
-  [[nodiscard]] double loss(std::uint64_t host_key) const;
-
-  /// Worst estimate across all tracked host pairs (0 if none).
-  [[nodiscard]] double max_loss() const;
-
   /// Full state for `host_key`, or nullptr if never sampled.
-  [[nodiscard]] const FlowLossState* flow(std::uint64_t host_key) const;
-
-  /// Current ladder rung of one host pair (kKDistance if never seen).
-  [[nodiscard]] DegradationLevel level_of(std::uint64_t host_key) const;
-
-  /// Most-degraded rung across all host pairs.
-  [[nodiscard]] DegradationLevel worst_level() const;
-
-  /// Ladder transitions across all host pairs.
-  [[nodiscard]] std::uint64_t transitions() const;
+  [[nodiscard]] const FlowLossState* flow(std::uint64_t host_key) const {
+    return pairs_.find(host_key);
+  }
 
   /// Every host pair's record, keyed by host key.
-  [[nodiscard]] const util::FlatMap64<HostPairState>& pairs() const {
+  [[nodiscard]] const util::FlatMap64<FlowLossState>& pairs() const {
     return pairs_;
   }
 
@@ -143,20 +103,16 @@ class PerceivedLossEstimator {
   }
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
-  /// audits): every EWMA is a probability, every ladder passes its own
-  /// audit, and the per-pair counters sum to the totals.
+  /// audits): every window stays within its bounds, and the per-pair
+  /// counters sum to the totals.
   void audit() const;
 
  private:
-  HostPairState& pair_for(std::uint64_t host_key);
-  void sample(FlowLossState& s, double outcome) const;
   /// Records `failures` loss samples' evidence: the window count and the
   /// loss clock stamp.
   void stamp(FlowLossState& s, std::uint64_t failures) const;
 
-  LossEstimatorConfig config_;
-  DegradationConfig ladder_;
-  util::FlatMap64<HostPairState> pairs_;
+  util::FlatMap64<FlowLossState> pairs_;
   std::uint64_t total_offered_ = 0;
   std::uint64_t total_channel_drops_ = 0;
   std::uint64_t total_undecodable_ = 0;

@@ -93,8 +93,8 @@ class Link {
 
   /// Optional observer called with every packet the link drops (queue
   /// overflow at send time, channel loss at end of serialization).  The
-  /// resilient pipeline points this at the encoder gateway so channel
-  /// drops feed the perceived-loss estimator.
+  /// pipeline points this at the encoder gateway so channel drops feed
+  /// the perceived-loss estimator.
   void set_drop_observer(std::function<void(const packet::Packet&)> fn) {
     drop_observer_ = std::move(fn);
   }

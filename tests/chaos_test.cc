@@ -68,8 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(core::PolicyKind::kCacheFlush,
                           core::PolicyKind::kTcpSeq,
-                          core::PolicyKind::kKDistance,
-                          core::PolicyKind::kAdaptive),
+                          core::PolicyKind::kKDistance),
         ::testing::Values(core::SelectMode::kValueSampling,
                           core::SelectMode::kMaxp,
                           core::SelectMode::kSampleByte),

@@ -86,8 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
     PolicyWindowBits, CodecSweep,
     ::testing::Combine(
         ::testing::Values(PolicyKind::kNaive, PolicyKind::kCacheFlush,
-                          PolicyKind::kTcpSeq, PolicyKind::kKDistance,
-                          PolicyKind::kAdaptive),
+                          PolicyKind::kTcpSeq, PolicyKind::kKDistance),
         ::testing::Values(8u, 16u, 32u),
         ::testing::Values(2u, 4u, 6u)),
     [](const ::testing::TestParamInfo<CodecParams>& info) {

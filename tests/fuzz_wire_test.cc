@@ -216,9 +216,10 @@ TEST(FuzzWire, EncoderGatewaySurvivesMutatedControlTraffic) {
   util::Rng rng(testutil::test_seed(0xF0224));
   core::DreParams params;
   params.epoch_resync = true;
+  params.coded_repair = true;  // keeps the loss table loss reports feed
   core::GatewayConfig gw_cfg;
   gw_cfg.params = params;
-  gw_cfg.policy = core::PolicyKind::kResilient;
+  gw_cfg.policy = core::PolicyKind::kTcpSeq;
   gateway::EncoderGateway gw(gw_cfg);
   std::vector<util::Bytes> corpus;
   {

@@ -67,8 +67,7 @@ TEST(Integration, NaivePartialRetrievalMatchesLossReciprocal) {
 
 TEST(Integration, RobustPoliciesSurviveModerateLoss) {
   for (auto kind : {core::PolicyKind::kCacheFlush, core::PolicyKind::kTcpSeq,
-                    core::PolicyKind::kKDistance,
-                    core::PolicyKind::kAdaptive}) {
+                    core::PolicyKind::kKDistance}) {
     for (double loss : {0.01, 0.05}) {
       auto r = run_trial(base_config(kind, loss), file1(), 33);
       EXPECT_TRUE(r.completed)

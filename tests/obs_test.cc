@@ -379,7 +379,7 @@ TEST(ObsSharded, MultiShardCountersSumToPlainTotals) {
 // -------------------------------------------------- coded-repair gateway --
 
 TEST(ObsGateway, CodedEncoderExposesItsLossTableAndRepairCounts) {
-  // Coded repair alone (naive policy, no ladder) keeps the per-host-pair
+  // Coded repair alone (naive policy) keeps the per-host-pair
   // loss table: its probes and the per-generation repair histogram show
   // why repair bytes are being paid.
   core::GatewayConfig cfg = quiet_cfg(1);
@@ -403,8 +403,6 @@ TEST(ObsGateway, CodedEncoderExposesItsLossTableAndRepairCounts) {
   EXPECT_EQ(snap.counter("resilience.loss.undecodable"), 0u);
   EXPECT_GT(snap.gauge("resilience.loss.perceived_max"), 0.0);
   EXPECT_EQ(snap.gauge("resilience.loss.flows"), 1.0);
-  // No policy walks a ladder, so no ladder state is exported.
-  EXPECT_EQ(snap.find("resilience.degradation.worst_level"), nullptr);
   const obs::HistogramValue* r =
       snap.histogram("fec.encoder.repairs_per_generation");
   ASSERT_NE(r, nullptr);

@@ -121,8 +121,7 @@ TEST(Pipeline, TransfersFileWithoutDre) {
 
 TEST(Pipeline, TransfersFileWithEachPolicyNoLoss) {
   for (auto kind : {core::PolicyKind::kNaive, core::PolicyKind::kCacheFlush,
-                    core::PolicyKind::kTcpSeq, core::PolicyKind::kKDistance,
-                    core::PolicyKind::kAdaptive}) {
+                    core::PolicyKind::kTcpSeq, core::PolicyKind::kKDistance}) {
     sim::Simulator sim;
     PipelineConfig cfg;
     cfg.policy = kind;

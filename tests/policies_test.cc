@@ -299,46 +299,5 @@ TEST(KDistancePolicy, EndToEndCascadeBoundedByK) {
   EXPECT_LE(max_run, 4);
 }
 
-// ----------------------------------------------------------- Adaptive --
-
-TEST(AdaptivePolicy, StartsAtKMax) {
-  DreParams params;
-  params.adaptive_k_max = 32;
-  AdaptivePolicy p(params);
-  p.before_encode(ctx_with_seq(1000, 0));
-  EXPECT_EQ(p.current_k(), 32u);
-  EXPECT_EQ(p.estimated_loss(), 0.0);
-}
-
-TEST(AdaptivePolicy, LossEstimateRisesOnRetransmissions) {
-  DreParams params;
-  AdaptivePolicy policy(params);
-  Classified p(policy);
-  std::uint64_t idx = 0;
-  p.before_encode(ctx_with_seq(1000, idx++));
-  for (int i = 0; i < 20; ++i) {
-    p.before_encode(ctx_with_seq(1000, idx++));  // repeated retransmission
-  }
-  EXPECT_GT(policy.estimated_loss(), 0.3);
-  EXPECT_LE(policy.current_k(), params.adaptive_k_min + 1);
-}
-
-TEST(AdaptivePolicy, KRecoversWhenLossSubsides) {
-  DreParams params;
-  params.adaptive_alpha = 0.2;  // fast adaptation for the test
-  AdaptivePolicy policy(params);
-  Classified p(policy);
-  std::uint32_t seq = 1000;
-  std::uint64_t idx = 0;
-  p.before_encode(ctx_with_seq(seq, idx++));
-  for (int i = 0; i < 10; ++i) p.before_encode(ctx_with_seq(seq, idx++));
-  const std::size_t k_low = policy.current_k();
-  for (int i = 0; i < 100; ++i) {
-    seq += 1460;
-    p.before_encode(ctx_with_seq(seq, idx++));
-  }
-  EXPECT_GT(policy.current_k(), k_low);
-}
-
 }  // namespace
 }  // namespace bytecache::core

@@ -1,12 +1,8 @@
-// Acceptance test for the resilience layer (ISSUE 4): a chaos sim at
-// 1-10% loss with the degradation controller enabled must show
-//   1. no flow ever stalls (the resync path breaks every livelock),
-//   2. byte savings at least as good as pass-through at every loss rate,
-//   3. download time within 5% of the always-safe Cache Flush policy at
-//      5% loss (the controller converges to the right rung),
-// and a naive encoder with epoch_resync enabled must complete where plain
-// naive stalls, because epoch resync bounds how long a desync can last.
-// The sweep prints a harness table (the EXPERIMENTS.md Fig. 13 recipe).
+// Acceptance tests for the resilience layer: a naive encoder with
+// epoch_resync enabled must complete where plain naive stalls, because
+// epoch resync bounds how long a desync can last; and coded repair
+// (DESIGN.md §13) must stay stall-free across 1-10% loss, bursts and
+// reordering, rebuilding losses instead of resyncing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,68 +42,7 @@ harness::ExperimentConfig resilience_config(core::PolicyKind policy,
   cfg.loss_rate = loss;
   cfg.seed = seed;
   cfg.trials = 1;
-  if (policy == core::PolicyKind::kResilient) {
-    cfg.dre.epoch_resync = true;
-  }
   return cfg;
-}
-
-TEST(ResilienceChaos, ControllerSweepNeverStallsAndBeatsPassThrough) {
-  std::printf(
-      "\n  loss   policy      completed  duration_s  wire_bytes  est_loss "
-      " level        resyncs\n");
-  for (const double loss : {0.01, 0.03, 0.05, 0.08, 0.10}) {
-    harness::TrialResult none;
-    for (const core::PolicyKind policy :
-         {core::PolicyKind::kNone, core::PolicyKind::kCacheFlush,
-          core::PolicyKind::kResilient}) {
-      const auto cfg = resilience_config(policy, loss, 77);
-      const auto r = harness::run_trial(cfg, chaos_file(), 77);
-      std::printf(
-          "  %.2f   %-10s  %-9s  %10.3f  %10llu  %7.4f  %-11s  %llu\n",
-          loss, std::string(core::to_string(policy)).c_str(),
-          r.completed ? "yes" : "NO", r.duration_s,
-          static_cast<unsigned long long>(r.wire_bytes_forward),
-          r.estimated_loss, r.degradation_level,
-          static_cast<unsigned long long>(r.resyncs_honored));
-      // (1) nothing stalls, at any loss rate, under any of the three.
-      EXPECT_TRUE(r.completed) << core::to_string(policy) << " @ " << loss;
-      EXPECT_FALSE(r.stalled) << core::to_string(policy) << " @ " << loss;
-      EXPECT_TRUE(r.verified) << core::to_string(policy) << " @ " << loss;
-      if (policy == core::PolicyKind::kNone) {
-        none = r;
-      } else if (policy == core::PolicyKind::kResilient) {
-        // (2) the controller never does worse on bytes than giving up on
-        // caching entirely (pass-through).
-        EXPECT_LE(r.wire_bytes_forward, none.wire_bytes_forward)
-            << "resilient wasted bytes vs pass-through @ " << loss;
-      }
-    }
-  }
-}
-
-TEST(ResilienceChaos, ResilientMatchesCacheFlushDurationAtFivePercent) {
-  // At 5% loss Cache Flush is the paper's safe-and-effective rung; the
-  // controller must land close to it.  Average over a few seeds so a
-  // single unlucky drop pattern cannot dominate.
-  double resilient_total = 0.0, flush_total = 0.0;
-  constexpr std::uint64_t kSeeds[] = {11, 12, 13, 14};
-  for (const std::uint64_t seed : kSeeds) {
-    const auto rr = harness::run_trial(
-        resilience_config(core::PolicyKind::kResilient, 0.05, seed),
-        chaos_file(), seed);
-    const auto fr = harness::run_trial(
-        resilience_config(core::PolicyKind::kCacheFlush, 0.05, seed),
-        chaos_file(), seed);
-    ASSERT_TRUE(rr.completed);
-    ASSERT_TRUE(fr.completed);
-    resilient_total += rr.duration_s;
-    flush_total += fr.duration_s;
-  }
-  std::printf("  5%% loss: resilient %.3fs vs cache_flush %.3fs (%.1f%%)\n",
-              resilient_total, flush_total,
-              100.0 * resilient_total / flush_total);
-  EXPECT_LE(resilient_total, flush_total * 1.05);
 }
 
 TEST(ResilienceChaos, EpochResyncRescuesNaiveFromPermanentDesync) {
@@ -127,10 +62,9 @@ TEST(ResilienceChaos, EpochResyncRescuesNaiveFromPermanentDesync) {
   }
 }
 
-// ---- Coded-repair rung (ISSUE 9, DESIGN.md §13) -----------------------
+// ---- Coded repair (DESIGN.md §13) -------------------------------------
 
-/// TCP-seq encoding with the FEC layer always on: the coded rung's
-/// behavior isolated from the controller's rung choice.
+/// TCP-seq encoding with the FEC layer on.
 harness::ExperimentConfig coded_config(double loss, std::uint64_t seed) {
   harness::ExperimentConfig cfg;
   cfg.policy = core::PolicyKind::kTcpSeq;
@@ -143,7 +77,7 @@ harness::ExperimentConfig coded_config(double loss, std::uint64_t seed) {
 }
 
 TEST(ResilienceChaos, CodedSweepNeverStallsUnderLossBurstsAndReorder) {
-  // The coded rung across 1-10% loss, under three link shapes: uniform
+  // Coded repair across 1-10% loss, under three link shapes: uniform
   // drops, Gilbert-Elliott bursts, and drops plus reordering.  Stall
   // freedom is the hard requirement — the reorder cache's arrival budget
   // and the encoder's close-on-retransmit must break every wedge.
@@ -208,7 +142,7 @@ TEST(ResilienceChaos, CodedReconstructsWithoutResyncAtLowLoss) {
 }
 
 TEST(ResilienceChaos, CodedBeatsCacheFlushCompletionAtFivePercent) {
-  // The rung's reason to exist: at 5% loss, repairing holes beats
+  // Coded repair's reason to exist: at 5% loss, repairing holes beats
   // flushing the cache on every drop.  Averaged over seeds; every coded
   // run must finish with zero stalls for the comparison to count.
   double coded_total = 0.0, flush_total = 0.0;
@@ -361,32 +295,17 @@ TEST(ResilienceChaos, CodedRepairReturnsWhenLossFollowsACleanPhase) {
   EXPECT_EQ(snap.counter("decoder.fec.reconstructed"), repairable);
 }
 
-TEST(ResilienceChaos, ControllerSweepWithCodedRungEnabled) {
-  // The five-level ladder end to end: the controller with the coded rung
-  // compiled in must stay stall-free across the sweep and never do worse
-  // on bytes than pass-through (the rung only changes *how* mid-ladder
-  // loss is survived).
-  for (const double loss : {0.01, 0.05, 0.10}) {
-    auto cfg = resilience_config(core::PolicyKind::kResilient, loss, 277);
-    cfg.dre.coded_repair = true;
-    const auto r = harness::run_trial(cfg, chaos_file(), 277);
-    auto none = resilience_config(core::PolicyKind::kNone, loss, 277);
-    const auto nr = harness::run_trial(none, chaos_file(), 277);
-    EXPECT_TRUE(r.completed) << loss;
-    EXPECT_FALSE(r.stalled) << loss;
-    EXPECT_TRUE(r.verified) << loss;
-    EXPECT_LE(r.wire_bytes_forward, nr.wire_bytes_forward) << loss;
-  }
-}
-
 TEST(ResilienceChaos, ControllerRunIsDeterministic) {
-  const auto cfg = resilience_config(core::PolicyKind::kResilient, 0.07, 21);
+  // The loss table and the repair count it sizes are the coded codec's
+  // control loop: two runs of one seed must agree on every output.
+  const auto cfg = coded_config(0.07, 21);
   const auto a = harness::run_trial(cfg, chaos_file(), 21);
   const auto b = harness::run_trial(cfg, chaos_file(), 21);
   EXPECT_EQ(a.duration_s, b.duration_s);
   EXPECT_EQ(a.wire_bytes_forward, b.wire_bytes_forward);
   EXPECT_EQ(a.estimated_loss, b.estimated_loss);
-  EXPECT_EQ(a.degradation_transitions, b.degradation_transitions);
+  EXPECT_GT(a.estimated_loss, 0.0);
+  EXPECT_EQ(a.repair_packets_sent, b.repair_packets_sent);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the resilience layer (DESIGN.md §9): the perceived-loss
-// estimator, the degradation controller, the epoch synchronizer, the
-// decoder's epoch enforcement, the encoder's resync handling, the
-// resilient policy ladder, and control-message routing through the
+// estimator, the epoch synchronizer, the decoder's epoch enforcement, the
+// encoder's resync handling, and control-message routing through the
 // (sharded) gateways.
 #include <gtest/gtest.h>
 
@@ -10,11 +9,9 @@
 #include "core/encoder.h"
 #include "core/factory.h"
 #include "core/flow.h"
-#include "core/policies.h"
 #include "fec/params.h"
 #include "gateway/gateways.h"
 #include "gateway/sharded_gateways.h"
-#include "resilience/degradation.h"
 #include "resilience/epoch_sync.h"
 #include "resilience/perceived_loss.h"
 #include "tests/testutil.h"
@@ -22,12 +19,8 @@
 namespace bytecache {
 namespace {
 
-using resilience::DegradationConfig;
-using resilience::DegradationController;
-using resilience::DegradationLevel;
 using resilience::EpochSyncConfig;
 using resilience::EpochSynchronizer;
-using resilience::LossEstimatorConfig;
 using resilience::PerceivedLossEstimator;
 
 // ------------------------------------------------------------ epoch math --
@@ -53,23 +46,20 @@ TEST(EpochMath, WrapsAroundSixteenBits) {
 
 TEST(PerceivedLoss, StartsAtZero) {
   PerceivedLossEstimator est;
-  EXPECT_EQ(est.loss(42), 0.0);
-  EXPECT_EQ(est.max_loss(), 0.0);
+  EXPECT_EQ(est.total_offered(), 0u);
   EXPECT_EQ(est.flows(), 0u);
   EXPECT_EQ(est.flow(42), nullptr);
 }
 
 TEST(PerceivedLoss, ConvergesNearTheDropFraction) {
-  PerceivedLossEstimator est(LossEstimatorConfig{.alpha = 0.05});
-  // 10% of offered packets are later reported dropped.  The estimator
-  // sees both the success sample and the failure sample for a dropped
-  // packet, so it converges to p/(1+p) = 0.0909..., not p.
+  PerceivedLossEstimator est;
+  // 5% of offered packets are later reported undecodable, in pairs: the
+  // window counts each reported packet, so it converges to the fraction.
   for (int i = 0; i < 5000; ++i) {
     est.on_offered(1);
-    if (i % 10 == 0) est.on_channel_drop(1);
+    if (i % 40 == 0) est.on_undecodable(1, 2);
   }
-  EXPECT_NEAR(est.loss(1), 0.1 / 1.1, 0.03);
-  EXPECT_EQ(est.max_loss(), est.loss(1));
+  EXPECT_NEAR(est.flow(1)->recent_loss(), 0.05, 0.01);
   est.audit();
 }
 
@@ -80,9 +70,8 @@ TEST(PerceivedLoss, FlowsAreIsolated) {
     est.on_offered(2);
     est.on_undecodable(2);
   }
-  EXPECT_LT(est.loss(1), 0.01);
-  EXPECT_GT(est.loss(2), 0.3);
-  EXPECT_EQ(est.max_loss(), est.loss(2));
+  EXPECT_EQ(est.flow(1)->recent_loss(), 0.0);
+  EXPECT_GT(est.flow(2)->recent_loss(), 0.3);
   EXPECT_EQ(est.flows(), 2u);
   est.audit();
 }
@@ -110,7 +99,7 @@ TEST(PerceivedLoss, RecentLossTracksTheRateAndForgetsAnOldOne) {
     if (i % 10 == 0) est.on_channel_drop(3);
   }
   const resilience::FlowLossState& s = *est.flow(3);
-  EXPECT_NEAR(s.recent_loss(), 0.1, 0.01);  // the rate, not p/(1+p)
+  EXPECT_NEAR(s.recent_loss(), 0.1, 0.01);
   EXPECT_LT(s.window_offered, resilience::kLossWindowPackets);
   // Two windows of clean packets later the old rate is all but gone,
   // while the lifetime counters still remember it.
@@ -124,102 +113,18 @@ TEST(PerceivedLoss, RecentLossTracksTheRateAndForgetsAnOldOne) {
 
 TEST(PerceivedLoss, RetransmissionsStampTheLossClockWithoutSampling) {
   PerceivedLossEstimator est;
-  resilience::HostPairState& pair = est.on_offered(7);
-  EXPECT_EQ(est.since_loss(pair.loss), ~std::uint64_t{0});  // never lost
+  resilience::FlowLossState& pair = est.on_offered(7);
+  EXPECT_EQ(est.since_loss(pair), ~std::uint64_t{0});  // never lost
   est.set_clock(5);
   est.on_retransmission(pair);
-  EXPECT_EQ(pair.loss.ewma, 0.0);  // evidence, not a sample
+  EXPECT_EQ(pair.window_failures, 0u);  // evidence, not a sample
   EXPECT_EQ(est.total_retransmissions(), 1u);
-  EXPECT_EQ(est.since_loss(pair.loss), 0u);
+  EXPECT_EQ(est.since_loss(pair), 0u);
   est.set_clock(9);
-  EXPECT_EQ(est.since_loss(pair.loss), 4u);
+  EXPECT_EQ(est.since_loss(pair), 4u);
   est.on_channel_drop(7);  // every failure sample stamps too
   EXPECT_EQ(est.since_loss(*est.flow(7)), 0u);
   est.audit();
-}
-
-// ------------------------------------------------------------ controller --
-
-DegradationConfig quick_config() {
-  DegradationConfig cfg;
-  cfg.dwell_packets = 8;
-  return cfg;
-}
-
-TEST(Degradation, StartsAtKDistance) {
-  DegradationController c;
-  EXPECT_EQ(c.level(), DegradationLevel::kKDistance);
-  EXPECT_EQ(c.transitions(), 0u);
-}
-
-TEST(Degradation, WalksTheFullLadderUnderHeavyLoss) {
-  DegradationController c(quick_config());
-  for (int i = 0; i < 200; ++i) c.on_sample(0.5);
-  EXPECT_EQ(c.level(), DegradationLevel::kPassthrough);
-  EXPECT_EQ(c.degrades(), 4u);  // five rungs, one stop on each
-  // Pass-through is the last rung; heavy loss cannot push further.
-  for (int i = 0; i < 50; ++i) c.on_sample(0.9);
-  EXPECT_EQ(c.level(), DegradationLevel::kPassthrough);
-  c.audit();
-}
-
-TEST(Degradation, DisabledCodedRungIsSkippedBothDirections) {
-  DegradationConfig cfg = quick_config();
-  cfg.coded_rung = false;
-  DegradationController c(cfg);
-  // Down: the walk never lands on kCodedRepair — exactly the historical
-  // four-level ladder (three degrades to the bottom).
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_NE(c.on_sample(0.5), DegradationLevel::kCodedRepair);
-  }
-  EXPECT_EQ(c.level(), DegradationLevel::kPassthrough);
-  EXPECT_EQ(c.degrades(), 3u);
-  // Up: recovery steps over the disabled rung too.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_NE(c.on_sample(0.0), DegradationLevel::kCodedRepair);
-  }
-  EXPECT_EQ(c.level(), DegradationLevel::kKDistance);
-  EXPECT_EQ(c.upgrades(), 3u);
-  c.audit();
-}
-
-TEST(Degradation, CodedRungSitsBetweenTcpSeqAndCacheFlush) {
-  DegradationConfig cfg = quick_config();
-  DegradationController c(cfg);
-  // Loss above TCP-seq's threshold but below the coded rung's parks the
-  // controller on coded repair.
-  for (int i = 0; i < 200; ++i) c.on_sample(0.08);
-  EXPECT_EQ(c.level(), DegradationLevel::kCodedRepair);
-  // Past the coded threshold: repairs can no longer mask it.
-  for (int i = 0; i < 50; ++i) c.on_sample(0.2);
-  EXPECT_EQ(c.level(), DegradationLevel::kCacheFlush);
-  c.audit();
-}
-
-TEST(Degradation, UpgradesWithHysteresis) {
-  DegradationConfig cfg = quick_config();
-  DegradationController c(cfg);
-  for (int i = 0; i < 50; ++i) c.on_sample(0.03);  // above 0.015
-  EXPECT_EQ(c.level(), DegradationLevel::kTcpSeq);
-  // Loss inside the hysteresis band: below the degrade threshold but not
-  // below degrade_above[0] * upgrade_fraction -> stays put.
-  for (int i = 0; i < 50; ++i) c.on_sample(0.010);
-  EXPECT_EQ(c.level(), DegradationLevel::kTcpSeq);
-  // Clearly recovered -> upgrades back.
-  for (int i = 0; i < 50; ++i) c.on_sample(0.001);
-  EXPECT_EQ(c.level(), DegradationLevel::kKDistance);
-  EXPECT_EQ(c.upgrades(), 1u);
-  c.audit();
-}
-
-TEST(Degradation, DwellBoundsTransitionRate) {
-  DegradationConfig cfg = quick_config();
-  cfg.dwell_packets = 16;
-  DegradationController c(cfg);
-  // Adversarial see-saw input: alternate extreme samples every packet.
-  for (int i = 0; i < 320; ++i) c.on_sample(i % 2 == 0 ? 0.9 : 0.0);
-  EXPECT_LE(c.transitions(), 320u / 16u);
-  c.audit();
 }
 
 // ---------------------------------------------------------- synchronizer --
@@ -604,125 +509,6 @@ TEST(CodecEpoch, RestoredDecoderReAdoptsFromTraffic) {
   dec2.audit();
 }
 
-// ------------------------------------------------------ resilient policy --
-
-TEST(ResilientPolicy, FactoryAndName) {
-  EXPECT_EQ(core::policy_from_string("resilient"),
-            core::PolicyKind::kResilient);
-  EXPECT_EQ(core::to_string(core::PolicyKind::kResilient), "resilient");
-  core::DreParams params;
-  auto policy = core::make_policy(core::PolicyKind::kResilient, params);
-  EXPECT_EQ(policy->name(), "resilient");
-}
-
-/// The loss table an encoder built from `params` keeps: the resilient
-/// policy walks its ladders (PacketContext::host_pair).
-PerceivedLossEstimator loss_table_for(const core::DreParams& params) {
-  DegradationConfig ladder = params.degradation;
-  ladder.coded_rung &= params.coded_repair;
-  return PerceivedLossEstimator(params.loss_estimator, ladder);
-}
-
-TEST(ResilientPolicy, DegradesToPassthroughUnderReportedLoss) {
-  core::DreParams params;
-  params.degradation.dwell_packets = 8;
-  core::ResilientPolicy policy(params);
-  PerceivedLossEstimator table = loss_table_for(params);
-  const std::uint64_t host = core::host_key_of(1, 2);
-
-  EXPECT_EQ(table.worst_level(), DegradationLevel::kKDistance);
-
-  core::PacketContext ctx;
-  ctx.host_key = host;
-  ctx.payload_size = 1000;
-  // Heavy reported loss drives the pair down the whole ladder; at the
-  // bottom rung the policy refuses to encode at all.
-  core::PolicyDecision last;
-  for (int i = 0; i < 400; ++i) {
-    table.on_undecodable(host);
-    ctx.stream_index = static_cast<std::uint64_t>(i);
-    ctx.host_pair = &table.on_offered(host);
-    last = policy.before_encode(ctx);
-  }
-  EXPECT_EQ(table.level_of(host), DegradationLevel::kPassthrough);
-  EXPECT_EQ(table.worst_level(), DegradationLevel::kPassthrough);
-  EXPECT_FALSE(last.allow_encode);
-  EXPECT_GE(table.transitions(), 3u);
-  // An unrelated healthy pair still starts at the top.
-  EXPECT_EQ(table.level_of(core::host_key_of(3, 4)),
-            DegradationLevel::kKDistance);
-}
-
-TEST(ResilientPolicy, HealthyFlowBehavesLikeKDistance) {
-  core::DreParams params;
-  params.k_distance = 4;
-  core::ResilientPolicy policy(params);
-  PerceivedLossEstimator table = loss_table_for(params);
-  core::KDistancePolicy plain(params.k_distance);
-  core::PacketContext ctx;
-  ctx.host_key = core::host_key_of(1, 2);
-  ctx.payload_size = 1000;
-  // With zero loss the resilient policy's decisions match plain
-  // k-distance packet for packet (same reference cadence).
-  for (int i = 0; i < 40; ++i) {
-    ctx.stream_index = static_cast<std::uint64_t>(i);
-    ctx.host_pair = &table.on_offered(ctx.host_key);
-    const core::PolicyDecision a = policy.before_encode(ctx);
-    const core::PolicyDecision b = plain.before_encode(ctx);
-    EXPECT_EQ(a.allow_encode, b.allow_encode) << "packet " << i;
-    EXPECT_EQ(a.is_reference, b.is_reference) << "packet " << i;
-  }
-}
-
-TEST(ResilientPolicy, FirstRetransmissionOnCacheFlushRungFlushes) {
-  // A flow's retransmission is a fact about the flow, not about the rung
-  // it is encoded under: the packet that first lands on the Cache Flush
-  // rung must flush if it is a retransmission, exactly as a plain
-  // CacheFlushPolicy would, however the earlier segments were encoded.
-  core::DreParams params;
-  params.degradation.dwell_packets = 8;
-  core::Encoder enc(params,
-                    core::make_policy(core::PolicyKind::kResilient, params));
-  PerceivedLossEstimator& table = *enc.loss_table();
-  const std::uint64_t host =
-      core::host_key_of(testutil::kSrcIp, testutil::kDstIp);
-  util::Rng rng(17);
-  std::uint32_t seq = 1000;
-  const auto send_next = [&] {
-    auto pkt = testutil::make_tcp_packet(testutil::random_bytes(rng, 1000),
-                                         seq);
-    seq += 1000;
-    return enc.process(*pkt);
-  };
-
-  // In order on the k-distance rung.
-  for (int i = 0; i < 20; ++i) (void)send_next();
-  ASSERT_EQ(table.level_of(host), DegradationLevel::kKDistance);
-
-  // Reported loss walks the pair to TCP-seq; the packet after its
-  // dwell_packets-th there moves it on to Cache Flush.  Every segment up
-  // to that point is in order.
-  std::uint64_t rung_packets = 0;
-  for (int i = 0; i < 100 && rung_packets < params.degradation.dwell_packets;
-       ++i) {
-    table.on_undecodable(host, 4);
-    (void)send_next();
-    if (table.level_of(host) == DegradationLevel::kTcpSeq) ++rung_packets;
-  }
-  ASSERT_EQ(rung_packets, params.degradation.dwell_packets);
-  table.on_undecodable(host, 4);
-
-  // The next packet lands on Cache Flush and repeats the last segment.
-  auto retx = testutil::make_tcp_packet(testutil::random_bytes(rng, 1000),
-                                        seq - 1000);
-  const core::EncodeInfo info = enc.process(*retx);
-  ASSERT_EQ(table.level_of(host), DegradationLevel::kCacheFlush);
-  // EncodeInfo mirrors the policy's decision: `flushed` is flush_cache,
-  // `retransmission` is is_retransmission.
-  EXPECT_TRUE(info.flushed);
-  EXPECT_TRUE(info.retransmission);
-}
-
 // ------------------------------------------------------ gateway plumbing --
 
 core::ControlMessage make_loss_report(std::uint32_t src, std::uint32_t dst) {
@@ -733,10 +519,17 @@ core::ControlMessage make_loss_report(std::uint32_t src, std::uint32_t dst) {
   return m;
 }
 
-TEST(GatewayResilience, EncoderGatewayDispatchesControlMessages) {
+/// A coded-repair gateway config: the one codec that keeps a loss table.
+core::GatewayConfig coded_gateway_config() {
   core::GatewayConfig cfg;
   cfg.params = resync_params();
-  cfg.policy = core::PolicyKind::kResilient;
+  cfg.params.coded_repair = true;
+  cfg.policy = core::PolicyKind::kTcpSeq;
+  return cfg;
+}
+
+TEST(GatewayResilience, EncoderGatewayDispatchesControlMessages) {
+  const core::GatewayConfig cfg = coded_gateway_config();
   gateway::EncoderGateway gw(cfg);
   ASSERT_NE(gw.encoder()->loss_table(), nullptr);
 
@@ -760,27 +553,23 @@ TEST(GatewayResilience, EncoderGatewayDispatchesControlMessages) {
 }
 
 TEST(GatewayResilience, ChannelDropsFeedTheEstimator) {
-  core::GatewayConfig cfg;
-  cfg.params = resync_params();
-  cfg.policy = core::PolicyKind::kResilient;
-  gateway::EncoderGateway gw(cfg);
+  gateway::EncoderGateway gw(coded_gateway_config());
   auto pkt = testutil::make_tcp_packet(util::Bytes(100, 'x'), 1000);
   gw.on_channel_drop(*pkt);
   gw.on_channel_drop(*pkt);
   EXPECT_EQ(gw.stats().channel_drops_seen, 2u);
   EXPECT_EQ(gw.encoder()->loss_table()->total_channel_drops(), 2u);
-  EXPECT_GT(gw.encoder()->loss_table()->loss(
-                core::host_key_of(pkt->ip.src, pkt->ip.dst)),
-            0.0);
+  const resilience::FlowLossState* path = gw.encoder()->loss_table()->flow(
+      core::host_key_of(pkt->ip.src, pkt->ip.dst));
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->window_failures, 2u);
+  EXPECT_TRUE(path->lossy);
 }
 
 TEST(GatewayResilience, CodedGatewayFeedsItsLossTableWithoutTheController) {
-  // Coded repair sizes its repairs from the same table, so a coded codec
+  // Coded repair sizes its repairs from the table, so a coded codec
   // counts loss reports and channel drops whatever its policy.
-  core::GatewayConfig cfg;
-  cfg.params = resync_params();
-  cfg.params.coded_repair = true;
-  cfg.policy = core::PolicyKind::kTcpSeq;
+  core::GatewayConfig cfg = coded_gateway_config();
   gateway::EncoderGateway gw(cfg);
   ASSERT_NE(gw.encoder()->loss_table(), nullptr);
   auto report = packet::make_packet(
@@ -793,7 +582,9 @@ TEST(GatewayResilience, CodedGatewayFeedsItsLossTableWithoutTheController) {
   const PerceivedLossEstimator& table = *gw.encoder()->loss_table();
   EXPECT_EQ(table.total_undecodable(), 1u);
   EXPECT_EQ(table.total_channel_drops(), 1u);
-  EXPECT_GT(table.loss(core::host_key_of(pkt->ip.src, pkt->ip.dst)), 0.0);
+  EXPECT_EQ(table.flow(core::host_key_of(pkt->ip.src, pkt->ip.dst))
+                ->window_failures,
+            2u);
 
   // A plain TCP-seq codec keeps no table: the reports are counted by the
   // gateway and go no further.
@@ -808,7 +599,7 @@ TEST(GatewayResilience, CodedGatewayFeedsItsLossTableWithoutTheController) {
 
 TEST(GatewayResilience, RetransmissionsMarkTheCodedPathLossy) {
   // TCP-seq acts on retransmissions; under coded repair each one is loss
-  // evidence for its host pair, without moving the EWMA.
+  // evidence for its host pair, without counting as a failure sample.
   core::DreParams params;
   params.coded_repair = true;
   core::Encoder enc(params,
@@ -826,7 +617,7 @@ TEST(GatewayResilience, RetransmissionsMarkTheCodedPathLossy) {
       table.flow(core::host_key_of(testutil::kSrcIp, testutil::kDstIp));
   ASSERT_NE(path, nullptr);
   EXPECT_EQ(path->retransmissions, 1u);
-  EXPECT_EQ(path->ewma, 0.0);
+  EXPECT_EQ(path->window_failures, 0u);
   EXPECT_LT(table.since_loss(*path), fec::kLossMemoryGenerations);
   enc.audit();
 }
@@ -872,9 +663,7 @@ TEST(GatewayResilience, DecoderGatewayEmitsLossReportsAndResyncRequests) {
 }
 
 TEST(GatewayResilience, LossReportsRouteToTheOwningShard) {
-  core::GatewayConfig cfg;
-  cfg.params = resync_params();
-  cfg.policy = core::PolicyKind::kResilient;
+  core::GatewayConfig cfg = coded_gateway_config();
   cfg.shards = 4;
   cfg.threaded = false;
   gateway::ShardedEncoderGateway gw(cfg);

@@ -50,8 +50,7 @@ TEST_P(HttpPolicySweep, LossyBrowsingSessionSucceeds) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, HttpPolicySweep,
     ::testing::Values(core::PolicyKind::kNone, core::PolicyKind::kCacheFlush,
-                      core::PolicyKind::kTcpSeq, core::PolicyKind::kKDistance,
-                      core::PolicyKind::kAdaptive),
+                      core::PolicyKind::kTcpSeq, core::PolicyKind::kKDistance),
     [](const ::testing::TestParamInfo<core::PolicyKind>& info) {
       return std::string(core::to_string(info.param));
     });

@@ -58,7 +58,7 @@ constexpr E2EConfig kConfigs[] = {
      core::SelectMode::kValueSampling, 0, false},
     {"naive_bounded256k", core::PolicyKind::kNaive,
      core::SelectMode::kValueSampling, 256 * 1024, false},
-    {"resilient_valuesampling", core::PolicyKind::kResilient,
+    {"kdistance_resync_valuesampling", core::PolicyKind::kKDistance,
      core::SelectMode::kValueSampling, 0, true},
 };
 

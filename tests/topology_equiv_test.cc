@@ -8,12 +8,6 @@
 //     span histograms, which differ between any two runs;
 //   - the full (time, event, uid, aux) trace of a run whose decoder sends
 //     NACKs, loss reports and resync requests.
-//
-// The adaptive rows came later: they were recorded before the encoder
-// took over retransmission classification from the policies, and pin
-// that move.  The two resilient rows at 5% bursty loss were re-recorded
-// with it: a ladder rung reached mid-flow now sees the flow's true
-// previous segment instead of the one left from its last stint.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -96,12 +90,6 @@ const Golden kGoldens[] = {
     {1, PolicyKind::kKDistance, 0.00, false, {84398996}, 0xd3c64d5d863217e7ULL},
     {1, PolicyKind::kKDistance, 0.02, false, {94878996}, 0xb90b2198f33b4a7bULL},
     {1, PolicyKind::kKDistance, 0.05, true, {3314476998}, 0x6df1e4311ea460eaULL},
-    {1, PolicyKind::kAdaptive, 0.00, false, {60877000}, 0x6066455d3cd58bf0ULL},
-    {1, PolicyKind::kAdaptive, 0.02, false, {70909000}, 0x13e0768825ff0791ULL},
-    {1, PolicyKind::kAdaptive, 0.05, true, {2495717000}, 0xb61cf4310fb68952ULL},
-    {1, PolicyKind::kResilient, 0.00, false, {84398996}, 0xb69ae51584c05fdfULL},
-    {1, PolicyKind::kResilient, 0.02, false, {94878996}, 0x1164399f83e5fd2fULL},
-    {1, PolicyKind::kResilient, 0.05, true, {2506174998}, 0x2d42af0235e5d71bULL},
     {3, PolicyKind::kCacheFlush, 0.00, false,
      {62356000, 86412000, 93320000}, 0xb4c9d9fb7db97229ULL},
     {3, PolicyKind::kCacheFlush, 0.02, false,
@@ -120,18 +108,6 @@ const Golden kGoldens[] = {
      {171051998, 210459998, 207212997}, 0x4b8b83535fa9e89eULL},
     {3, PolicyKind::kKDistance, 0.05, true,
      {947805997, 1142500000, 1103777000}, 0xf45b260bfba2e998ULL},
-    {3, PolicyKind::kAdaptive, 0.00, false,
-     {66732000, 113937996, 112937995}, 0xc4178470cdc29cfdULL},
-    {3, PolicyKind::kAdaptive, 0.02, false,
-     {73674000, 527672997, 529393994}, 0xff02eb177b90d470ULL},
-    {3, PolicyKind::kAdaptive, 0.05, true,
-     {1117645000, 1143455000, 1740661998}, 0x506e82ad6b30f5edULL},
-    {3, PolicyKind::kResilient, 0.00, false,
-     {98468999, 189790996, 182632996}, 0x3fec8c3fc39d6aebULL},
-    {3, PolicyKind::kResilient, 0.02, false,
-     {171051998, 210459998, 207212997}, 0x2340644bd5c8b336ULL},
-    {3, PolicyKind::kResilient, 0.05, true,
-     {1739888997, 1498764997, 3474085999}, 0x07e3e827ea9e5dc0ULL},
 };
 
 TEST(TopologyEquiv, DownloadTimesAndSnapshotsMatchTheGoldens) {

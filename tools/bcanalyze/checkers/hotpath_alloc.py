@@ -36,15 +36,14 @@ SITE_DIRS = ("src/rabin/", "src/cache/", "src/core/", "src/gateway/",
 # of these names joins the walk even though its directory is not a
 # blanket root dir.
 EXTRA_ROOT_NAMES = frozenset({
-    "encode_burst", "decode_burst", "probe_batch", "receive_burst",
-    "push_burst", "pop_burst",
+    "probe_batch", "receive_burst", "push_burst", "pop_burst",
 })
 
 # Name fragments marking a function as off the per-packet path.
 COLD_NAME_PARTS = (
     "audit", "save_state", "load_state", "snapshot", "stats", "reset",
     "flush", "to_string", "from_string", "make_", "merge", "configure",
-    "set_params", "worst_level", "transitions",
+    "set_params",
 )
 
 NODE_CONTAINERS = {
