@@ -121,14 +121,10 @@ std::optional<CacheHit> CacheTier::hit(rabin::Fingerprint fp,
   return std::nullopt;
 }
 
-void CacheTier::clear_l1() {
+void CacheTier::flush() {
   store_.clear();
   table_.clear();
   ++stats_.flushes;
-}
-
-void CacheTier::flush() {
-  clear_l1();
   if (stripe_ != nullptr) stripe_->clear();
   promote_queue_.clear();
 }
@@ -154,8 +150,9 @@ void CacheTier::audit() const {
   // Entries of L2 residents count as stale here; audit_index holds every
   // entry to resolving in exactly one tier.
   (void)table_.audit(store_);
-  // (Snapshot restore bypasses the counters, so only intra-stat relations
-  // can be asserted here, not stats against store contents.)
+  // (Flushes and evictions empty the store but not the counters, so only
+  // intra-stat relations can be asserted here, not stats against store
+  // contents.)
   BC_AUDIT(stats_.hits + stats_.stale_hits <= stats_.lookups)
       << "hits " << stats_.hits << " + stale " << stats_.stale_hits
       << " exceed lookups " << stats_.lookups;
@@ -214,174 +211,6 @@ std::size_t CacheTier::owned_entries(bool in_l2) const {
 const TierStats& CacheTier::tier_stats() const {
   static const TierStats kNone{};
   return stripe_ != nullptr ? stripe_->stats() : kNone;
-}
-
-// ------------------------------------------------------------ snapshots
-
-void CacheTier::save_l1(SnapshotWriter& w) const {
-  w.u32(kSnapMagicFlat);
-  w.u32(static_cast<std::uint32_t>(store_.size()));
-  for (const CachedPacket& p : store_.entries()) {
-    w.u64(p.id);
-    write_meta(w, p.meta, MetaFields::kBase);
-    w.u32(static_cast<std::uint32_t>(p.payload.size()));
-    w.bytes(p.payload);
-  }
-  // With a stripe attached the index also holds its residents' entries;
-  // those travel in the stripe's own block.  One pass over the index:
-  // the count goes in once the records are out.
-  const std::size_t count_at = w.u32_placeholder();
-  std::uint32_t written = 0;
-  table_.for_each([&](rabin::Fingerprint fp, const FpEntry& entry) {
-    if (stripe_ != nullptr && !store_.contains(entry.packet_id)) return;
-    w.u64(fp);
-    w.u64(entry.packet_id);
-    w.u16(entry.offset);
-    ++written;
-  });
-  w.patch_u32(count_at, written);
-}
-
-bool CacheTier::load_l1(SnapshotReader& r) {
-  clear_l1();
-  if (r.u32() != kSnapMagicFlat || !r.ok()) return false;
-  const std::uint32_t packets = r.u32();
-  for (std::uint32_t i = 0; i < packets; ++i) {
-    const std::uint64_t id = r.u64();
-    const PacketMeta meta = read_meta(r, MetaFields::kBase);
-    const std::uint32_t len = r.u32();
-    const util::BytesView payload = r.bytes(len);
-    // PacketStore::restore trusts its input: a zero or duplicate id would
-    // corrupt the id index, and one past the 48-bit id field would be
-    // truncated in the fingerprint index, so reject the snapshot instead.
-    if (!r.ok() || !valid_packet_id(id) || store_.contains(id)) return false;
-    // The payload is copied straight from the snapshot into the store's
-    // arena — no intermediate owning buffer.
-    restore_packet(id, payload, meta);
-  }
-  const std::uint32_t fps = r.u32();
-  for (std::uint32_t i = 0; i < fps; ++i) {
-    const rabin::Fingerprint fp = r.u64();
-    FpEntry entry;
-    entry.packet_id = r.u64();
-    entry.offset = r.u16();
-    if (!r.ok()) return false;
-    // A fingerprint naming an absent packet (or a window starting past
-    // the owner's payload) breaks the table invariants that audit() and
-    // the hit-expansion path rely on; a corrupted or truncated snapshot
-    // must come back empty, not subtly wrong.
-    const CachedPacket* owner = store_.peek(entry.packet_id);
-    if (owner == nullptr || entry.offset >= owner->payload.size()) {
-      return false;
-    }
-    restore_fingerprint(fp, entry);
-  }
-  return r.ok();
-}
-
-void CacheTier::save(SnapshotWriter& w) {
-  if (stripe_ == nullptr) {
-    // Byte-identical to the pre-tier persist format for the default
-    // configuration — old snapshots and their goldens stay valid.
-    save_l1(w);
-    return;
-  }
-  ++seq_;
-  w.u32(kSnapMagicTier);
-  w.u64(seq_);
-  save_l1(w);
-  // Host attribution rides out of band so the embedded flat block
-  // stays byte-identical to the legacy format.
-  std::uint32_t patched = 0;
-  for (const CachedPacket& p : store_.entries()) {
-    if (p.meta.host_key != 0) ++patched;
-  }
-  w.u32(patched);
-  for (const CachedPacket& p : store_.entries()) {
-    if (p.meta.host_key != 0) {
-      w.u64(p.id);
-      w.u64(p.meta.host_key);
-    }
-  }
-  w.u8(1);  // an L2 block follows
-  stripe_->save(w);
-}
-
-bool CacheTier::reject(SnapshotReader& r) {
-  clear_l1();
-  if (stripe_ != nullptr) stripe_->clear();
-  promote_queue_.clear();
-  seq_ = 0;
-  r.fail();
-  return false;
-}
-
-void CacheTier::loaded(std::uint64_t seq) {
-  promote_queue_.clear();
-  seq_ = seq;
-  // An image from a larger configuration may exceed this L1 budget: trim
-  // the LRU end as an insert would.  The victims are dropped, not
-  // demoted (the stripe was just restored to its own image), and purging
-  // their entries first leaves the eviction hook nothing to count.
-  while (const CachedPacket* victim = store_.over_budget_victim()) {
-    (void)table_.purge(victim->id, victim->fps);
-    store_.erase(victim->id);
-  }
-}
-
-bool CacheTier::load(SnapshotReader& r) {
-  switch (r.peek_u32()) {
-    case kSnapMagicFlat:
-      return load_flat(r);
-    case kSnapMagicTier:
-      return load_tier(r);
-    default:
-      return reject(r);
-  }
-}
-
-bool CacheTier::load_flat(SnapshotReader& r) {
-  if (!load_l1(r)) return reject(r);
-  // A flat snapshot is the complete state: whatever the stripe held is
-  // gone, and legacy snapshots carry no state version.
-  if (stripe_ != nullptr) stripe_->clear();
-  loaded(0);
-  return true;
-}
-
-bool CacheTier::load_tier(SnapshotReader& r) {
-  (void)r.u32();  // magic, already sniffed
-  const std::uint64_t seq = r.u64();
-  if (!r.ok()) return reject(r);
-  if (!load_l1(r)) return reject(r);
-  const std::uint32_t patched = r.u32();
-  for (std::uint32_t i = 0; i < patched; ++i) {
-    const std::uint64_t id = r.u64();
-    const std::uint64_t host_key = r.u64();
-    // A patch naming an absent packet cannot come from save().  (The
-    // lookup takes the whole u64, so an id past the 48-bit field is
-    // absent, never truncated onto another packet.)
-    if (!r.ok() || !store_.contains(id)) return reject(r);
-    store_.set_host_key(id, host_key);
-  }
-  const std::uint8_t has_l2 = r.u8();
-  if (!r.ok() || has_l2 > 1) return reject(r);
-  if (has_l2 != 0) {
-    // An L2 image needs a stripe to live in; restoring it into an
-    // L2-less cache would silently drop cache contents.
-    if (stripe_ == nullptr) return reject(r);
-    if (!stripe_->load(r)) return reject(r);
-    // The tier is found by id, so ids must be unique across tiers — and
-    // stay so, though an L2 resident can hold the newest id.
-    for (const CachedPacket& p : store_.entries()) {
-      if (stripe_->contains(p.id)) return reject(r);
-    }
-    store_.reserve_ids_through(stripe_->max_id());
-  } else if (stripe_ != nullptr) {
-    stripe_->clear();
-  }
-  loaded(seq);
-  return true;
 }
 
 }  // namespace bytecache::cache

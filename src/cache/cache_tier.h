@@ -20,8 +20,8 @@
 // each moving payload, metadata and anchor list — never index entries.
 // Entries are erased only when a packet leaves the cache for good.
 //
-// Snapshots are full images: "BCC1" with no L2 (the pre-tier persist
-// format), "BCT1" with one; load() sniffs the magic.
+// There is no saved state: a restarted codec starts with an empty cache,
+// and epoch resync brings its peer back in step (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include "cache/fingerprint_table.h"
 #include "cache/l2_store.h"
 #include "cache/packet_store.h"
-#include "cache/snapshot.h"
 #include "obs/fields.h"
 #include "rabin/window.h"
 #include "util/bytes.h"
@@ -174,40 +173,6 @@ class CacheTier final : private EvictionListener {
   [[nodiscard]] const TierStats& tier_stats() const;
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
-  // ---- Versioned snapshot/restore (cache/snapshot.h) ----
-
-  /// Full image: the flat "BCC1" block when no L2 is attached
-  /// (byte-identical to the pre-tier format), the "BCT1" container
-  /// otherwise.
-  void save(SnapshotWriter& w);
-
-  /// Restores from either format (sniffed by magic).  An image larger
-  /// than this cache's L1 budget (saved under a larger configuration) is
-  /// trimmed from its LRU end once loaded, as an insert would trim it,
-  /// dropping the victims and counting no statistics.  Consumes exactly
-  /// the image's bytes (callers embedding it in a larger snapshot keep
-  /// reading after it; stand-alone callers check r.at_end()).  Returns
-  /// false — with the cache flushed and the reader failed — on malformed
-  /// input or a format/configuration mismatch (a "BCT1" image holding L2
-  /// contents needs an attached L2).
-  bool load(SnapshotReader& r);
-
-  /// State version, bumped by each "BCT1" save and restored by its load.
-  [[nodiscard]] std::uint64_t snapshot_seq() const { return seq_; }
-
-  /// Snapshot-restore primitives (test seams for the audits); bypass the
-  /// normal update path and statistics.  restore_fingerprint also
-  /// records the fingerprint on its packet so the eviction purge keeps
-  /// working after a warm restart.
-  void restore_packet(std::uint64_t id, util::BytesView payload,
-                      const PacketMeta& meta) {
-    store_.restore(id, payload, meta);
-  }
-  void restore_fingerprint(rabin::Fingerprint fp, FpEntry entry) {
-    table_.put(fp, entry);
-    store_.note_fingerprint(entry.packet_id, fp, entry.offset);
-  }
-
  private:
   /// A packet leaving the L1 store: budget victims that still own
   /// entries demote into the stripe; everything else has its entries
@@ -223,21 +188,6 @@ class CacheTier final : private EvictionListener {
   /// Entries owned by residents of the L2 (`in_l2`) or the L1.
   [[nodiscard]] std::size_t owned_entries(bool in_l2) const;
 
-  /// Empties the L1 store and the whole index (counted as a flush).
-  void clear_l1();
-
-  /// The "BCC1" block: L1 residents and the entries they own.
-  void save_l1(SnapshotWriter& w) const;
-  /// Replaces the L1 and the index with one "BCC1" block; false on
-  /// malformed input (the caller rejects).
-  bool load_l1(SnapshotReader& r);
-  bool load_flat(SnapshotReader& r);
-  bool load_tier(SnapshotReader& r);
-  /// Ends a successful restore at state version `seq`, trimming the L1
-  /// to its budget.
-  void loaded(std::uint64_t seq);
-  bool reject(SnapshotReader& r);
-
   PacketStore store_;
   FingerprintTable table_;
   CacheStats stats_;
@@ -248,8 +198,6 @@ class CacheTier final : private EvictionListener {
   std::vector<std::uint64_t> promote_queue_;
   /// Reused per-promotion scratch.
   L2Store::Stripe::Taken taken_;
-
-  std::uint64_t seq_ = 0;
 };
 
 }  // namespace bytecache::cache

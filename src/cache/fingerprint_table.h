@@ -12,13 +12,12 @@
 // 64-byte line: four fingerprints, then four words packing a packet id
 // (high 48 bits) and a window offset (low 16).  Ids start at 1, so a
 // zero word marks an empty slot (util::EmptySlot::kZeroValue);
-// PacketStore keeps ids below kPacketIdLimit and every snapshot restore
-// rejects a larger one.  probe_batch, put_anchors and purge hash each
-// fingerprint once, grow the map at most once per call, and compare a
-// bucket's four keys with the AVX2 kernel (fingerprint_table_avx2.cc)
-// when util::simd() allows; single-key operations and the
-// BYTECACHE_DISABLE_SIMD=1 path use the scalar compare, which picks the
-// same slots.
+// PacketStore keeps ids below kPacketIdLimit.  probe_batch, put_anchors
+// and purge hash each fingerprint once, grow the map at most once per
+// call, and compare a bucket's four keys with the AVX2 kernel
+// (fingerprint_table_avx2.cc) when util::simd() allows; single-key
+// operations and the BYTECACHE_DISABLE_SIMD=1 path use the scalar
+// compare, which picks the same slots.
 //
 // The table also counts, per packet id, the entries naming that packet.
 // A departing packet whose count is zero — every fingerprint it held was
@@ -170,8 +169,8 @@ class FingerprintTable {
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
-  /// Visits every (fingerprint, entry) pair in bucket order (snapshots
-  /// and audits): the same operations give the same order, but no order
+  /// Visits every (fingerprint, entry) pair in bucket order (audits and
+  /// telemetry): the same operations give the same order, but no order
   /// is promised across changes to the map's layout.
   template <typename Fn>
   void for_each(Fn&& fn) const {

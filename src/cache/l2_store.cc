@@ -19,7 +19,7 @@ L2Store::Stripe::Stripe(const CacheConfig& config, std::size_t share_bytes)
 
 std::uint32_t L2Store::Stripe::occupy(std::uint64_t id,
                                       util::BytesView payload,
-                                      const PacketMeta& meta, bool warm) {
+                                      const PacketMeta& meta) {
   const bool fresh = free_.empty();
   const std::uint32_t slot = acquire_slot(slots_, free_);
   Slot& s = slots_[slot];
@@ -33,13 +33,8 @@ std::uint32_t L2Store::Stripe::occupy(std::uint64_t id,
   s.live = true;
   bytes_used_ += len;
   HostEntry* e = hosts_.obtain(meta.host_key);
-  if (warm) {
-    Global::push_front(slots_, recency_, slot);
-    HostChain::push_front(slots_, e->chain, slot);
-  } else {
-    Global::push_back(slots_, recency_, slot);
-    HostChain::push_back(slots_, e->chain, slot);
-  }
+  Global::push_front(slots_, recency_, slot);
+  HostChain::push_front(slots_, e->chain, slot);
   e->bytes += len;
   id_index_.put(id, slot);
   return slot;
@@ -54,7 +49,6 @@ void L2Store::Stripe::retire_slot(std::uint32_t slot) {
   s.pkt.payload = PayloadView{};
   s.pkt.fps.clear();  // keeps heap capacity for the next occupant
   s.pkt.offsets.clear();
-  s.pkt.anchors_complete = false;
   s.pkt.id = 0;
   s.pkt.meta = PacketMeta{};
   s.promote_pending = false;
@@ -143,10 +137,9 @@ bool L2Store::Stripe::admit(const CachedPacket& pkt) {
   }
   BC_CHECK(id_index_.find(pkt.id) == nullptr)
       << "demoted packet " << pkt.id << " is already L2-resident";
-  Slot& s = slots_[occupy(pkt.id, pkt.payload, pkt.meta, /*warm=*/true)];
+  Slot& s = slots_[occupy(pkt.id, pkt.payload, pkt.meta)];
   s.pkt.fps = pkt.fps;  // reuses the slot's capacity
   s.pkt.offsets = pkt.offsets;
-  s.pkt.anchors_complete = pkt.anchors_complete;
   // NOTE: the stripe may now exceed its share; enforcement is deferred to
   // end_packet() so nothing this packet referenced is freed under it.
   return true;
@@ -161,7 +154,6 @@ bool L2Store::Stripe::take(std::uint64_t id, Taken& out) {
   out.meta = s.pkt.meta;
   out.fps.swap(s.pkt.fps);
   out.offsets.swap(s.pkt.offsets);
-  out.anchors_complete = s.pkt.anchors_complete;
   remove_slot(*slotp);
   return true;
 }
@@ -202,108 +194,6 @@ void L2Store::Stripe::clear() {
 void L2Store::Stripe::free_limbo() {
   for (const SliceArena::Slice& s : limbo_) arena_.free(s);
   limbo_.clear();
-}
-
-std::uint64_t L2Store::Stripe::max_id() const {
-  std::uint64_t id = 0;
-  for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
-    id = std::max(id, slots_[s].pkt.id);
-  }
-  return id;
-}
-
-std::size_t L2Store::Stripe::host_bytes(std::uint64_t host_key) const {
-  const HostEntry* e = hosts_.find(host_key);
-  return e == nullptr ? 0 : e->bytes;
-}
-
-void L2Store::Stripe::save(SnapshotWriter& w) const {
-  w.u32(kSnapMagicStripe);
-  w.u32(static_cast<std::uint32_t>(size()));
-  // The fingerprints of the current packet already written: one the
-  // payload holds twice is listed twice but owned once, and only its
-  // first occurrence is written.
-  util::FlatMap64<std::uint8_t> written;
-  for (std::uint32_t s = recency_.head; s != kNilSlot; s = slots_[s].next) {
-    const CachedPacket& p = slots_[s].pkt;
-    w.u64(p.id);
-    write_meta(w, p.meta, MetaFields::kWithHostKey);
-    w.u32(static_cast<std::uint32_t>(p.payload.size()));
-    w.bytes(p.payload);
-    // One probe per fingerprint; the count goes in once the entries the
-    // packet still owns are out.
-    const std::size_t count_at = w.u32_placeholder();
-    written.clear();
-    for (const rabin::Fingerprint fp : p.fps) {
-      const auto e = index_->get(fp);
-      if (!e || e->packet_id != p.id) continue;
-      bool first = false;
-      (void)written.upsert(fp, first);
-      if (!first) continue;
-      w.u64(fp);
-      w.u16(e->offset);
-    }
-    w.patch_u32(count_at, static_cast<std::uint32_t>(written.size()));
-  }
-}
-
-bool L2Store::Stripe::load(SnapshotReader& r) {
-  clear();
-  auto reject = [&] {
-    clear();
-    r.fail();
-    return false;
-  };
-  if (r.u32() != kSnapMagicStripe || !r.ok()) return reject();
-  const std::uint32_t packets = r.u32();
-  for (std::uint32_t i = 0; i < packets; ++i) {
-    const std::uint64_t id = r.u64();
-    const PacketMeta meta = read_meta(r, MetaFields::kWithHostKey);
-    const std::uint32_t len = r.u32();
-    const util::BytesView payload = r.bytes(len);
-    if (!r.ok() || !valid_packet_id(id) || id_index_.find(id) != nullptr) {
-      return reject();
-    }
-    // Snapshots walk MRU to LRU, so appending at the cold end preserves
-    // both the global and the per-host recency orders.  The slot's
-    // anchor list starts empty and incomplete: it holds only the entries
-    // the packet owns.
-    Slot& s = slots_[occupy(id, payload, meta, /*warm=*/false)];
-    const std::uint32_t owned = r.u32();
-    for (std::uint32_t f = 0; f < owned; ++f) {
-      const rabin::Fingerprint fp = r.u64();
-      const std::uint16_t offset = r.u16();
-      // Two owners for one fingerprint, in either tier (or a window
-      // starting past the payload), can never arise from save(); reject
-      // the snapshot.
-      if (!r.ok() || index_->get(fp).has_value() || offset >= len) {
-        return reject();
-      }
-      s.pkt.fps.push_back(fp);
-      s.pkt.offsets.push_back(offset);
-      index_->put(fp, FpEntry{id, offset});
-    }
-  }
-  if (!r.ok()) return reject();
-  // A snapshot from a larger configuration may overflow this share (or
-  // this pair budget): trim deterministically, exactly as the runtime
-  // eviction would, without counting runtime movement statistics.
-  if (config_.per_host_pair_bytes > 0) {
-    for (std::uint32_t s = recency_.tail; s != kNilSlot;) {
-      const std::uint32_t prev = slots_[s].prev;
-      const HostEntry* e = hosts_.find(slots_[s].pkt.meta.host_key);
-      if (e != nullptr && e->bytes > config_.per_host_pair_bytes) {
-        evict_slot(s);
-      }
-      s = prev;
-    }
-  }
-  while (bytes_used_ > share_ && recency_.head != recency_.tail) {
-    evict_slot(recency_.tail);
-  }
-  // No payload view is outstanding during a restore; free limbo now.
-  free_limbo();
-  return true;
 }
 
 void L2Store::Stripe::audit() const {

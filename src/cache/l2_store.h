@@ -10,11 +10,10 @@
 //
 // A stripe keeps no fingerprint index: the attached codec's one
 // FingerprintTable names owners by id in either tier, so demotion and
-// promotion move only payload, metadata and anchor list (fingerprints,
-// offsets and the completeness flag anchor reuse needs).  The
-// stripe erases a packet's entries only when it leaves the cache for
-// good (share or host-budget eviction, NACK), and restores its
-// residents' entries from snapshots.
+// promotion move only payload, metadata and anchor list (fingerprints
+// and offsets, which anchor reuse needs).  The stripe erases a packet's
+// entries only when it leaves the cache for good (share or host-budget
+// eviction, NACK).
 //
 // Reclamation is epoch-deferred: a slice released during one packet
 // (promotion take-out, eviction) waits on a limbo list until the
@@ -39,7 +38,6 @@
 #include "cache/packet_store.h"
 #include "cache/recency_chain.h"
 #include "cache/slice_arena.h"
-#include "cache/snapshot.h"
 #include "obs/fields.h"
 #include "rabin/window.h"
 
@@ -116,13 +114,6 @@ class L2Store {
     /// Drops everything (cache flush; the codec clears the index).
     void clear();
 
-    /// Serializes / restores one "BCS1" block (contents + recency +
-    /// per-host attribution + owned index entries; not statistics).
-    /// load() consumes exactly the block and returns false, with the
-    /// stripe cleared and the reader failed, on malformed input.
-    void save(SnapshotWriter& w) const;
-    bool load(SnapshotReader& r);
-
     /// Deep invariant audit (BC_AUDIT): chain/index bijections, byte and
     /// per-host accounting, budgets, and an empty limbo list.
     void audit() const;
@@ -137,12 +128,8 @@ class L2Store {
       const std::uint32_t* slot = id_index_.find(id);
       return slot == nullptr ? nullptr : &slots_[*slot].pkt;
     }
-    /// The highest resident id (0 when empty).
-    [[nodiscard]] std::uint64_t max_id() const;
     [[nodiscard]] std::size_t share_bytes() const { return share_; }
     [[nodiscard]] const HostLedger& hosts() const { return hosts_; }
-    /// Bytes currently charged to `host_key` (tests/telemetry).
-    [[nodiscard]] std::size_t host_bytes(std::uint64_t host_key) const;
     [[nodiscard]] const TierStats& stats() const { return stats_; }
     [[nodiscard]] TierStats& stats() { return stats_; }
 
@@ -163,14 +150,14 @@ class L2Store {
     using HostChain = RecencyChain<&Slot::host_prev, &Slot::host_next>;
 
     /// Copies a packet's payload and metadata into a fresh slot chained
-    /// at the warm (`warm`) or cold end of the global chain and of its
-    /// host pair's, charging the pair; returns the slot.
+    /// at the warm end of the global chain and of its host pair's,
+    /// charging the pair; returns the slot.
     std::uint32_t occupy(std::uint64_t id, util::BytesView payload,
-                         const PacketMeta& meta, bool warm);
+                         const PacketMeta& meta);
     /// Frees the slot, parking its slice on the limbo list (never frees
     /// payload bytes mid-packet — the deferred-reclamation contract).
     void retire_slot(std::uint32_t slot);
-    /// Frees every parked slice (epoch boundary, flush, restore).
+    /// Frees every parked slice (epoch boundary, flush).
     void free_limbo();
     void touch(std::uint32_t slot);
     /// Unchains and retires a resident slot, settling its accounting.

@@ -41,14 +41,13 @@ void audit_anchor_list(const CachedPacket& pkt) {
   BC_AUDIT(pkt.fps.size() == pkt.offsets.size())
       << "packet " << pkt.id << " lists " << pkt.fps.size()
       << " fingerprints but " << pkt.offsets.size() << " offsets";
-  if (!pkt.anchors_complete) return;
   for (std::size_t i = 0; i < pkt.offsets.size(); ++i) {
     BC_AUDIT(pkt.offsets[i] < pkt.payload.size())
         << "packet " << pkt.id << " anchor " << i << " at "
         << pkt.offsets[i] << " outside its " << pkt.payload.size()
         << "-byte payload";
     BC_AUDIT(i == 0 || pkt.offsets[i - 1] < pkt.offsets[i])
-        << "packet " << pkt.id << " complete anchor list not ascending at "
+        << "packet " << pkt.id << " anchor list not ascending at "
         << i;
   }
 }
@@ -65,7 +64,6 @@ void PacketStore::release_slot(std::uint32_t slot) {
   s.pkt.payload = PayloadView{};
   s.pkt.fps.clear();
   s.pkt.offsets.clear();
-  s.pkt.anchors_complete = false;
   s.pkt.id = 0;
   s.live = false;
   free_.push_back(slot);
@@ -73,7 +71,7 @@ void PacketStore::release_slot(std::uint32_t slot) {
 
 PacketStore::Slot& PacketStore::occupy(std::uint64_t id,
                                        util::BytesView payload,
-                                       const PacketMeta& meta, bool mru) {
+                                       const PacketMeta& meta) {
   const bool fresh = free_.empty();
   const std::uint32_t slot = acquire_slot(slots_, free_);
   Slot& s = slots_[slot];
@@ -87,11 +85,7 @@ PacketStore::Slot& PacketStore::occupy(std::uint64_t id,
   s.pkt.meta = meta;
   s.live = true;
   bytes_used_ += payload.size();
-  if (mru) {
-    Lru::push_front(slots_, lru_, slot);
-  } else {
-    Lru::push_back(slots_, lru_, slot);
-  }
+  Lru::push_front(slots_, lru_, slot);
   index_.put(id, slot);
   return s;
 }
@@ -101,14 +95,13 @@ std::uint64_t PacketStore::insert(util::BytesView payload,
                                   const std::vector<rabin::Anchor>& anchors) {
   BC_CHECK(next_id_ < kPacketIdLimit)
       << "packet id " << next_id_ << " overflows the 48-bit id field";
-  Slot& s = occupy(next_id_++, payload, meta, /*mru=*/true);
+  Slot& s = occupy(next_id_++, payload, meta);
   s.pkt.fps.resize(anchors.size());
   s.pkt.offsets.resize(anchors.size());
   for (std::size_t i = 0; i < anchors.size(); ++i) {
     s.pkt.fps[i] = anchors[i].fp;
     s.pkt.offsets[i] = anchors[i].offset;
   }
-  s.pkt.anchors_complete = true;
   evict_to_budget();
   return lru_.head == kNilSlot ? 0 : slots_[lru_.head].pkt.id;
 }
@@ -129,27 +122,6 @@ bool PacketStore::contains(std::uint64_t id) const {
   return index_.find(id) != nullptr;
 }
 
-void PacketStore::note_fingerprint(std::uint64_t id, rabin::Fingerprint fp,
-                                   std::uint16_t offset) {
-  const std::uint32_t* slot = index_.find(id);
-  if (slot == nullptr) return;
-  CachedPacket& pkt = slots_[*slot].pkt;
-  pkt.fps.push_back(fp);
-  pkt.offsets.push_back(offset);
-}
-
-void PacketStore::set_host_key(std::uint64_t id, std::uint64_t host_key) {
-  const std::uint32_t* slot = index_.find(id);
-  if (slot != nullptr) slots_[*slot].pkt.meta.host_key = host_key;
-}
-
-void PacketStore::restore(std::uint64_t id, util::BytesView payload,
-                          const PacketMeta& meta) {
-  next_id_ = std::max(next_id_, id + 1);
-  // A recycled slot's anchor list is already empty and incomplete.
-  (void)occupy(id, payload, meta, /*mru=*/false);
-}
-
 void PacketStore::reinsert(const CachedPacket& pkt) {
   const std::uint64_t id = pkt.id;
   BC_CHECK(id != 0 && id < next_id_)
@@ -157,10 +129,9 @@ void PacketStore::reinsert(const CachedPacket& pkt) {
       << next_id_ << ")";
   BC_CHECK(index_.find(id) == nullptr)
       << "reinsert of live id " << id;
-  Slot& s = occupy(id, pkt.payload, pkt.meta, /*mru=*/true);
+  Slot& s = occupy(id, pkt.payload, pkt.meta);
   s.pkt.fps = pkt.fps;  // copies reuse the slot's capacity
   s.pkt.offsets = pkt.offsets;
-  s.pkt.anchors_complete = pkt.anchors_complete;
   evict_to_budget();
 }
 
@@ -242,11 +213,14 @@ void PacketStore::audit() const {
 }
 
 void PacketStore::evict_to_budget() {
-  while (const CachedPacket* pkt = over_budget_victim()) {
+  // The newest entry is never evicted, even when it alone is over budget.
+  while (byte_budget_ != 0 && bytes_used_ > byte_budget_ &&
+         lru_.head != lru_.tail) {
     const std::uint32_t victim = lru_.tail;
-    if (listener_ != nullptr) listener_->on_evict(*pkt, EvictReason::kBudget);
-    bytes_used_ -= pkt->payload.size();
-    index_.erase(pkt->id);
+    const CachedPacket& pkt = slots_[victim].pkt;
+    if (listener_ != nullptr) listener_->on_evict(pkt, EvictReason::kBudget);
+    bytes_used_ -= pkt.payload.size();
+    index_.erase(pkt.id);
     Lru::unlink(slots_, lru_, victim);
     release_slot(victim);
     ++evictions_;

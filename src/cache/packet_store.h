@@ -39,12 +39,6 @@ namespace bytecache::cache {
 /// At 200k packets a second that is 44 years of one codec's traffic.
 inline constexpr std::uint64_t kPacketIdLimit = std::uint64_t{1} << 48;
 
-/// An id a store may hold: nonzero (0 is the "absent" sentinel) and
-/// below kPacketIdLimit.  Snapshot restores reject any other.
-[[nodiscard]] constexpr bool valid_packet_id(std::uint64_t id) {
-  return id != 0 && id < kPacketIdLimit;
-}
-
 /// One selected fingerprint per 2^select_bits = 16 payload bytes at the
 /// paper's parameters: the density the index and the anchor lists are
 /// sized for.
@@ -123,18 +117,14 @@ struct CachedPacket {
   /// eviction purge erases exactly these from the fingerprint table.
   std::vector<rabin::Fingerprint> fps;
   /// Window start of each fingerprint (parallel to `fps`, 2 bytes per
-  /// anchor): a region copied out of this payload takes its interior
+  /// anchor; together the payload's full anchor set, in ascending offset
+  /// order): a region copied out of this payload takes its interior
   /// anchors from here instead of rescanning (DESIGN.md §15).
   std::vector<std::uint16_t> offsets;
-  /// True only when fps/offsets are the payload's full anchor set, in
-  /// ascending offset order (every update() stores one).  Snapshot-
-  /// restored packets hold only the fingerprints they own and are
-  /// incomplete.
-  bool anchors_complete = false;
 
   /// Appends the anchors whose window starts lie in [first, last],
   /// shifted by `to - first` (the copied region's placement in the new
-  /// payload).  Requires anchors_complete.
+  /// payload).
   void copy_anchors(std::size_t first, std::size_t last, std::size_t to,
                     std::vector<rabin::Anchor>& out) const;
 };
@@ -145,8 +135,7 @@ struct CachedPacket {
 void reserve_anchor_lists(CachedPacket& pkt, std::size_t payload_bytes);
 
 /// Deep check of one packet's anchor list (BC_AUDIT): fps and offsets
-/// are parallel, and a complete list is strictly ascending and inside
-/// the payload.
+/// are parallel, strictly ascending and inside the payload.
 void audit_anchor_list(const CachedPacket& pkt);
 
 /// Why a packet is leaving the store.  The L2 tier demotes kBudget
@@ -185,8 +174,8 @@ class PacketStore {
   /// Stores a payload copy under the next id (BC_CHECKed below
   /// kPacketIdLimit); returns the id.  May evict LRU entries (each
   /// reported to the eviction listener).  `anchors` is the payload's
-  /// selected anchor set, retained (fingerprints and offsets, marked
-  /// complete) for the eviction purge and anchor reuse.
+  /// selected anchor set, retained (fingerprints and offsets) for the
+  /// eviction purge and anchor reuse.
   std::uint64_t insert(util::BytesView payload, const PacketMeta& meta,
                        const std::vector<rabin::Anchor>& anchors = {});
 
@@ -210,19 +199,8 @@ class PacketStore {
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
 
-  /// Records the anchor (`fp` at `offset`) as belonging to stored packet
-  /// `id` (snapshot restore path, which bypasses insert()); no-op if the
-  /// id is absent.
-  void note_fingerprint(std::uint64_t id, rabin::Fingerprint fp,
-                        std::uint16_t offset);
-
-  /// Patches the host-pair key of stored packet `id` (the BCT1 restore,
-  /// whose L1 block carries host keys out of band); no-op if the id is
-  /// absent.
-  void set_host_key(std::uint64_t id, std::uint64_t host_key);
-
   /// Iterable view of the stored packets from most- to least-recently
-  /// used (snapshot/debug only).
+  /// used (audits, telemetry and tests).
   class EntryView {
    public:
     class iterator {
@@ -263,13 +241,6 @@ class PacketStore {
 
   [[nodiscard]] EntryView entries() const { return EntryView(this); }
 
-  /// Re-inserts a snapshotted entry (by id, payload copy, and metadata)
-  /// at the LRU tail; callers restore in MRU-to-LRU order so recency is
-  /// preserved.  Ids are kept; the id counter advances past them.
-  /// Fingerprints are re-attached via note_fingerprint.
-  void restore(std::uint64_t id, util::BytesView payload,
-               const PacketMeta& meta);
-
   /// Re-inserts `pkt` — a previously assigned id with its payload,
   /// metadata and anchor list — at the MRU end (the L2 -> L1 promotion
   /// path).  Exactly insert() except the id is the caller's: may evict
@@ -278,20 +249,10 @@ class PacketStore {
   /// backwards).
   void reinsert(const CachedPacket& pkt);
 
-  /// Keeps every future id above `id` (the tier snapshot restore: an
-  /// L2 resident's id must never be handed out again).
-  void reserve_ids_through(std::uint64_t id) {
-    next_id_ = std::max(next_id_, id + 1);
-  }
-
-  /// The packet the byte budget evicts next: the LRU entry while the
-  /// budget is exceeded and more than one entry is stored (the newest is
-  /// never evicted), else nullptr.
-  [[nodiscard]] const CachedPacket* over_budget_victim() const {
-    const bool over = byte_budget_ != 0 && bytes_used_ > byte_budget_ &&
-                      lru_.head != lru_.tail;
-    return over ? &slots_[lru_.tail].pkt : nullptr;
-  }
+  /// Test seam: the next insert() assigns `id`.  Reaches states no
+  /// traffic can build in a test's time: ids at the 48-bit limit, and
+  /// (moved backwards) a duplicate id for the audits to catch.
+  void set_next_id_for_test(std::uint64_t id) { next_id_ = id; }
 
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
@@ -322,10 +283,10 @@ class PacketStore {
   using Lru = RecencyChain<&Slot::prev, &Slot::next>;
 
   /// Copies a packet's payload into a fresh arena slice in a fresh slot,
-  /// indexed under `id` and chained at the MRU (`mru`) or LRU end; the
-  /// anchor list is the caller's to fill.
+  /// indexed under `id` and chained at the MRU end; the anchor list is
+  /// the caller's to fill.
   Slot& occupy(std::uint64_t id, util::BytesView payload,
-               const PacketMeta& meta, bool mru);
+               const PacketMeta& meta);
   void release_slot(std::uint32_t slot);
   void evict_to_budget();
 

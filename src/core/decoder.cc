@@ -1,6 +1,5 @@
 #include "core/decoder.h"
 
-#include "cache/snapshot.h"
 #include "core/anchors.h"
 #include "core/cacheable.h"
 #include "core/flow.h"
@@ -57,34 +56,16 @@ void Decoder::audit() const {
   sync_.audit();
 }
 
-util::Bytes Decoder::save_state() {
-  util::Bytes out;
-  util::put_u64(out, stream_index_);
-  cache::SnapshotWriter w;
-  cache_.save(w);
-  util::append(out, w.buffer());
-  return out;
-}
-
-bool Decoder::load_state(util::BytesView snapshot) {
-  if (snapshot.size() < 8) return false;
-  std::size_t off = 0;
-  const std::uint64_t stream_index = util::get_u64(snapshot, off);
-  cache::SnapshotReader r(snapshot.subspan(off));
-  if (!cache_.load(r)) return false;
-  if (!r.at_end()) {  // trailing bytes: not a snapshot we wrote
-    cache_.flush();
-    return false;
-  }
-  stream_index_ = stream_index;
-  // The adopted epoch is deliberately not persisted: the encoder may have
-  // flushed while we were down.  Re-adopt from the next v2 packet; stale
-  // restored entries then fail the epoch-distance check and trigger a
-  // clean resync instead of CRC-gambling.
+void Decoder::forget_peer() {
+  // Everything cached here predates the encoder's restart, so none of
+  // it can be referenced legitimately.  The next verified packet sets
+  // the epoch; until the encoder flushes, its references into packets
+  // dropped here miss and ask for that flush.
+  cache_.flush();
   epoch_ = 0;
   epoch_locked_ = false;
+  stale_run_ = 0;
   sync_.on_epoch_adopted();
-  return true;
 }
 
 void Decoder::cache_update(const packet::Packet& pkt,
@@ -104,7 +85,7 @@ const std::vector<rabin::Anchor>& Decoder::anchors_of(
   if (regions.empty() || !anchors_reusable(params_)) {
     return compute_anchors(tables_, payload, params_, anchor_ws_);
   }
-  // Anchor reuse (core/anchors.h): a region copied from a complete
+  // Anchor reuse (core/anchors.h): a region copied from a cached
   // source takes its interior window starts [nb, nb + len - w] from the
   // source's list; the gaps between — literals plus the w-1 seam windows
   // straddling each region edge — are scanned.
@@ -116,8 +97,8 @@ const std::vector<rabin::Anchor>& Decoder::anchors_of(
   bool reused = false;
   for (std::size_t ri = 0; ri < regions.size(); ++ri) {
     const EncodedRegion& r = regions[ri];
+    if (r.length < w) continue;  // gap-scanned
     const cache::CachedPacket& src = *sources_[ri];
-    if (r.length < w || !src.anchors_complete) continue;  // gap-scanned
     scan_anchors(tables_, payload, scanned, r.offset_new, params_,
                  anchor_ws_);
     src.copy_anchors(r.offset_stored,
@@ -176,6 +157,13 @@ DecodeInfo Decoder::process(packet::Packet& pkt) {
   }
   if (info.status == DecodeStatus::kDecoded) {
     sync_.on_progress();
+    stale_run_ = 0;
+  } else if (params_.epoch_resync &&
+             info.status == DecodeStatus::kStaleEpoch) {
+    // A reordered leftover of a pre-flush encoding arrives alone; a run
+    // of stale-epoch drops with no decode between them is an encoder
+    // that restarted cold at epoch 0, behind the adopted one.
+    if (++stale_run_ >= params_.epoch_sync.resync_after) forget_peer();
   } else if (params_.epoch_resync && is_desync_drop(info.status)) {
     if (sync_.on_undecodable(info.epoch)) {
       info.resync = true;
@@ -183,7 +171,7 @@ DecodeInfo Decoder::process(packet::Packet& pkt) {
       // encoder honors a request naming its current epoch, and the
       // packet it just sent carries exactly that — whereas the adopted
       // epoch lags during the very desyncs this recovers from (e.g. a
-      // warm restart that resumed at a later epoch than we ever saw).
+      // decoder restarted cold while the encoder is epochs ahead).
       info.resync_epoch = info.epoch;
       ++stats_.resync_signals;
     }

@@ -157,15 +157,11 @@ class Decoder {
   /// Flushes the cache (mirrors Encoder::flush; used by tests/examples).
   void flush();
 
-  /// Snapshot / warm-restore of the decoder cache (pair with the
-  /// encoder's snapshot taken at the same stream position).  The adopted
-  /// epoch is not part of the snapshot: after a restore the decoder
-  /// re-adopts from the next v2 packet it sees.
-  [[nodiscard]] util::Bytes save_state();
-  bool load_state(util::BytesView snapshot);
-
  private:
   DecodeInfo process_encoded(packet::Packet& pkt);
+  /// The encoder restarted cold (epoch resync): drops the cache and the
+  /// adopted epoch.
+  void forget_peer();
   /// Fig. 2 procedure C over a passthrough or reconstructed packet;
   /// `regions` are the copies it was rebuilt from (empty for
   /// passthrough), their sources in sources_.
@@ -183,6 +179,7 @@ class Decoder {
   std::uint64_t stream_index_ = 0;
   std::uint16_t epoch_ = 0;    // adopted encoder epoch (v2)
   bool epoch_locked_ = false;  // a v2 packet has been seen
+  std::uint32_t stale_run_ = 0;  // stale-epoch drops since the last decode
   resilience::EpochSynchronizer sync_;
 
   // Per-packet scratch, reused across process() calls (mirrors the

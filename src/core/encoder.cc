@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/snapshot.h"
 #include "core/anchors.h"
 #include "core/cacheable.h"
 #include "core/flow.h"
@@ -136,32 +135,6 @@ void Encoder::audit() const {
       << stats_.flushes << " flushes total";
 }
 
-util::Bytes Encoder::save_state() {
-  util::Bytes out;
-  util::put_u64(out, stream_index_);
-  util::put_u16(out, epoch_);
-  cache::SnapshotWriter w;
-  cache_.save(w);
-  util::append(out, w.buffer());
-  return out;
-}
-
-bool Encoder::load_state(util::BytesView snapshot) {
-  if (snapshot.size() < 10) return false;
-  std::size_t off = 0;
-  const std::uint64_t stream_index = util::get_u64(snapshot, off);
-  const std::uint16_t epoch = util::get_u16(snapshot, off);
-  cache::SnapshotReader r(snapshot.subspan(off));
-  if (!cache_.load(r)) return false;
-  if (!r.at_end()) {  // trailing bytes: not a snapshot we wrote
-    cache_.flush();
-    return false;
-  }
-  stream_index_ = stream_index;
-  epoch_ = epoch;
-  return true;
-}
-
 void Encoder::on_nack(rabin::Fingerprint fp) {
   ++stats_.nacks_received;
   if (cache_.invalidate(fp)) ++stats_.nack_invalidations;
@@ -265,7 +238,7 @@ void Encoder::identify_regions(util::BytesView payload,
       info.deps.push_back(src.meta.src_uid);
     }
     if (regions.size() == 255) break;  // shim region_count is u8
-    if (reuse && cursor - w + 1 > scanned && src.anchors_complete) {
+    if (reuse && cursor - w + 1 > scanned) {
       // Windows starting in (a.offset, cursor - w] lie inside the copy:
       // drop the ones already scanned and take them all from the source.
       const std::size_t first = std::size_t{a.offset} + 1;

@@ -155,27 +155,17 @@ class Encoder {
 
   /// Replaces the encoding policy at runtime (the control channel's
   /// policy switch, DESIGN.md §12.3).  The new policy starts from its
-  /// freshly-constructed state — the conservative post-restart behavior
-  /// of load_state() — and the cache is flushed first so the decoder
-  /// never sees references admitted under rules the operator just
-  /// revoked.  The flow records and the loss table are the encoder's and
-  /// carry over.  `policy` must be non-null (kNone cannot be switched
-  /// to).
+  /// freshly-constructed state, and the cache is flushed first so the
+  /// decoder never sees references admitted under rules the operator
+  /// just revoked.  The flow records and the loss table are the
+  /// encoder's and carry over.  `policy` must be non-null (kNone cannot
+  /// be switched to).
   void set_policy(std::unique_ptr<EncodingPolicy> policy);
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
   /// audits): audits the cache and checks counter consistency (packet
   /// class counts nest, byte totals never grow through encoding).
   void audit() const;
-
-  /// Snapshot of the cache plus the encoder's stream position/epoch, for
-  /// warm gateway restarts (cache/snapshot.h).  Policy-internal state is
-  /// NOT saved; after a restore the policies behave as freshly started
-  /// (conservative: at worst some compression opportunities are skipped).
-  [[nodiscard]] util::Bytes save_state();
-
-  /// Restores a save_state() snapshot; false (cache flushed) if invalid.
-  bool load_state(util::BytesView snapshot);
 
   /// Decoder NACK (params.nack_feedback): the packet owning `fp` is
   /// missing at the decoder; stop referencing it.

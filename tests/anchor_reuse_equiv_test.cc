@@ -7,12 +7,12 @@
 //   - AnchorReuseEquiv: after every packet, the newest store entry on
 //     each side holds exactly compute_anchors() of its payload — planted
 //     repeats, regions at packet edges, regions shorter than w, the
-//     255-region cap, tier promotions, snapshot-restored (incomplete)
-//     sources, and the position-dependent modes that never reuse;
-//   - OwnerCountEquiv: under random update / find / NACK / flush /
-//     snapshot-load sequences through a tiered cache (so evictions,
-//     demotions and promotions happen too), every owner count equals the
-//     number of index entries naming that owner;
+//     255-region cap, tier promotions, and the position-dependent modes
+//     that never reuse;
+//   - OwnerCountEquiv: under random update / find / NACK / flush
+//     sequences through a tiered cache (so evictions, demotions and
+//     promotions happen too), every owner count equals the number of
+//     index entries naming that owner;
 //   - CacheableEquiv: header-only TCP segments are skipped by both
 //     codecs, so a bounded cache stays identical on both sides.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "cache/cache_tier.h"
 #include "cache/l2_store.h"
-#include "cache/snapshot.h"
 #include "core/anchors.h"
 #include "core/cacheable.h"
 #include "core/decoder.h"
@@ -52,7 +51,6 @@ void expect_newest_entry(const cache::CacheTier& tier, const Bytes& payload,
   ASSERT_GT(tier.store().size(), 0u) << side << " packet " << i;
   const cache::CachedPacket& p = tier.store().entries().front();
   ASSERT_EQ(p.payload, util::BytesView(payload)) << side << " packet " << i;
-  EXPECT_TRUE(p.anchors_complete) << side << " packet " << i;
   ASSERT_EQ(p.fps.size(), expected.size()) << side << " packet " << i;
   ASSERT_EQ(p.offsets.size(), expected.size()) << side << " packet " << i;
   for (std::size_t j = 0; j < expected.size(); ++j) {
@@ -275,33 +273,6 @@ TEST(AnchorReuseEquiv, TierPromotionsCarryTheAnchorList) {
   pair.audit();
 }
 
-TEST(AnchorReuseEquiv, SnapshotRestoredSourcesFallBackToTheScan) {
-  Rng rng(testutil::test_seed(1506));
-  const core::DreParams params;
-  std::vector<Bytes> first_half;
-  for (int i = 0; i < 40; ++i) first_half.push_back(random_bytes(rng, 1000));
-  CheckedPair warm(params);
-  for (const Bytes& p : first_half) warm.send(p);
-  const Bytes enc_image = warm.enc().save_state();
-  const Bytes dec_image = warm.dec().save_state();
-
-  // A restart: the restored packets hold only the fingerprints they own.
-  CheckedPair pair(params);
-  ASSERT_TRUE(pair.enc().load_state(enc_image));
-  ASSERT_TRUE(pair.dec().load_state(dec_image));
-  ASSERT_GT(pair.enc().cache().store().size(), 0u);
-  for (const cache::CachedPacket& p : pair.enc().cache().store().entries()) {
-    EXPECT_FALSE(p.anchors_complete);
-  }
-  for (const Bytes& p : first_half) {
-    Bytes payload = p;
-    payload[500] ^= 0xFF;  // two regions around one changed byte
-    pair.send(payload);
-  }
-  EXPECT_GT(pair.regions(), 40u);
-  pair.audit();
-}
-
 TEST(AnchorReuseEquiv, PositionDependentModesKeepTheFullScan) {
   for (const core::SelectMode mode :
        {core::SelectMode::kMaxp, core::SelectMode::kSampleByte}) {
@@ -345,7 +316,6 @@ TEST(OwnerCountEquiv, RandomTierOperationsKeepCountsExact) {
   // entries — wholly or in part.
   std::vector<Bytes> pool;
   for (int i = 0; i < 24; ++i) pool.push_back(random_bytes(rng, 600));
-  std::size_t loads = 0;
   for (std::size_t step = 0; step < 2000; ++step) {
     const std::uint64_t op = rng.uniform(0, 99);
     if (op < 70) {  // update: one or two pool chunks, maybe trimmed
@@ -373,14 +343,7 @@ TEST(OwnerCountEquiv, RandomTierOperationsKeepCountsExact) {
       }
     } else if (op < 98) {
       tier.flush();
-    } else {  // save and restore in place
-      cache::SnapshotWriter w;
-      tier.save(w);
-      const Bytes image = w.take();
-      cache::SnapshotReader r(image);
-      ASSERT_TRUE(tier.load(r)) << "step " << step;
-      ++loads;
-    }
+    }  // the remaining 2% of steps only re-check the counts
     expect_exact_owner_counts(tier.table(), step);
     tier.audit();
   }
@@ -389,7 +352,6 @@ TEST(OwnerCountEquiv, RandomTierOperationsKeepCountsExact) {
   EXPECT_GT(ts.promotions, 0u);
   EXPECT_GT(ts.l2_evictions + ts.host_evictions, 0u);
   EXPECT_GT(tier.stats().fingerprints_purged, 0u);
-  EXPECT_GT(loads, 0u);
 }
 
 // ------------------------------------------- header-only TCP segments --

@@ -1,9 +1,8 @@
 // Unit and integration tests for the two-tier cache (DESIGN.md §14):
 // CacheTier demotion/promotion mechanics, the per-host-pair admission
-// control of the L2 stripe, the eviction-policy seam, the BCT1 tiered
-// snapshot, and — at gateway level — the elephant/mouse isolation the
-// per-pair budgets exist to provide, with the tier counters surfaced
-// through the obs snapshot.
+// control of the L2 stripe, the eviction-policy seam, and — at gateway
+// level — the elephant/mouse isolation the per-pair budgets exist to
+// provide, with the tier counters surfaced through the obs snapshot.
 //
 // The stale-fingerprint assertions extend the PR-2 eager-purge invariant
 // across the tier boundary: the codec's one index serves both tiers, and
@@ -22,7 +21,6 @@
 
 #include "cache/cache_tier.h"
 #include "cache/l2_store.h"
-#include "cache/snapshot.h"
 #include "core/flow.h"
 #include "gateway/gateways.h"
 #include "packet/packet.h"
@@ -189,13 +187,13 @@ TEST(CacheTier, ElephantPairEvictsItsOwnColdestNeverTheMouses) {
 
   // The elephant pair is pinned at its own budget ...
   EXPECT_GT(tier.tier_stats().host_evictions, 0u);
-  EXPECT_LE(tier.stripe()->host_bytes(kElephant),
+  EXPECT_LE(tier.stripe()->hosts().find(kElephant)->bytes,
             cc.per_host_pair_bytes);
   // ... and the evictions hit its own coldest packets, oldest first.
   EXPECT_FALSE(tier.stripe()->contains(elephant_ids[0]));
   // The mouse's bytes were never touched: still resident, still a hit.
   EXPECT_TRUE(tier.stripe()->contains(id_m));
-  EXPECT_EQ(tier.stripe()->host_bytes(kMouse), 100u);
+  EXPECT_EQ(tier.stripe()->hosts().find(kMouse)->bytes, 100u);
   auto hit = tier.find(0xAA00);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->packet->id, id_m);
@@ -418,61 +416,11 @@ TEST(CacheTierAudit, CatchesAMiscountedOwner) {
       << failures[0];
 }
 
-// ----------------------------------------------- tiered snapshotting --
+// ------------------------------------------------------ ids across tiers --
 
-TEST(CacheTier, TieredSnapshotRoundTripsBothTiers) {
-  CacheConfig cc;
-  cc.l1_bytes = 250;
-  cc.l2_bytes = 64 * 1024;
-  cc.per_host_pair_bytes = 4096;
-  L2Store l2(cc, 1);
-  CacheTier tier(cc, &l2);
-  for (int i = 0; i < 6; ++i) {
-    // Each payload holds its window twice: one fingerprint, listed twice
-    // on the packet but owned (and saved) once.
-    const auto fp = static_cast<rabin::Fingerprint>(0xA0 + i);
-    tier.update(payload_of(static_cast<char>('a' + i)),
-                anchors_at({{0, fp}, {50, fp}}),
-                meta_for(0x42 + static_cast<std::uint64_t>(i % 2)));
-  }
-  ASSERT_GT(tier.stripe()->size(), 0u);
-
-  SnapshotWriter w;
-  tier.save(w);
-  const Bytes image = w.take();
-
-  L2Store l2b(cc, 1);
-  CacheTier replica(cc, &l2b);
-  SnapshotReader r(image);
-  ASSERT_TRUE(replica.load(r));
-  ASSERT_TRUE(r.at_end());
-  EXPECT_EQ(replica.store().size(), tier.store().size());
-  EXPECT_EQ(replica.stripe()->size(), tier.stripe()->size());
-  EXPECT_EQ(replica.stripe()->bytes_used(), tier.stripe()->bytes_used());
-  // Both tiers answer lookups exactly as the original does.
-  for (int i = 0; i < 6; ++i) {
-    const auto fp = static_cast<rabin::Fingerprint>(0xA0 + i);
-    auto a = tier.find(fp);
-    auto b = replica.find(fp);
-    ASSERT_EQ(a.has_value(), b.has_value()) << i;
-    if (a.has_value()) {
-      EXPECT_EQ(a->packet->id, b->packet->id) << i;
-      EXPECT_EQ(a->packet->payload, util::BytesView(b->packet->payload)) << i;
-    }
-  }
-  EXPECT_EQ(stale_entries(replica), 0u);
-  replica.audit();
-
-  // A BCT1 image must not load into an L2-less tier (config mismatch).
-  CacheTier flat;
-  SnapshotReader r2(image);
-  EXPECT_FALSE(flat.load(r2));
-  EXPECT_EQ(flat.store().size(), 0u);
-}
-
-TEST(CacheTier, RestoredTierNeverReusesAnL2ResidentsId) {
+TEST(CacheTier, NewIdsNeverReuseAnL2ResidentsId) {
   // The index finds a packet's tier by id, so ids must stay unique across
-  // tiers after a restore too — even when the newest id sits in the L2.
+  // tiers — even when the newest id sits in the L2.
   CacheConfig cc;
   cc.l1_bytes = 150;  // one 100-byte payload
   cc.l2_bytes = 64 * 1024;
@@ -489,20 +437,13 @@ TEST(CacheTier, RestoredTierNeverReusesAnL2ResidentsId) {
   ASSERT_TRUE(tier.store().contains(id_a));
   ASSERT_TRUE(tier.stripe()->contains(id_b));
 
-  SnapshotWriter w;
-  tier.save(w);
-  const Bytes image = w.take();
-  L2Store l2b(cc, 1);
-  CacheTier replica(cc, &l2b);
-  SnapshotReader r(image);
-  ASSERT_TRUE(replica.load(r));
   const std::uint64_t id_d =
-      replica.update(payload_of('d'), anchors_at({{0, 0xD0}}), {});
+      tier.update(payload_of('d'), anchors_at({{0, 0xD0}}), {});
   EXPECT_GT(id_d, id_b);
-  auto hit = replica.find(0xB0);
+  auto hit = tier.find(0xB0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->packet->payload, util::BytesView(payload_of('b')));
-  replica.audit();
+  tier.audit();
 }
 
 // ------------------------------------- gateway-level pair isolation --

@@ -13,6 +13,7 @@
 
 #include "app/pipeline.h"
 #include "cache/cache_tier.h"
+#include "cache/fingerprint_table.h"
 #include "cache/packet_store.h"
 #include "cache/recency_chain.h"
 #include "core/decoder.h"
@@ -136,9 +137,11 @@ TEST(PacketStoreAudit, CleanThroughInsertLookupEraseEvict) {
 TEST(PacketStoreAudit, CatchesDuplicateIdRestore) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
   PacketStore store;
-  // Same id twice: breaks the index <-> LRU-list bijection.
-  store.restore(7, util::Bytes{1, 2, 3}, cache::PacketMeta{});
-  store.restore(7, util::Bytes{4, 5, 6}, cache::PacketMeta{});
+  // Same id twice: breaks the index <-> LRU-list bijection.  Only the
+  // test seam can make the store hand an id out twice.
+  const std::uint64_t id = store.insert(util::Bytes{1, 2, 3}, PacketMeta{});
+  store.set_next_id_for_test(id);
+  (void)store.insert(util::Bytes{4, 5, 6}, PacketMeta{});
   FailureRecorder rec;
   store.audit();
   ASSERT_TRUE(rec.tripped());
@@ -194,44 +197,57 @@ TEST(RecencyChainAudit, CatchesBrokenBackLinkFreedSlotAndTail) {
 
 TEST(ByteCacheAudit, CatchesFingerprintBeyondIdHorizon) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
-  cache::CacheTier cache;
+  PacketStore store;
+  cache::FingerprintTable index;
   // An id the store never assigned: every audit must flag it, because a
   // decoder holding such an entry can never resolve the region.
-  cache.restore_fingerprint(0xDEADBEEFu, cache::FpEntry{99, 0});
+  index.put(0xDEADBEEFu, cache::FpEntry{99, 0});
   FailureRecorder rec;
-  cache.audit();
+  (void)index.audit(store);
   ASSERT_TRUE(rec.tripped());
   EXPECT_NE(rec.messages()[0].find("never assigned"), std::string::npos);
+  const std::size_t before = rec.messages().size();
+  cache::CacheTier::audit_index(index, store, nullptr);
+  EXPECT_GT(rec.messages().size(), before);
 }
 
 TEST(ByteCacheAudit, CatchesOffsetOutsidePayload) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
-  cache::CacheTier cache;
-  cache.restore_packet(1, util::Bytes(64, 0xAA), cache::PacketMeta{});
-  cache.restore_fingerprint(0x1234u, cache::FpEntry{1, 64});  // one past end
+  PacketStore store;
+  const std::uint64_t id = store.insert(util::Bytes(64, 0xAA), PacketMeta{});
+  cache::FingerprintTable index;
+  index.put(0x1234u, cache::FpEntry{id, 64});  // one past end
   FailureRecorder rec;
-  cache.audit();
+  (void)index.audit(store);
   ASSERT_TRUE(rec.tripped());
   EXPECT_NE(rec.messages()[0].find("outside payload"), std::string::npos);
+  const std::size_t before = rec.messages().size();
+  cache::CacheTier::audit_index(index, store, nullptr);
+  ASSERT_GT(rec.messages().size(), before);
+  EXPECT_NE(rec.messages()[before].find("past the 64-byte payload"),
+            std::string::npos);
 }
 
 TEST(ByteCacheAudit, StaleEntriesAreLegal) {
   // Lazy invalidation means a fingerprint may outlive its packet; the
-  // audit must count, not flag, those entries.
-  cache::CacheTier cache;
-  cache.restore_packet(1, util::Bytes(64, 0xAA), cache::PacketMeta{});
-  cache.restore_fingerprint(0x1234u, cache::FpEntry{1, 10});
+  // index audit must count, not flag, those entries.  (A bare store has
+  // no eviction listener, so nothing purges the entry.)
+  PacketStore store;
+  const std::uint64_t id = store.insert(util::Bytes(64, 0xAA), PacketMeta{});
+  cache::FingerprintTable index;
+  index.put(0x1234u, cache::FpEntry{id, 10});
   FailureRecorder rec;
-  cache.audit();
+  EXPECT_EQ(index.audit(store), 0u);
+  ASSERT_TRUE(store.erase(id));
+  EXPECT_EQ(index.audit(store), 1u);
   EXPECT_FALSE(rec.tripped());
-  EXPECT_EQ(cache.table().audit(cache.store()), 0u);
 }
 
 // ----------------------------------------------------- 48-bit id field --
 
 TEST(PacketIdBound, StoreChecksTheIdsItAssigns) {
   PacketStore store;
-  store.restore(cache::kPacketIdLimit - 2, util::Bytes(8, 1), PacketMeta{});
+  store.set_next_id_for_test(cache::kPacketIdLimit - 1);
   FailureRecorder rec;
   EXPECT_EQ(store.insert(util::Bytes(8, 2), PacketMeta{}),
             cache::kPacketIdLimit - 1);

@@ -1,8 +1,10 @@
 // Unit tests for the resilience layer (DESIGN.md §9): the perceived-loss
 // estimator, the epoch synchronizer, the decoder's epoch enforcement, the
-// encoder's resync handling, and control-message routing through the
-// (sharded) gateways.
+// encoder's resync handling, recovery from a cold restart of either
+// codec, and control-message routing through the (sharded) gateways.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/control.h"
 #include "core/decoder.h"
@@ -15,6 +17,7 @@
 #include "resilience/epoch_sync.h"
 #include "resilience/perceived_loss.h"
 #include "tests/testutil.h"
+#include "workload/generators.h"
 
 namespace bytecache {
 namespace {
@@ -479,34 +482,126 @@ TEST(CodecEpoch, ResyncSignalCarriesTheFailingEpochAndEncoderHonorsIt) {
   dec.audit();
 }
 
-TEST(CodecEpoch, RestoredDecoderReAdoptsFromTraffic) {
-  const core::DreParams params = resync_params();
-  core::Encoder enc(params, core::make_policy(core::PolicyKind::kNaive,
-                                              params));
-  core::Decoder dec(params);
+// ---------------------------------------------------------- cold restart --
+//
+// A restarted gateway starts with an empty cache at epoch 0 while its
+// peer keeps the old cache and, on the decoder side, the old adopted
+// epoch.  Epoch resync must bring the pair back in step: every packet
+// delivered in the meantime is byte-identical, the drops stop within a
+// bounded window, and compression resumes.
 
-  const SimilarPair pair = similar_payloads(7);
-  auto a = testutil::make_tcp_packet(pair.first, 1000);
-  auto b = testutil::make_tcp_packet(pair.second, 3000);
-  (void)enc.process(*a);
-  ASSERT_TRUE(enc.process(*b).encoded);
-  EXPECT_EQ(dec.process(*a).status, core::DecodeStatus::kPassthrough);
-  EXPECT_EQ(dec.process(*b).status, core::DecodeStatus::kDecoded);
+struct RestartOutcome {
+  std::uint16_t epoch_before = 0;  // decoder's adopted epoch at the restart
+  std::size_t drops = 0;
+  std::size_t last_drop = 0;  // segment index of the last drop
+  std::uint64_t resyncs = 0;  // requests the decoder sent
+  std::size_t last_pass_in = 0;
+  std::size_t last_pass_out = 0;
+};
 
-  // Snapshot/restore drops the adopted epoch by design.
-  const util::Bytes snap = dec.save_state();
-  core::Decoder dec2(params);
-  ASSERT_TRUE(dec2.load_state(snap));
-  EXPECT_EQ(dec2.epoch(), 0);
+/// Four passes of a 200-segment File 1 object through a lossless naive
+/// encoder -> decoder pair with epoch resync.  `flushes` counted encoder
+/// flushes are spread over the first pass; at segment 200 the encoder
+/// (or the decoder) is replaced by a fresh one.
+RestartOutcome run_cold_restart(bool restart_encoder, int flushes) {
+  constexpr std::size_t kSegments = 200;
+  constexpr std::size_t kPasses = 4;
+  core::DreParams params;
+  params.epoch_resync = true;
+  util::Rng rng(0xC01D);
+  const util::Bytes object = workload::make_file1(rng, kSegments * 1460);
+  auto fresh_encoder = [&] {
+    return std::make_unique<core::Encoder>(
+        params, core::make_policy(core::PolicyKind::kNaive, params));
+  };
+  auto enc = fresh_encoder();
+  auto dec = std::make_unique<core::Decoder>(params);
+  RestartOutcome out;
+  std::size_t i = 0;
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (auto& pkt : testutil::segment_stream(object)) {
+      if (i == kSegments) {
+        out.epoch_before = dec->epoch();
+        if (restart_encoder) {
+          enc = fresh_encoder();
+        } else {
+          dec = std::make_unique<core::Decoder>(params);
+        }
+      }
+      if (flushes > 0 && i < kSegments &&
+          i % (kSegments / flushes) == kSegments / flushes / 2) {
+        enc->flush_counted();
+      }
+      const util::Bytes original = pkt->payload;
+      (void)enc->process(*pkt);
+      if (pass + 1 == kPasses) {
+        out.last_pass_in += original.size();
+        out.last_pass_out += pkt->payload.size();
+      }
+      const core::DecodeInfo info = dec->process(*pkt);
+      if (info.resync) {
+        ++out.resyncs;
+        enc->on_resync_request(info.resync_epoch);
+      }
+      if (core::is_drop(info.status)) {
+        ++out.drops;
+        out.last_drop = i;
+      } else {
+        EXPECT_EQ(pkt->payload, original) << "segment " << i;
+      }
+      ++i;
+    }
+  }
+  enc->audit();
+  dec->audit();
+  return out;
+}
 
-  const SimilarPair pair2 = similar_payloads(8);
-  auto c = testutil::make_tcp_packet(pair2.first, 5000);
-  auto d = testutil::make_tcp_packet(pair2.second, 7000);
-  (void)enc.process(*c);
-  ASSERT_TRUE(enc.process(*d).encoded);
-  EXPECT_EQ(dec2.process(*c).status, core::DecodeStatus::kPassthrough);
-  EXPECT_EQ(dec2.process(*d).status, core::DecodeStatus::kDecoded);
-  dec2.audit();
+void expect_recovered(const RestartOutcome& r) {
+  // Before the restart the pair ran lossless, so every drop belongs to
+  // the recovery, which must end within a few resync rounds ...
+  if (r.drops > 0) {
+    EXPECT_LT(r.last_drop, 200u + 32u);
+  }
+  // ... after which the last pass compresses like steady state.
+  EXPECT_LT(r.last_pass_out * 2, r.last_pass_in);
+}
+
+TEST(ColdRestart, EncoderRestartAtAdoptedEpochZero) {
+  const RestartOutcome r = run_cold_restart(/*restart_encoder=*/true, 0);
+  EXPECT_EQ(r.epoch_before, 0);
+  expect_recovered(r);
+}
+
+TEST(ColdRestart, EncoderRestartAfterFlushes) {
+  // A cold encoder restarts at epoch 0, behind the decoder's adopted
+  // epoch, so its encodings arrive as stale-epoch drops.
+  for (const int flushes : {1, 5}) {
+    SCOPED_TRACE(flushes);
+    const RestartOutcome r = run_cold_restart(/*restart_encoder=*/true,
+                                              flushes);
+    EXPECT_EQ(r.epoch_before, flushes);
+    EXPECT_GT(r.drops, 0u);
+    expect_recovered(r);
+  }
+}
+
+TEST(ColdRestart, DecoderRestartAtAdoptedEpochZero) {
+  const RestartOutcome r = run_cold_restart(/*restart_encoder=*/false, 0);
+  EXPECT_EQ(r.epoch_before, 0);
+  EXPECT_GT(r.resyncs, 0u);
+  expect_recovered(r);
+}
+
+TEST(ColdRestart, DecoderRestartAfterFlushes) {
+  for (const int flushes : {1, 5}) {
+    SCOPED_TRACE(flushes);
+    const RestartOutcome r = run_cold_restart(/*restart_encoder=*/false,
+                                              flushes);
+    EXPECT_EQ(r.epoch_before, flushes);
+    EXPECT_GT(r.resyncs, 0u);
+    expect_recovered(r);
+  }
 }
 
 // ------------------------------------------------------ gateway plumbing --

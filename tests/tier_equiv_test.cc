@@ -12,16 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "cache/cache_config.h"
 #include "cache/l2_store.h"
-#include "cache/snapshot.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
 #include "packet/packet.h"
@@ -215,13 +212,9 @@ TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
 // attached, driving every tier path the index serves: demotion, L2 hit
 // and deferred promotion, host-budget eviction, oversize rejection,
 // stripe-share eviction, NACK invalidation of an L2-resident packet, and
-// flush.  The digest covers every wire
-// payload and coded repair plus the decode outcomes; together with the
-// final movement counters it pins the tiered wire exactly.  The saved
-// images of both codecs are pinned too, in a canonical form: the flat
-// block's fingerprint records are sorted (their order follows the
-// index's slot layout) and the state version is zeroed.  An image must
-// also survive a restore into a fresh codec unchanged in that form.
+// flush.  The digest covers every wire payload and coded repair plus the
+// decode outcomes; together with the final movement counters it pins the
+// tiered wire exactly.
 
 /// FNV-1a over a length-prefixed byte run, folded into `h`.
 std::uint64_t fnv1a(std::uint64_t h, util::BytesView bytes) {
@@ -239,82 +232,9 @@ constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
 
 struct TierDigest {
   std::uint64_t wire = 0;  // wire payloads, repairs, decode outcomes
-  // Canonical BCT1 images at the checkpoint (the codecs' differ: the
-  // encoder records trace uids the decoder never sees).
-  std::uint64_t enc_image = 0;
-  std::uint64_t dec_image = 0;
   cache::TierStats enc;
   cache::TierStats dec;
 };
-
-/// Walks the cache part of a BCT1 image, checks that its flat block holds
-/// exactly the entries owned by L1 residents and its L2 block only
-/// entries owned by L2 residents, and returns its canonical digest.
-/// `l2_entries`, if given, receives the L2 block's (fingerprint, owner)
-/// records.
-std::uint64_t canonical_image_digest(
-    Bytes image, const cache::CacheTier& tier,
-    std::vector<std::pair<rabin::Fingerprint, std::uint64_t>>* l2_entries =
-        nullptr) {
-  cache::SnapshotReader r(image);
-  EXPECT_EQ(r.u32(), cache::kSnapMagicTier);
-  (void)r.u64();
-  std::fill(image.begin() + 4, image.begin() + 12, 0);  // the state version
-  EXPECT_EQ(r.u32(), cache::kSnapMagicFlat);
-  const std::uint32_t l1_packets = r.u32();
-  for (std::uint32_t i = 0; i < l1_packets; ++i) {
-    (void)r.bytes(8 * 4 + 4 * 3 + 1);
-    (void)r.bytes(r.u32());
-  }
-  const std::uint32_t l1_fps = r.u32();
-  const std::size_t fp_begin = r.offset();
-  std::size_t l1_owned = 0;
-  tier.table().for_each([&](rabin::Fingerprint, const cache::FpEntry& e) {
-    if (tier.store().contains(e.packet_id)) ++l1_owned;
-  });
-  EXPECT_EQ(l1_fps, l1_owned);
-  std::vector<std::tuple<rabin::Fingerprint, std::uint64_t, std::uint16_t>>
-      recs;
-  for (std::uint32_t i = 0; i < l1_fps; ++i) {
-    const rabin::Fingerprint fp = r.u64();
-    const std::uint64_t id = r.u64();
-    recs.emplace_back(fp, id, r.u16());
-    EXPECT_TRUE(tier.store().contains(id)) << "flat block entry " << fp;
-  }
-  // The record order follows the index's slot layout: sort it away
-  // (numeric order of the big-endian fields is their byte order).
-  std::sort(recs.begin(), recs.end());
-  cache::SnapshotWriter sorted;
-  for (const auto& [fp, id, offset] : recs) {
-    sorted.u64(fp);
-    sorted.u64(id);
-    sorted.u16(offset);
-  }
-  std::copy(sorted.buffer().begin(), sorted.buffer().end(),
-            image.begin() + static_cast<std::ptrdiff_t>(fp_begin));
-  const std::uint32_t patches = r.u32();
-  (void)r.bytes(16 * std::size_t{patches});
-  EXPECT_EQ(r.u8(), 1u);
-  EXPECT_EQ(r.u32(), cache::kSnapMagicStripe);
-  const std::uint32_t l2_packets = r.u32();
-  for (std::uint32_t i = 0; i < l2_packets; ++i) {
-    const std::uint64_t id = r.u64();
-    EXPECT_TRUE(tier.stripe()->contains(id)) << "L2 block packet " << id;
-    (void)r.bytes(8 * 4 + 4 * 3 + 1);
-    (void)r.bytes(r.u32());
-    const std::uint32_t owned = r.u32();
-    for (std::uint32_t f = 0; f < owned; ++f) {
-      const rabin::Fingerprint fp = r.u64();
-      (void)r.u16();
-      if (l2_entries != nullptr) l2_entries->emplace_back(fp, id);
-      const auto e = tier.table().get(fp);
-      EXPECT_FALSE(e.has_value() && tier.store().contains(e->packet_id))
-          << "L2 block carries L1-owned fingerprint " << fp;
-    }
-  }
-  EXPECT_TRUE(r.at_end());
-  return fnv1a(kFnvBasis, image);
-}
 
 TierDigest run_tiered_stream() {
   constexpr std::uint32_t kPairs = 24;
@@ -352,7 +272,7 @@ TierDigest run_tiered_stream() {
       auto pkt = packet::make_packet(0x0A000200 + pair, testutil::kDstIp,
                                      packet::IpProto::kUdp, payload);
       // Caches record the trace uid; a process-wide counter would make
-      // the images depend on which tests ran first.
+      // the cache contents depend on which tests ran first.
       pkt->uid = ++uid;
       const core::EncodeInfo info = enc.process(*pkt);
       d.wire = fnv1a(d.wire, pkt->payload);
@@ -364,46 +284,21 @@ TierDigest run_tiered_stream() {
       d.wire = fnv1a(d.wire, outcome);
     }
   };
-  // The codec images lead with their own headers (the encoder's carries
-  // the epoch too): strip them to get at the cache part.
-  auto enc_cache = [](const Bytes& b) {
-    return Bytes(b.begin() + 10, b.end());
-  };
-  auto dec_cache = [](const Bytes& b) {
-    return Bytes(b.begin() + 8, b.end());
-  };
-
   send(900);
-  const Bytes enc_image = enc_cache(enc.save_state());
-  d.enc_image = canonical_image_digest(enc_image, enc.cache());
-  d.dec_image = canonical_image_digest(dec_cache(dec.save_state()),
-                                       dec.cache());
-  {
-    cache::L2Store l2(cc, 1);
-    core::Encoder replica =
-        test_encoder(core::PolicyKind::kNaive, params, cc, &l2);
-    EXPECT_TRUE(replica.load_state(enc.save_state()));
-    replica.audit();
-    EXPECT_EQ(canonical_image_digest(enc_cache(replica.save_state()),
-                                     replica.cache()),
-              d.enc_image);
-  }
   enc.audit();
   dec.audit();
 
-  // NACK the lowest fingerprint whose owner sits in the encoder's L2
-  // (read off a fresh image, which lists exactly those entries).
-  std::vector<std::pair<rabin::Fingerprint, std::uint64_t>> l2_entries;
-  (void)canonical_image_digest(enc_cache(enc.save_state()), enc.cache(),
-                               &l2_entries);
+  // NACK the lowest fingerprint whose owner sits in the encoder's L2.
   std::optional<rabin::Fingerprint> victim;
   std::uint64_t victim_id = 0;
-  for (const auto& [fp, id] : l2_entries) {
-    if (!victim || fp < *victim) {
-      victim = fp;
-      victim_id = id;
-    }
-  }
+  enc.cache().table().for_each(
+      [&](rabin::Fingerprint fp, const cache::FpEntry& e) {
+        if (enc.cache().stripe()->contains(e.packet_id) &&
+            (!victim || fp < *victim)) {
+          victim = fp;
+          victim_id = e.packet_id;
+        }
+      });
   EXPECT_TRUE(victim.has_value());
   if (victim) {
     enc.on_nack(*victim);
@@ -424,10 +319,7 @@ TierDigest run_tiered_stream() {
 
 void expect_digest(const TierDigest& d, const TierDigest& golden) {
   // Printed so a deliberate wire change can re-pin the golden.
-  std::printf("0x%016llX 0x%016llX 0x%016llX\n",
-              static_cast<unsigned long long>(d.wire),
-              static_cast<unsigned long long>(d.enc_image),
-              static_cast<unsigned long long>(d.dec_image));
+  std::printf("0x%016llX\n", static_cast<unsigned long long>(d.wire));
   for (const cache::TierStats* s : {&d.enc, &d.dec}) {
     std::printf("{%llu, %llu, %llu, %llu, %llu, %llu, %llu}\n",
                 static_cast<unsigned long long>(s->l2_hits),
@@ -444,10 +336,8 @@ void expect_digest(const TierDigest& d, const TierDigest& golden) {
   EXPECT_GT(d.enc.demotions_rejected, 0u);
   EXPECT_GT(d.enc.l2_evictions, 0u);
   EXPECT_GT(d.enc.host_evictions, 0u);
-  // ... and the wire, images and counters are the pinned ones.
+  // ... and the wire and counters are the pinned ones.
   EXPECT_EQ(d.wire, golden.wire);
-  EXPECT_EQ(d.enc_image, golden.enc_image);
-  EXPECT_EQ(d.dec_image, golden.dec_image);
   for (const auto& [got, want] : {std::pair{d.enc, golden.enc},
                                   std::pair{d.dec, golden.dec}}) {
     EXPECT_EQ(got.l2_hits, want.l2_hits);
@@ -465,8 +355,6 @@ TEST(TierEquiv, TieredWireIsPinnedUnderLru) {
       // Loss-sized repair: 128 repairs over 68 clean generations (the
       // 64 start-up ones), where a fixed R = 2 sent 136.
       .wire = 0x63F140FF0CBF83B3ull,
-      .enc_image = 0x7B8C1923C3939DB8ull,
-      .dec_image = 0x84C7E6BB254D9AE2ull,
       // The decoder never saw the NACK: one more share eviction.
       .enc = {138, 138, 980, 69, 277, 448, 45809},
       .dec = {138, 138, 980, 69, 278, 448, 45809}};

@@ -17,7 +17,7 @@ Contiguous-container growth (vector/Bytes push_back, reserve, assign) is
 deliberately allowed: the scratch-reuse design amortises it to zero in
 steady state, and flagging it would bury the real signal.  A function is
 a *hot root* unless its name marks it as setup/teardown/diagnostics
-(constructors, audit, save/load_state, flush, factories, stats).
+(constructors, audit, flush, factories, stats).
 """
 
 from collections import deque
@@ -41,9 +41,8 @@ EXTRA_ROOT_NAMES = frozenset({
 
 # Name fragments marking a function as off the per-packet path.
 COLD_NAME_PARTS = (
-    "audit", "save_state", "load_state", "snapshot", "stats", "reset",
-    "flush", "to_string", "from_string", "make_", "merge", "configure",
-    "set_params",
+    "audit", "snapshot", "stats", "reset", "flush", "to_string",
+    "from_string", "make_", "merge", "configure", "set_params",
 )
 
 NODE_CONTAINERS = {

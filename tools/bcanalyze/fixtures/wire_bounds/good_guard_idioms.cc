@@ -1,10 +1,10 @@
 // BC-FIXTURE: path=src/packet/fixture_guard_idioms.cc
 //
-// bc-wire-bounds known-good: every guard idiom the tree actually uses.
+// bc-wire-bounds known-good: the guard idioms the rule must accept.
 // A size early-exit (core/wire.cc), reads under the guard's own
-// short-circuit, the `have(n)` remaining-length lambda
-// (cache/snapshot.h), guards inside loop bodies, and delegation to
-// another parse_* function that did the checking (packet/tcp.cc).
+// short-circuit, a `have(n)` remaining-length lambda, guards inside loop
+// bodies, and delegation to another parse_* function that did the
+// checking (packet/tcp.cc).
 #include <cstdint>
 #include <optional>
 

@@ -10,7 +10,14 @@ earns its keep), and asserts:
   * the second pass compresses (wire_ratio < 1);
   * the control channel works end to end: ping, live stats snapshot,
     cache flush, policy switch, and shutdown via bytecache_ctl;
-  * clean teardown: SIGTERM and the shutdown command both exit 0.
+  * clean teardown: SIGTERM and the shutdown command both exit 0;
+  * cold restarts recover through epoch resync (DESIGN.md §9): a second
+    pair runs with --epoch-resync, bumps the epoch once with a flush,
+    then has its encoder and later its decoder killed and relaunched
+    mid-stream.  After a recovery window of RECOVERY_PASSES passes, in
+    which drops are allowed but every delivered datagram must be
+    byte-identical, one full pass must arrive intact with
+    wire_ratio < 1.
 
 The UDP and simulated wires carrying byte-identical traffic is checked
 in-process by tests/net_test.cc (GatewayTunnelTest).
@@ -33,7 +40,9 @@ CHUNK = 1200          # plain datagram payload (4-byte seq + 1196 data)
 DATA_PER_CHUNK = CHUNK - 4
 PASSES = 2
 WINDOW = 64           # in-flight datagrams before waiting on the sink
-DEADLINE_S = 30
+DEADLINE_S = 30       # per pass
+RECOVERY_PASSES = 2   # passes after a restart that may lose datagrams
+STALL_S = 0.3         # sink silence that ends a wait in a lossy pass
 
 
 def fail(msg):
@@ -96,50 +105,75 @@ class Ctl:
         return out
 
 
-def stream_file(blob, ingress_port, sink):
-    """Sends the file PASSES times as seq-stamped datagrams with window
-    pacing, reassembles from the sink, and checks byte-identical
-    delivery of every pass.  Loss is a failure: loopback with paced
-    sending and a 4 MiB receive buffer must deliver everything."""
-    out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    pieces = chunks_of(blob)
-    total = PASSES * len(pieces)
-    received = {}
-    deadline = time.monotonic() + DEADLINE_S
+class Stream:
+    """Seq-stamped datagrams into the encoder's ingress, collected at the
+    sink.  Sequence numbers run on across passes, so a late datagram of
+    an earlier pass is never mistaken for one of the current pass."""
 
-    def pump():
+    def __init__(self, ingress_port, sink):
+        self.out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.ingress = ingress_port
+        self.sink = sink
+        self.seq = 0
+        self.first = 0    # first seq of the current pass
+        self.arrived = 0  # distinct datagrams of the current pass received
+        self.received = {}
+
+    def pump(self):
         while True:
             try:
-                data, _ = sink.recvfrom(65535)
+                data, _ = self.sink.recvfrom(65535)
             except (BlockingIOError, socket.timeout):
                 return
             seq = int.from_bytes(data[:4], "big")
-            received[seq] = data[4:]
+            if seq >= self.first and seq not in self.received:
+                self.arrived += 1
+            self.received[seq] = data[4:]
 
-    sent = 0
-    for p in range(PASSES):
-        for i, piece in enumerate(pieces):
-            seq = p * len(pieces) + i
-            out.sendto(seq.to_bytes(4, "big") + piece,
-                       ("127.0.0.1", ingress_port))
-            sent += 1
-            while len(received) < sent - WINDOW:
-                if time.monotonic() > deadline:
-                    fail(f"transfer stalled: {len(received)}/{sent} after "
-                         f"{DEADLINE_S}s")
-                pump()
+    def wait_for(self, count, deadline, lossy):
+        """Waits until `count` datagrams of the current pass have arrived.
+        A lossy wait also ends once the sink stays silent for STALL_S;
+        returns False then."""
+        last, since = self.arrived, time.monotonic()
+        while self.arrived < count:
+            now = time.monotonic()
+            if now > deadline:
+                fail(f"transfer stalled: {self.arrived}/{count} datagrams "
+                     f"of the pass after {DEADLINE_S}s")
+            self.pump()
+            if self.arrived != last:
+                last, since = self.arrived, now
+            elif lossy and now - since > STALL_S:
+                return False
+            time.sleep(0.001)
+        return True
+
+    def send_pass(self, blob, lossy=False):
+        """Sends the file once with window pacing; every datagram that
+        arrives must be byte-identical to the one sent.  A strict pass
+        must deliver all of them: loopback with paced sending and a 4 MiB
+        receive buffer loses nothing.  A lossy pass paces by time instead
+        once the sink first stalls, so its length stays bounded however
+        many datagrams are lost."""
+        pieces = chunks_of(blob)
+        self.first, self.arrived = self.seq, 0
+        deadline = time.monotonic() + DEADLINE_S
+        stalled = False
+        for sent, piece in enumerate(pieces, start=1):
+            self.out.sendto(self.seq.to_bytes(4, "big") + piece,
+                            ("127.0.0.1", self.ingress))
+            self.seq += 1
+            if stalled:
                 time.sleep(0.001)
-    while len(received) < total:
-        if time.monotonic() > deadline:
-            fail(f"transfer incomplete: {len(received)}/{total} datagrams")
-        pump()
-        time.sleep(0.001)
-
-    for p in range(PASSES):
-        got = b"".join(received[p * len(pieces) + i]
-                       for i in range(len(pieces)))
-        if got != blob:
-            fail(f"pass {p} delivered bytes differ from the sent file")
+                self.pump()
+            elif not self.wait_for(sent - WINDOW, deadline, lossy):
+                stalled = True
+        self.wait_for(len(pieces), deadline, lossy)
+        for i, piece in enumerate(pieces):
+            got = self.received.get(self.first + i)
+            if got is not None and got != piece:
+                fail(f"datagram {self.first + i} delivered bytes differ "
+                     f"from the sent ones")
 
 
 def open_sink():
@@ -188,7 +222,9 @@ def run_udp_pair(gw, ctl_exe, blob):
         enc_ctl.wait_ready()
         dec_ctl.wait_ready()
 
-        stream_file(blob, ingress, sink)
+        stream = Stream(ingress, sink)
+        for _ in range(PASSES):
+            stream.send_pass(blob)
         stats = encoder_counters_of_interest(enc_ctl.counters())
 
         # Control channel, after the measured transfer (flush and policy
@@ -216,6 +252,70 @@ def run_udp_pair(gw, ctl_exe, blob):
                 p.kill()
 
 
+def pass_ratio(stream, blob, enc_ctl):
+    """Sends one strict pass and returns its wire_ratio, read off the
+    encoder's counters around it."""
+    before = encoder_counters_of_interest(enc_ctl.counters())
+    stream.send_pass(blob)
+    after = encoder_counters_of_interest(enc_ctl.counters())
+    bytes_in = after["encoder.bytes_in"] - before["encoder.bytes_in"]
+    bytes_out = after["encoder.bytes_out"] - before["encoder.bytes_out"]
+    return bytes_out / bytes_in
+
+
+def run_restart_phase(gw, ctl_exe, blob):
+    """Kills and relaunches the encoder, then the decoder, of a pair
+    running with epoch resync; returns each recovered pass's
+    wire_ratio."""
+    ingress, enc_tun, dec_tun = free_port(), free_port(), free_port()
+    enc_ctl_port, dec_ctl_port = free_port(), free_port()
+    sink, sink_port = open_sink()
+    argv = {
+        "decoder": [gw, "--role=decode", f"--tunnel=127.0.0.1:{dec_tun}",
+                    f"--egress=127.0.0.1:{sink_port}",
+                    f"--control=127.0.0.1:{dec_ctl_port}", "--epoch-resync"],
+        "encoder": [gw, "--role=encode", f"--ingress=127.0.0.1:{ingress}",
+                    f"--tunnel=127.0.0.1:{enc_tun}",
+                    f"--peer=127.0.0.1:{dec_tun}",
+                    f"--control=127.0.0.1:{enc_ctl_port}", "--epoch-resync"],
+    }
+    ctl = {"decoder": Ctl(ctl_exe, dec_ctl_port),
+           "encoder": Ctl(ctl_exe, enc_ctl_port)}
+    procs = {name: subprocess.Popen(args) for name, args in argv.items()}
+    try:
+        for c in ctl.values():
+            c.wait_ready()
+        stream = Stream(ingress, sink)
+        for _ in range(PASSES):
+            stream.send_pass(blob)
+        # One epoch bump.  The file holds no repeats of its own, so the
+        # decoder adopts the new epoch from the second pass after it.
+        ctl["encoder"].must("flush")
+        for _ in range(PASSES):
+            stream.send_pass(blob)
+        if ctl["decoder"].counters().get("decoder.epoch_adoptions", 0) < 1:
+            fail("the decoder never adopted the flushed epoch")
+
+        ratios = {}
+        for name in ("encoder", "decoder"):
+            terminate_clean(procs[name], name)
+            procs[name] = subprocess.Popen(argv[name])
+            ctl[name].wait_ready()
+            for _ in range(RECOVERY_PASSES):
+                stream.send_pass(blob, lossy=True)
+            ratios[name] = pass_ratio(stream, blob, ctl["encoder"])
+            if not ratios[name] < 1.0:
+                fail(f"after the {name} restart the pass did not compress "
+                     f"(wire_ratio {ratios[name]:.4f})")
+        for name, proc in procs.items():
+            terminate_clean(proc, name)
+        return ratios
+    finally:
+        for p in procs.values():
+            if p.poll() is None:
+                p.kill()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build", default="build",
@@ -235,6 +335,11 @@ def main():
     print(f"loopback_smoke: OK — {PASSES}x {FILE_BYTES // 1024} KiB "
           f"delivered byte-identical; wire_ratio {ratio:.4f} "
           f"({stats['encoder.bytes_out']}/{stats['encoder.bytes_in']} bytes)")
+
+    ratios = run_restart_phase(gw, ctl, blob)
+    print("loopback_smoke: OK — cold restarts recovered: "
+          + ", ".join(f"{name} restart -> pass wire_ratio {r:.4f}"
+                      for name, r in ratios.items()))
 
 
 if __name__ == "__main__":
